@@ -1,0 +1,114 @@
+"""Golden outputs of the `cyclo` CLI, compared byte for byte.
+
+Each case runs ``cli.main`` in-process and compares its stdout with
+``tests/golden/<name>.txt`` and its exit code and stderr with
+``tests/golden/exits.json``.  The verify report carries wall-clock
+``seconds`` fields; they are removed before the comparison and nothing
+else is touched.
+
+Re-record after an intended change of output with
+
+    PYTHONPATH=src python3 tests/test_golden.py --record
+
+and review the diff of ``tests/golden/`` like any other change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from cycloschur.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+CYCLO_EXPR = "sigma(2)*x(2,1)*L3 + q^-2*u1*T1*L1 - (T2+u2)^2"
+AFFINE_EXPR = "sigma(2)*X1^-1*x(2,1) + q^-2*u2*T2*X3^2 - (T1+u1)*X2"
+MATRIX_A = "[[[0,0],[1,0]],[[1,0],[0,0]]]"
+MATRIX_B = MATRIX_A
+
+CASES: dict[str, list[str]] = {
+    "element_cyclo_text": ["element", CYCLO_EXPR, "--m", "2", "--r", "3"],
+    "element_cyclo_json": ["element", CYCLO_EXPR, "--m", "2", "--r", "3",
+                           "--format", "json"],
+    "element_affine_text": ["element", AFFINE_EXPR, "--m", "2", "--r", "3",
+                            "--affine"],
+    "element_affine_json": ["element", AFFINE_EXPR, "--m", "2", "--r", "3",
+                            "--affine", "--format", "json"],
+    "element_cyclo_sigma_range": ["element", "sigma(9)", "--m", "2", "--r", "3"],
+    "element_affine_sigma_range": ["element", "sigma(9)", "--m", "2", "--r", "3",
+                                   "--affine"],
+    "basis_full_text": ["basis", "--m", "2", "--n", "2", "--r", "2"],
+    "basis_full_json": ["basis", "--m", "2", "--n", "2", "--r", "2",
+                        "--format", "json"],
+    "basis_block_text": ["basis", "--m", "2", "--n", "2", "--r", "3",
+                         "--lambda", "2,1", "--mu", "1,2"],
+    "basis_block_json": ["basis", "--m", "2", "--n", "2", "--r", "3",
+                         "--lambda", "2,1", "--mu", "1,2", "--format", "json"],
+    "mult_text": ["mult", "--m", "2", "--n", "2", "--r", "2",
+                  "--A", MATRIX_A, "--B", MATRIX_B],
+    "mult_json": ["mult", "--m", "2", "--n", "2", "--r", "2",
+                  "--A", MATRIX_A, "--B", MATRIX_B, "--format", "json"],
+    "tables_text": ["tables", "--m", "2", "--n", "1", "--r", "3"],
+    "tables_json": ["tables", "--m", "2", "--n", "1", "--r", "3",
+                    "--format", "json"],
+    "verify_all_json": ["verify", "--suite", "all", "--m", "2", "--n", "2",
+                        "--r", "2", "--format", "json"],
+}
+
+
+def _strip_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [_strip_seconds(v) for v in obj]
+    return obj
+
+
+def run_case(name: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one case, with timings removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(CASES[name])
+    stdout = out.getvalue()
+    if name.startswith("verify"):
+        stdout = json.dumps(_strip_seconds(json.loads(stdout)), sort_keys=True) + "\n"
+    return code, stdout, err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def _no_cache_dir(monkeypatch):
+    monkeypatch.delenv("CYCLO_CACHE_DIR", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    code, stdout, stderr = run_case(name)
+    exits = json.loads((GOLDEN_DIR / "exits.json").read_text(encoding="utf-8"))
+    assert {"exit": code, "stderr": stderr} == exits[name]
+    assert stdout == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def record() -> None:
+    os.environ.pop("CYCLO_CACHE_DIR", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    exits = {}
+    for name in sorted(CASES):
+        code, stdout, stderr = run_case(name)
+        exits[name] = {"exit": code, "stderr": stderr}
+        (GOLDEN_DIR / f"{name}.txt").write_text(stdout, encoding="utf-8")
+    (GOLDEN_DIR / "exits.json").write_text(
+        json.dumps(exits, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python3 tests/test_golden.py --record")
+    record()
