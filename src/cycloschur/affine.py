@@ -18,218 +18,75 @@ rejected).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .guards import check_guard
-from .hecke import HeckeAlgebra, HeckeElement, _add_term, _cached_word, _rmul_T
-from .permutations import (
-    Permutation,
-    all_perms,
-    check_composition,
-    identity,
-    young_subgroup,
+from .hecke import (
+    AlgebraBase,
+    ElementBase,
+    HeckeAlgebra,
+    HeckeElement,
+    TermKey,
+    _add_term,
+    _terms_from_json,
+    _terms_to_json,
+    sigma_nu,
 )
+from .permutations import Permutation, all_perms, identity
 from .ring import RingElem, elementary_symmetric_of
 
-AffineKey = tuple[Permutation, tuple[int, ...]]
+class AffineElement(ElementBase):
+    """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
+
+    __slots__ = ()
+
+    symbol = "X"
+
+    def rmul_x(self, a: Sequence[int]) -> AffineElement:
+        """Right multiplication by X^a: a plain exponent shift."""
+        a = tuple(int(v) for v in a)
+        if len(a) != self.alg.r:
+            raise ValueError("exponent vector length mismatch")
+        return AffineElement(self.alg, self._rmul_exponents(self.alg, self.terms, a))
+
+    def __mul__(self, other: AffineElement) -> AffineElement:
+        return self._product(other)
+
+    @staticmethod
+    def _rmul_exponents(alg, terms, a):
+        out: dict[TermKey, RingElem] = {}
+        for (w, b), c in terms.items():
+            _add_term(out, (w, tuple(x + y for x, y in zip(b, a))), c)
+        return out
 
 
-class AffineAlgebra:
+class AffineAlgebra(AlgebraBase):
     """Context: rank r and the coefficient ring's u-variable count."""
+
+    element_type = AffineElement
 
     def __init__(self, r: int, nvars: int = 0):
         if r < 1:
             raise ValueError("need r >= 1")
-        self.r = r
-        self.nvars = nvars
-        self.q = RingElem.q_power(1, nvars)
-        self.one_c = RingElem.one(nvars)
-        self.qm1 = self.q - self.one_c
+        self._init_ring(r, nvars)
 
     def _signature(self):
         return (self.r, self.nvars)
 
-    def __eq__(self, other):
-        return isinstance(other, AffineAlgebra) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
-
     def __repr__(self):
         return f"AffineAlgebra(r={self.r})"
 
-    def elem(self, terms: Mapping[AffineKey, RingElem]) -> "AffineElement":
-        clean = {k: c for k, c in terms.items() if not c.is_zero()}
-        return AffineElement(self, clean)
-
-    def zero(self) -> "AffineElement":
-        return AffineElement(self, {})
-
-    def one(self) -> "AffineElement":
-        return AffineElement(self, {(identity(self.r), (0,) * self.r): self.one_c})
-
-    def scalar(self, c: RingElem) -> "AffineElement":
-        return self.elem({(identity(self.r), (0,) * self.r): c})
-
-    def gen_T(self, i: int) -> "AffineElement":
-        from .permutations import simple
-
-        if not 1 <= i <= self.r - 1:
-            raise ValueError(f"T index {i} out of range 1..{self.r - 1}")
-        return AffineElement(
-            self, {(simple(i, self.r), (0,) * self.r): self.one_c}
-        )
-
-    def x_monomial(self, a: Sequence[int]) -> "AffineElement":
+    def x_monomial(self, a: Sequence[int]) -> AffineElement:
         a = tuple(int(v) for v in a)
         if len(a) != self.r:
             raise ValueError("exponent vector length mismatch")
         return AffineElement(self, {(identity(self.r), a): self.one_c})
 
-    def from_perm(self, w: Permutation) -> "AffineElement":
-        if w.size != self.r:
-            raise ValueError("permutation size mismatch")
-        return AffineElement(self, {(w, (0,) * self.r): self.one_c})
-
-    def x_lambda(self, lam: Sequence[int]) -> "AffineElement":
-        lam = check_composition(lam)
-        if sum(lam) != self.r:
-            raise ValueError(f"{lam} is not a composition of {self.r}")
-        zero_a = (0,) * self.r
-        return AffineElement(
-            self, {(w, zero_a): self.one_c for w in young_subgroup(lam)}
-        )
+    monomial = x_monomial
 
 
-class AffineElement:
-    """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: AffineAlgebra, terms: dict[AffineKey, RingElem]):
-        self.alg = alg
-        self.terms = terms
-
-    def _check(self, other: "AffineElement") -> None:
-        if self.alg != other.alg:
-            raise ValueError("elements from different algebras")
-
-    def __add__(self, other: "AffineElement") -> "AffineElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
-        return AffineElement(self.alg, out)
-
-    def __neg__(self) -> "AffineElement":
-        return AffineElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "AffineElement") -> "AffineElement":
-        return self + (-other)
-
-    def scale(self, c: RingElem) -> "AffineElement":
-        if c.is_zero():
-            return self.alg.zero()
-        return AffineElement(self.alg, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def rmul_gen_T(self, i: int) -> "AffineElement":
-        return AffineElement(self.alg, _rmul_T(self.alg, self.terms, i))
-
-    def rmul_x(self, a: Sequence[int]) -> "AffineElement":
-        """Right multiplication by X^a: a plain exponent shift."""
-        a = tuple(int(v) for v in a)
-        out: dict[AffineKey, RingElem] = {}
-        for (w, b), c in self.terms.items():
-            _add_term(out, (w, tuple(x + y for x, y in zip(b, a))), c)
-        return AffineElement(self.alg, out)
-
-    def __mul__(self, other: "AffineElement") -> "AffineElement":
-        self._check(other)
-        alg = self.alg
-        acc: dict[AffineKey, RingElem] = {}
-        for (w2, a2), c2 in other.terms.items():
-            cur = self.terms
-            for letter in _cached_word(w2.im):
-                cur = _rmul_T(alg, cur, letter)
-            if any(a2):
-                shifted: dict[AffineKey, RingElem] = {}
-                for (w, b), c in cur.items():
-                    _add_term(
-                        shifted,
-                        (w, tuple(x + y for x, y in zip(b, a2))),
-                        c,
-                    )
-                cur = shifted
-            for key, c in cur.items():
-                _add_term(acc, key, c * c2)
-        return AffineElement(alg, acc)
-
-    def sorted_terms(self) -> list[tuple[AffineKey, RingElem]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0].im, kv[0][1]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w, a), c in self.sorted_terms():
-            factors = []
-            if not w.is_identity():
-                factors.append("T[" + ",".join(map(str, w.im)) + "]")
-            if any(a):
-                factors.append("X[" + ",".join(map(str, a)) + "]")
-            if not factors:
-                factors.append("1")
-            parts.append(f"({c})*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AffineElement({self})"
-
-
-def affine_multiply(x: AffineElement, y: AffineElement) -> AffineElement:
-    return x * y
-
-
-def affine_sigma(
-    alg: AffineAlgebra, nu: Sequence[int], exps: Sequence[Sequence[int]]
-) -> AffineElement:
-    """Blockwise product of elementary symmetric polynomials in the X's.
-
-    Mirrors the cyclotomic version; exponents only grow, so everything is a
-    direct monomial computation.
-    """
-    import itertools
-
-    from .permutations import blocks
-
-    nu = check_composition(nu)
-    if sum(nu) != alg.r:
-        raise ValueError(f"{nu} is not a composition of {alg.r}")
-    if len(exps) != len(nu):
-        raise ValueError("need one exponent tuple per block")
-    result = alg.one()
-    for blk, ex in zip(blocks(nu), exps):
-        positions = list(blk)
-        if len(ex) != len(positions):
-            raise ValueError("exponent tuple does not match block size")
-        for t, e in enumerate(ex, start=1):
-            for _ in range(int(e)):
-                e_t = alg.zero()
-                for subset in itertools.combinations(positions, t):
-                    vec = [0] * alg.r
-                    for j in subset:
-                        vec[j - 1] = 1
-                    e_t = e_t + alg.x_monomial(vec)
-                result = result * e_t
-    return result
+# The blockwise elementary symmetric X-polynomials: the cyclotomic builder
+# serves both engines through ``AlgebraBase.monomial``.
+affine_sigma = sigma_nu
 
 
 def _l1_inverse(target: HeckeAlgebra, em_inverse: RingElem) -> HeckeElement:
@@ -319,19 +176,10 @@ def coefficient_symmetry_check(z: AffineElement) -> bool:
 
 
 def affine_to_json(x: AffineElement) -> dict:
-    terms = []
-    for (w, a), c in x.sorted_terms():
-        terms.append({"w": list(w.im), "a": list(a), "poly": c.to_json()})
-    return {"r": x.alg.r, "terms": terms}
+    return {"r": x.alg.r, "terms": _terms_to_json(x)}
 
 
 def affine_from_json(alg: AffineAlgebra, data: Mapping) -> AffineElement:
     if int(data["r"]) != alg.r:
         raise ValueError("serialized element has a different rank")
-    terms: dict[AffineKey, RingElem] = {}
-    for item in data["terms"]:
-        w = Permutation(tuple(int(v) for v in item["w"]))
-        a = tuple(int(v) for v in item["a"])
-        c = RingElem.from_json(item["poly"], alg.nvars)
-        _add_term(terms, (w, a), c)
-    return AffineElement(alg, terms)
+    return AffineElement(alg, _terms_from_json(alg, data["terms"]))

@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--exact", action="store_true",
                     help="certify ranks over the exact ring instead of modularly")
-    sp.add_argument("--cache-dir", default=None)
     return parser
 
 
@@ -130,7 +129,7 @@ def _cmd_basis(args) -> int:
         print("error: --lambda and --mu must be given together", file=sys.stderr)
         return 2
     if args.lam is not None:
-        matrices = ctx.basis_block(args.lam, args.mu)
+        matrices = ctx.basis_block(args.lam, args.mu, args.guard)
     else:
         matrices = ctx.basis(args.guard)
     if args.format == "json":

@@ -15,7 +15,6 @@ pretty-printer emits a canonical form that reparses to the same tree.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -276,16 +275,6 @@ def pretty(e: Expr) -> str:
 Element = Union[HeckeElement, AffineElement]
 
 
-def _affine_sigma_k(alg: AffineAlgebra, k: int) -> AffineElement:
-    if not 0 <= k <= alg.r:
-        raise ExprError(f"sigma({k}) out of range for rank {alg.r}")
-    total = alg.zero()
-    for subset in itertools.combinations(range(alg.r), k):
-        exps = tuple(1 if i in subset else 0 for i in range(alg.r))
-        total = total + alg.x_monomial(exps)
-    return total
-
-
 def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
     """Evaluate a tree in a cyclotomic or affine engine.
 
@@ -295,6 +284,11 @@ def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
     """
     affine = isinstance(alg, AffineAlgebra)
     nvars = alg.nvars
+
+    def x_power(index: int, n: int) -> AffineElement:
+        if not 1 <= index <= alg.r:
+            raise ExprError(f"X{index} out of range for rank {alg.r}")
+        return alg.x_monomial(tuple(n if i == index - 1 else 0 for i in range(alg.r)))
 
     def ev(node: Expr) -> Element:
         if isinstance(node, Num):
@@ -317,16 +311,13 @@ def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
             if node.kind == "X":
                 if not affine:
                     raise ExprError("X is not defined in the cyclotomic engine; use L")
-                if not 1 <= node.index <= alg.r:
-                    raise ExprError(f"X{node.index} out of range for rank {alg.r}")
-                exps = tuple(1 if i == node.index - 1 else 0 for i in range(alg.r))
-                return alg.x_monomial(exps)
+                return x_power(node.index, 1)
             raise ExprError(f"unknown generator kind {node.kind!r}")
         if isinstance(node, XComp):
             return alg.x_lambda(node.parts)
         if isinstance(node, Sigma):
-            if affine:
-                return _affine_sigma_k(alg, node.k)
+            if affine and not 0 <= node.k <= alg.r:
+                raise ExprError(f"sigma({node.k}) out of range for rank {alg.r}")
             return sigma_elementary(alg, node.k)
         if isinstance(node, Neg):
             return -ev(node.operand)
@@ -342,14 +333,7 @@ def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
             if isinstance(node.base, QVar):
                 return alg.scalar(RingElem.q_power(n, nvars))
             if isinstance(node.base, Gen) and node.base.kind == "X" and affine:
-                if not 1 <= node.base.index <= alg.r:
-                    raise ExprError(
-                        f"X{node.base.index} out of range for rank {alg.r}"
-                    )
-                exps = tuple(
-                    n if i == node.base.index - 1 else 0 for i in range(alg.r)
-                )
-                return alg.x_monomial(exps)
+                return x_power(node.base.index, n)
             if n < 0:
                 raise ExprError("negative powers are only supported for q and X")
             out = alg.one()

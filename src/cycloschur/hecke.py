@@ -27,6 +27,10 @@ workhorses are:
 The parameter list is pluggable: ``HeckeAlgebra(m, r)`` uses the generic
 variables u_1..u_m, while explicit ring elements (for instance (-1, Q) at
 two parameters) give specialized models without changing any code path.
+
+``AlgebraBase`` and ``ElementBase`` hold what the affine engine (``affine``)
+shares with this one: the linear structure, T-straightening, the product
+loop and the JSON term lists.  The sigma builders take either engine.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .guards import check_guard
 from .permutations import (
@@ -42,8 +46,10 @@ from .permutations import (
     check_composition,
     double_coset_factor,
     identity,
+    nu_of,
     reduced_word,
     right_coset_factor,
+    simple,
     young_subgroup,
     young_subgroup_size,
 )
@@ -73,8 +79,197 @@ def _swap_values(w: Permutation, i: int) -> Permutation:
     return Permutation(tuple(im))
 
 
-class HeckeAlgebra:
+class AlgebraBase:
+    """What the cyclotomic and affine engines share.
+
+    A context of rank r over Z[q, q^-1, u_1..u_nvars]: the ring constants
+    the straightening rules use, equality by ``_signature``, and the
+    constructors of elements with zero exponent part.  A subclass names its
+    element class in ``element_type`` and its constructor of the commuting
+    monomials (L^a or X^a) in ``monomial``.
+    """
+
+    element_type: type[ElementBase]
+
+    def _init_ring(self, r: int, nvars: int) -> None:
+        self.r = r
+        self.nvars = nvars
+        self.q = RingElem.q_power(1, nvars)
+        self.one_c = RingElem.one(nvars)
+        self.qm1 = self.q - self.one_c
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._signature() == other._signature()
+
+    def __hash__(self):
+        return hash(self._signature())
+
+    def elem(self, terms: Mapping[TermKey, RingElem]) -> ElementBase:
+        clean = {k: c for k, c in terms.items() if not c.is_zero()}
+        return self.element_type(self, clean)
+
+    def zero(self) -> ElementBase:
+        return self.element_type(self, {})
+
+    def one(self) -> ElementBase:
+        return self.from_perm(identity(self.r))
+
+    def scalar(self, c: RingElem) -> ElementBase:
+        return self.elem({(identity(self.r), (0,) * self.r): c})
+
+    def gen_T(self, i: int) -> ElementBase:
+        if not 1 <= i <= self.r - 1:
+            raise ValueError(f"T index {i} out of range 1..{self.r - 1}")
+        return self.from_perm(simple(i, self.r))
+
+    def from_perm(self, w: Permutation) -> ElementBase:
+        if w.size != self.r:
+            raise ValueError("permutation size mismatch")
+        return self.element_type(self, {(w, (0,) * self.r): self.one_c})
+
+    def x_lambda(self, lam: Sequence[int]) -> ElementBase:
+        """The q-symmetrizer sum of T_w over the Young subgroup of lam."""
+        lam = check_composition(lam)
+        if sum(lam) != self.r:
+            raise ValueError(f"{lam} is not a composition of {self.r}")
+        zero_a = (0,) * self.r
+        return self.element_type(
+            self, {(w, zero_a): self.one_c for w in young_subgroup(lam)}
+        )
+
+
+class ElementBase:
+    """A sparse R-linear combination of monomials T_w M^a.
+
+    M is L in the cyclotomic engine and X in the affine one (``symbol``).
+    The engines differ only in how a normal-form dict is multiplied on the
+    right by M^a, which each supplies as ``_rmul_exponents``.
+    """
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: AlgebraBase, terms: dict[TermKey, RingElem]):
+        self.alg = alg
+        self.terms = terms
+
+    # -- linear structure --------------------------------------------------
+
+    def _check(self, other: ElementBase) -> None:
+        if self.alg != other.alg:
+            raise ValueError("elements from different algebras")
+
+    def __add__(self, other: ElementBase) -> ElementBase:
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_term(out, k, c)
+        return type(self)(self.alg, out)
+
+    def __neg__(self) -> ElementBase:
+        return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: ElementBase) -> ElementBase:
+        return self + (-other)
+
+    def scale(self, c: RingElem) -> ElementBase:
+        if c.is_zero():
+            return self.alg.zero()
+        return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.alg == other.alg and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def rmul_gen_T(self, i: int) -> ElementBase:
+        return type(self)(self.alg, _rmul_T(self.alg, self.terms, i))
+
+    # -- multiplication ----------------------------------------------------
+
+    def _product(self, other: ElementBase) -> ElementBase:
+        """self * other: straighten self by each T_w2 M^a2 of other."""
+        self._check(other)
+        alg = self.alg
+        acc: dict[TermKey, RingElem] = {}
+        for (w2, a2), c2 in other.terms.items():
+            cur = self.terms
+            for letter in _cached_word(w2.im):
+                cur = _rmul_T(alg, cur, letter)
+            if any(a2):
+                cur = self._rmul_exponents(alg, cur, a2)
+            for key, c in cur.items():
+                _add_term(acc, key, c * c2)
+        return type(self)(alg, acc)
+
+    # -- printing ----------------------------------------------------------
+
+    def sorted_terms(self) -> list[tuple[TermKey, RingElem]]:
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][0].im, kv[0][1]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for (w, a), c in self.sorted_terms():
+            factors = []
+            if not w.is_identity():
+                factors.append("T[" + ",".join(map(str, w.im)) + "]")
+            if any(a):
+                factors.append(self.symbol + "[" + ",".join(map(str, a)) + "]")
+            if not factors:
+                factors.append("1")
+            parts.append(f"({c})*" + "*".join(factors))
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class HeckeElement(ElementBase):
+    """A sparse R-linear combination of normal-form monomials T_w L^a."""
+
+    __slots__ = ()
+
+    symbol = "L"
+
+    def scale_int(self, n: int) -> HeckeElement:
+        return self.scale(RingElem.const(n, self.alg.nvars))
+
+    # -- generator actions -------------------------------------------------
+
+    def rmul_gen_L(self, j: int) -> HeckeElement:
+        return HeckeElement(self.alg, _rmul_L(self.alg, self.terms, j))
+
+    def lmul_gen_T(self, i: int) -> HeckeElement:
+        """Left multiplication T_i * x in a single pass (L parts untouched)."""
+        alg = self.alg
+        out: dict[TermKey, RingElem] = {}
+        for (w, a), c in self.terms.items():
+            if not w.has_left_descent(i):
+                _add_term(out, (_swap_values(w, i), a), c)
+            else:
+                _add_term(out, (w, a), c * alg.qm1)
+                _add_term(out, (_swap_values(w, i), a), c * alg.q)
+        return HeckeElement(alg, out)
+
+    def __mul__(self, other: HeckeElement) -> HeckeElement:
+        return self._product(other)
+
+    @staticmethod
+    def _rmul_exponents(alg, terms, a):
+        for j, e in enumerate(a, start=1):
+            for _ in range(e):
+                terms = _rmul_L(alg, terms, j)
+        return terms
+
+
+class HeckeAlgebra(AlgebraBase):
     """Context object: degree m, rank r, and the parameter list."""
+
+    element_type = HeckeElement
 
     def __init__(
         self,
@@ -95,13 +290,9 @@ class HeckeAlgebra:
         for p in u_params:
             if p.nvars != nvars:
                 raise ValueError("parameters must live in the declared ring")
+        self._init_ring(r, nvars)
         self.m = m
-        self.r = r
-        self.nvars = nvars
         self.u_params = u_params
-        self.q = RingElem.q_power(1, nvars)
-        self.one_c = RingElem.one(nvars)
-        self.qm1 = self.q - self.one_c
         # L_1^m = sum_k overflow[k-1] L_1^{m-k}
         self.overflow = tuple(
             elementary_symmetric_of(list(u_params), k).scale((-1) ** (k + 1))
@@ -111,54 +302,18 @@ class HeckeAlgebra:
     def _signature(self):
         return (self.m, self.r, self.nvars, self.u_params)
 
-    def __eq__(self, other):
-        return isinstance(other, HeckeAlgebra) and self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
-
     def __repr__(self):
         return f"HeckeAlgebra(m={self.m}, r={self.r})"
 
     def dim(self) -> int:
         return self.m**self.r * math.factorial(self.r)
 
-    # -- element constructors ---------------------------------------------
-
-    def elem(self, terms: Mapping[TermKey, RingElem]) -> "HeckeElement":
-        clean = {k: c for k, c in terms.items() if not c.is_zero()}
-        return HeckeElement(self, clean)
-
-    def zero(self) -> "HeckeElement":
-        return HeckeElement(self, {})
-
-    def one(self) -> "HeckeElement":
-        key = (identity(self.r), (0,) * self.r)
-        return HeckeElement(self, {key: self.one_c})
-
-    def scalar(self, c: RingElem) -> "HeckeElement":
-        key = (identity(self.r), (0,) * self.r)
-        return self.elem({key: c})
-
-    def gen_T(self, i: int) -> "HeckeElement":
-        if not 1 <= i <= self.r - 1:
-            raise ValueError(f"T index {i} out of range 1..{self.r - 1}")
-        from .permutations import simple
-
-        key = (simple(i, self.r), (0,) * self.r)
-        return HeckeElement(self, {key: self.one_c})
-
-    def gen_L(self, j: int) -> "HeckeElement":
+    def gen_L(self, j: int) -> HeckeElement:
         if not 1 <= j <= self.r:
             raise ValueError(f"L index {j} out of range 1..{self.r}")
         return self.one().rmul_gen_L(j)
 
-    def from_perm(self, w: Permutation) -> "HeckeElement":
-        if w.size != self.r:
-            raise ValueError("permutation size mismatch")
-        return HeckeElement(self, {(w, (0,) * self.r): self.one_c})
-
-    def jm_monomial(self, a: Sequence[int]) -> "HeckeElement":
+    def jm_monomial(self, a: Sequence[int]) -> HeckeElement:
         """The product L_1^{a_1} ... L_r^{a_r}; exponents reduce as needed."""
         a = tuple(int(x) for x in a)
         if len(a) != self.r or any(x < 0 for x in a):
@@ -169,15 +324,7 @@ class HeckeAlgebra:
                 out = out.rmul_gen_L(j)
         return out
 
-    def x_lambda(self, lam: Sequence[int]) -> "HeckeElement":
-        """The q-symmetrizer sum of T_w over the Young subgroup of lam."""
-        lam = check_composition(lam)
-        if sum(lam) != self.r:
-            raise ValueError(f"{lam} is not a composition of {self.r}")
-        zero_a = (0,) * self.r
-        return HeckeElement(
-            self, {(w, zero_a): self.one_c for w in young_subgroup(lam)}
-        )
+    monomial = jm_monomial
 
     def pbw_basis(self, guard: int | None = None) -> Iterator[TermKey]:
         check_guard(self.dim(), guard, f"normal-form basis m={self.m}, r={self.r}")
@@ -186,114 +333,6 @@ class HeckeAlgebra:
         for w in all_perms(self.r):
             for a in itertools.product(range(self.m), repeat=self.r):
                 yield (w, a)
-
-
-class HeckeElement:
-    """A sparse R-linear combination of normal-form monomials T_w L^a."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: HeckeAlgebra, terms: dict[TermKey, RingElem]):
-        self.alg = alg
-        self.terms = terms
-
-    # -- linear structure --------------------------------------------------
-
-    def _check(self, other: "HeckeElement") -> None:
-        if self.alg != other.alg:
-            raise ValueError("elements from different algebras")
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
-        return HeckeElement(self.alg, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c: RingElem) -> "HeckeElement":
-        if c.is_zero():
-            return self.alg.zero()
-        return HeckeElement(self.alg, {k: v * c for k, v in self.terms.items()})
-
-    def scale_int(self, n: int) -> "HeckeElement":
-        return self.scale(RingElem.const(n, self.alg.nvars))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: Permutation, a: Sequence[int]) -> RingElem:
-        return self.terms.get((w, tuple(a)), RingElem.zero(self.alg.nvars))
-
-    # -- generator actions -------------------------------------------------
-
-    def rmul_gen_T(self, i: int) -> "HeckeElement":
-        return HeckeElement(self.alg, _rmul_T(self.alg, self.terms, i))
-
-    def rmul_gen_L(self, j: int) -> "HeckeElement":
-        return HeckeElement(self.alg, _rmul_L(self.alg, self.terms, j))
-
-    def lmul_gen_T(self, i: int) -> "HeckeElement":
-        """Left multiplication T_i * x in a single pass (L parts untouched)."""
-        alg = self.alg
-        out: dict[TermKey, RingElem] = {}
-        for (w, a), c in self.terms.items():
-            if not w.has_left_descent(i):
-                _add_term(out, (_swap_values(w, i), a), c)
-            else:
-                _add_term(out, (w, a), c * alg.qm1)
-                _add_term(out, (_swap_values(w, i), a), c * alg.q)
-        return HeckeElement(alg, out)
-
-    # -- multiplication ----------------------------------------------------
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        alg = self.alg
-        acc: dict[TermKey, RingElem] = {}
-        for (w2, a2), c2 in other.terms.items():
-            cur = self.terms
-            for letter in _cached_word(w2.im):
-                cur = _rmul_T(alg, cur, letter)
-            for j in range(1, alg.r + 1):
-                for _ in range(a2[j - 1]):
-                    cur = _rmul_L(alg, cur, j)
-            for key, c in cur.items():
-                _add_term(acc, key, c * c2)
-        return HeckeElement(alg, acc)
-
-    # -- printing / io -----------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[TermKey, RingElem]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0].im, kv[0][1]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w, a), c in self.sorted_terms():
-            factors = []
-            if not w.is_identity():
-                factors.append("T[" + ",".join(map(str, w.im)) + "]")
-            if any(a):
-                factors.append("L[" + ",".join(map(str, a)) + "]")
-            if not factors:
-                factors.append("1")
-            parts.append(f"({c})*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"HeckeElement({self})"
 
 
 def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:
@@ -384,21 +423,27 @@ def _rmul_L(
 # -- anti-automorphism and the left-handed view ----------------------------
 
 
+def _from_left_terms(
+    alg: HeckeAlgebra, items: Iterable[tuple[tuple[int, ...], Permutation, RingElem]]
+) -> HeckeElement:
+    """Normal form of the sum of c L^a T_w over the triples (a, w, c)."""
+    acc: dict[TermKey, RingElem] = {}
+    id_r = identity(alg.r)
+    for a, w, c in items:
+        cur: dict[TermKey, RingElem] = {(id_r, a): c}
+        for letter in _cached_word(w.im):
+            cur = _rmul_T(alg, cur, letter)
+        for key, v in cur.items():
+            _add_term(acc, key, v)
+    return HeckeElement(alg, acc)
+
+
 def tau(x: HeckeElement) -> HeckeElement:
     """The anti-automorphism fixing every T_i and L_j.
 
     Sends T_w L^a to L^a T_{w^{-1}}, re-expanded into normal form.
     """
-    alg = x.alg
-    acc: dict[TermKey, RingElem] = {}
-    id_r = identity(alg.r)
-    for (w, a), c in x.terms.items():
-        cur: dict[TermKey, RingElem] = {(id_r, a): c}
-        for letter in _cached_word(w.inv().im):
-            cur = _rmul_T(alg, cur, letter)
-        for key, v in cur.items():
-            _add_term(acc, key, v)
-    return HeckeElement(alg, acc)
+    return _from_left_terms(x.alg, ((a, w.inv(), c) for (w, a), c in x.terms.items()))
 
 
 class LeftForm:
@@ -429,43 +474,38 @@ def to_left_form(x: HeckeElement) -> LeftForm:
 
 
 def from_left_form(lf: LeftForm) -> HeckeElement:
-    alg = lf.alg
-    acc: dict[TermKey, RingElem] = {}
-    id_r = identity(alg.r)
-    for (a, w), c in lf.coeffs.items():
-        cur: dict[TermKey, RingElem] = {(id_r, a): c}
-        for letter in _cached_word(w.im):
-            cur = _rmul_T(alg, cur, letter)
-        for key, v in cur.items():
-            _add_term(acc, key, v)
-    return HeckeElement(alg, acc)
+    return _from_left_terms(lf.alg, ((a, w, c) for (a, w), c in lf.coeffs.items()))
 
 
 # -- block elementary symmetric elements -----------------------------------
 
 
 def sigma_elementary(
-    alg: HeckeAlgebra, k: int, positions: Sequence[int] | None = None
-) -> HeckeElement:
-    """e_k of the commuting elements L_j for j in positions (default: all)."""
+    alg: AlgebraBase, k: int, positions: Sequence[int] | None = None
+) -> ElementBase:
+    """e_k of the commuting elements (L_j, or X_j in the affine engine) for
+    j in positions (default: all)."""
     if positions is None:
         positions = range(1, alg.r + 1)
     positions = list(positions)
     if not 0 <= k <= len(positions):
         raise ValueError(f"k = {k} out of range for {len(positions)} positions")
+    if any(not 1 <= j <= alg.r for j in positions):
+        raise ValueError(f"positions {positions} out of range 1..{alg.r}")
     total = alg.zero()
     for subset in itertools.combinations(positions, k):
-        elem = alg.one()
+        exps = [0] * alg.r
         for j in subset:
-            elem = elem.rmul_gen_L(j)
-        total = total + elem
+            exps[j - 1] += 1
+        total = total + alg.monomial(exps)
     return total
 
 
 def sigma_nu(
-    alg: HeckeAlgebra, nu: Sequence[int], exps: Sequence[Sequence[int]]
-) -> HeckeElement:
-    """Blockwise product of powers of elementary symmetric L-polynomials.
+    alg: AlgebraBase, nu: Sequence[int], exps: Sequence[Sequence[int]]
+) -> ElementBase:
+    """Blockwise product of powers of elementary symmetric L- (or X-)
+    polynomials.
 
     The composition nu cuts {1..r} into consecutive blocks; block c of size
     k contributes prod_t e_t(L's of block c)^{exps[c][t-1]}, with exps[c]
@@ -491,21 +531,13 @@ def sigma_nu(
     return result
 
 
-def sigma_ddot(alg: HeckeAlgebra, A: ColoredMatrix) -> HeckeElement:
+def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
     """The interpolating symmetric element attached to a colored matrix.
 
     Blocks follow the column-major composition of the entry-sum matrix;
     block (i, j) carries the reindexed exponent tuple of the colored entry.
     """
-    from .permutations import nu_of
-
-    size = colored_size(A)
-    nu = nu_of(size)
-    dd = a_ddot(A)
-    n_rows = len(A)
-    n_cols = len(A[0]) if A else 0
-    exps = [dd[i][j] for j in range(n_cols) for i in range(n_rows)]
-    return sigma_nu(alg, nu, exps)
+    return sigma_nu(alg, nu_of(colored_size(A)), nu_of(a_ddot(A)))
 
 
 # -- module coordinates and linear tests -----------------------------------
@@ -593,22 +625,36 @@ def appendix_basis_coords(
 # -- serialization ---------------------------------------------------------
 
 
+def _terms_to_json(x: ElementBase) -> list[dict]:
+    return [
+        {"w": list(w.im), "a": list(a), "poly": c.to_json()}
+        for (w, a), c in x.sorted_terms()
+    ]
+
+
+def _terms_from_json(
+    alg: AlgebraBase, items: Iterable[Mapping], colors: int | None = None
+) -> dict[TermKey, RingElem]:
+    """Read a term list back, rejecting any key that is not a monomial of
+    alg: w of size r and r exponents, in 0..colors-1 if colors is given."""
+    terms: dict[TermKey, RingElem] = {}
+    for item in items:
+        w = Permutation(tuple(int(v) for v in item["w"]))
+        if w.size != alg.r:
+            raise ValueError("permutation size mismatch")
+        a = tuple(int(v) for v in item["a"])
+        if len(a) != alg.r or (colors is not None and any(not 0 <= e < colors for e in a)):
+            raise ValueError(f"bad exponent vector {a}")
+        c = RingElem.from_json(item["poly"], alg.nvars)
+        _add_term(terms, (w, a), c)
+    return terms
+
+
 def element_to_json(x: HeckeElement) -> dict:
-    terms = []
-    for (w, a), c in x.sorted_terms():
-        terms.append({"w": list(w.im), "a": list(a), "poly": c.to_json()})
-    return {"m": x.alg.m, "r": x.alg.r, "terms": terms}
+    return {"m": x.alg.m, "r": x.alg.r, "terms": _terms_to_json(x)}
 
 
 def element_from_json(alg: HeckeAlgebra, data: Mapping) -> HeckeElement:
     if int(data["m"]) != alg.m or int(data["r"]) != alg.r:
         raise ValueError("serialized element belongs to a different algebra")
-    terms: dict[TermKey, RingElem] = {}
-    for item in data["terms"]:
-        w = Permutation(tuple(int(v) for v in item["w"]))
-        a = tuple(int(v) for v in item["a"])
-        if len(a) != alg.r or any(not 0 <= e < alg.m for e in a):
-            raise ValueError(f"bad exponent vector {a}")
-        c = RingElem.from_json(item["poly"], alg.nvars)
-        _add_term(terms, (w, a), c)
-    return HeckeElement(alg, terms)
+    return HeckeElement(alg, _terms_from_json(alg, data["terms"], alg.m))

@@ -430,22 +430,6 @@ def double_coset_reps(
     return reps
 
 
-def matrices_sum(n: int, r: int) -> Iterator[IntMatrix]:
-    """All n x n nonnegative integer matrices with entry sum r."""
-    cells = n * n
-
-    def rec(k: int, remaining: int, flat: tuple[int, ...]):
-        if k == cells:
-            if remaining == 0:
-                yield flat
-            return
-        for v in range(remaining + 1):
-            yield from rec(k + 1, remaining - v, flat + (v,))
-
-    for flat in rec(0, r, ()):
-        yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
-
-
 def coset_reps_within(
     mu: Sequence[int], nu: Sequence[int]
 ) -> list[Permutation]:

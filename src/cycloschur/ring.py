@@ -19,7 +19,6 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -100,9 +99,6 @@ class RingElem:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0, (0,) * self.nvars): 1}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -286,19 +282,6 @@ class RingElem:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def ring_arith(a: RingElem, b: RingElem, op: str) -> RingElem:
-    """Dispatch basic arithmetic by name: add, sub, mul, neg (neg ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise RingError(f"unknown op {op!r}")
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -512,7 +495,3 @@ def exact_rank(M: RingMatrix) -> int:
         rank += 1
         row += 1
     return rank
-
-
-def ring_to_json_str(x: RingElem) -> str:
-    return json.dumps(x.to_json(), separators=(",", ":"))

@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .affine import AffineAlgebra, AffineElement, affine_sigma
+from .affine import AffineAlgebra, AffineElement
 from .hecke import (
+    AlgebraBase,
+    ElementBase,
     HeckeAlgebra,
     HeckeElement,
+    _add_term,
     eigen_test,
     module_coords,
     sigma_ddot,
@@ -69,12 +72,7 @@ def diagonal_matrix(lam: Sequence[int], m: int) -> ColoredMatrix:
     """The colored diagonal matrix of a composition (color-0 entries)."""
     lam = check_composition(lam)
     n = len(lam)
-    return tuple(
-        tuple(
-            (0,) * (m - 1) + (lam[i] if i == j else 0,) for j in range(n)
-        )
-        for i in range(n)
-    )
+    return embed_matrix([[lam[i] if i == j else 0 for j in range(n)] for i in range(n)], m)
 
 
 class SchurContext:
@@ -117,9 +115,11 @@ class SchurContext:
             self._basis = list(enumerate_colored(self.n, self.r, self.m, guard))
         return self._basis
 
-    def basis_block(self, lam: Sequence[int], mu: Sequence[int]) -> list[ColoredMatrix]:
+    def basis_block(
+        self, lam: Sequence[int], mu: Sequence[int], guard: int | None = None
+    ) -> list[ColoredMatrix]:
         lam, mu = check_composition(lam), check_composition(mu)
-        return list(enumerate_colored_with_margins(lam, mu, self.m))
+        return list(enumerate_colored_with_margins(lam, mu, self.m, guard))
 
     # -- the basis homomorphisms ------------------------------------------
 
@@ -129,14 +129,8 @@ class SchurContext:
         if cached is not None:
             return cached
         alg = self.hecke
-        size = colored_size(A)
-        mu = colored_col_sums(A)
-        d = theta_inverse(size)
-        elem = alg.from_perm(d) * sigma_ddot(alg, A)
-        seq = alg.zero()
-        for v in coset_reps_within(mu, nu_of(size)):
-            seq = seq + alg.from_perm(v)
-        elem = elem * seq
+        elem = alg.from_perm(theta_inverse(colored_size(A))) * sigma_ddot(alg, A)
+        elem = elem * _coset_sum(alg, A)
         self._tails[A] = elem
         return elem
 
@@ -158,25 +152,22 @@ class SchurContext:
         return out
 
 
+def _coset_sum(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
+    """Sum of T_v over the coset representatives closing b_A on the right."""
+    seq = alg.zero()
+    for v in coset_reps_within(colored_col_sums(A), nu_of(colored_size(A))):
+        seq = seq + alg.from_perm(v)
+    return seq
+
+
 def b_element_affine(alg: AffineAlgebra, A: ColoredMatrix) -> AffineElement:
     """The affine lift of b_A, with X's in place of L's."""
-    from .wreath import a_ddot
-
-    size = colored_size(A)
     lam = colored_row_sums(A)
-    mu = colored_col_sums(A)
     if alg.r != sum(lam):
         raise ValueError("rank mismatch")
-    d = theta_inverse(size)
-    nu = nu_of(size)
-    dd = a_ddot(A)
-    n_rows, n_cols = len(A), len(A[0]) if A else 0
-    exps = [dd[i][j] for j in range(n_cols) for i in range(n_rows)]
-    elem = alg.x_lambda(lam) * alg.from_perm(d) * affine_sigma(alg, nu, exps)
-    seq = alg.zero()
-    for v in coset_reps_within(mu, nu_of(size)):
-        seq = seq + alg.from_perm(v)
-    return elem * seq
+    d = theta_inverse(colored_size(A))
+    elem = alg.x_lambda(lam) * alg.from_perm(d) * sigma_ddot(alg, A)
+    return elem * _coset_sum(alg, A)
 
 
 # -- triangular expansion in the hom basis ---------------------------------
@@ -325,11 +316,7 @@ class SchurElement:
         self._check(other)
         out = dict(self.terms)
         for A, c in other.terms.items():
-            new = out.get(A, RingElem.zero(self.ctx.hecke.nvars)) + c
-            if new.is_zero():
-                out.pop(A, None)
-            else:
-                out[A] = new
+            _add_term(out, A, c)
         return SchurElement(self.ctx, out)
 
     def __neg__(self) -> "SchurElement":
@@ -379,16 +366,11 @@ def multiply_basis(
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
     ctx = x.ctx
-    zero = RingElem.zero(ctx.hecke.nvars)
     acc: dict[ColoredMatrix, RingElem] = {}
     for A, ca in x.terms.items():
         for B, cb in y.terms.items():
             for C, f in multiply_basis(ctx, A, B).items():
-                new = acc.get(C, zero) + f * ca * cb
-                if new.is_zero():
-                    acc.pop(C, None)
-                else:
-                    acc[C] = new
+                _add_term(acc, C, f * ca * cb)
     return SchurElement(ctx, acc)
 
 
@@ -601,7 +583,5 @@ def schur_from_json(ctx: SchurContext, data: Mapping) -> SchurElement:
     terms: dict[ColoredMatrix, RingElem] = {}
     for item in data["terms"]:
         A = matrix_from_json(item["matrix"])
-        c = RingElem.from_json(item["poly"], ctx.hecke.nvars)
-        cur = terms.get(A)
-        terms[A] = c if cur is None else cur + c
+        _add_term(terms, A, RingElem.from_json(item["poly"], ctx.hecke.nvars))
     return SchurElement(ctx, terms)

@@ -23,6 +23,7 @@ from .hecke import (
     HeckeAlgebra,
     HeckeElement,
     from_left_form,
+    sigma_nu,
     tau,
     to_left_form,
 )
@@ -529,13 +530,11 @@ def suite_affine_sym(p: SuiteParams) -> list[CheckOutcome]:
     def symmetrizer():
         alg = AffineAlgebra(p.r)
         x_full = alg.x_lambda((p.r,))
-        from .affine import affine_sigma
-
         checked = 0
         for exps in itertools.product(range(2), repeat=p.r):
             if sum(exps) > 2:
                 continue
-            z = x_full * affine_sigma(alg, (p.r,), [exps])
+            z = x_full * sigma_nu(alg, (p.r,), [exps])
             if not coefficient_symmetry_check(z):
                 return False, {"exps": exps}
             checked += 1

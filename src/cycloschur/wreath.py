@@ -34,6 +34,7 @@ from .permutations import (
     blocks,
     check_composition,
     col_sums,
+    compositions,
     ddot,
     identity,
     nu_of,
@@ -222,15 +223,7 @@ def nu_colored(A: ColoredMatrix) -> Composition:
     The Young subgroup of this composition is the stabilizer
     rep^{-1} S_lam rep  intersect  S_mu for the distinguished representative.
     """
-    if not A:
-        return ()
-    n_rows = len(A)
-    n_cols = len(A[0])
-    out: list[int] = []
-    for j in range(n_cols):
-        for i in range(n_rows):
-            out.extend(A[i][j])
-    return tuple(out)
+    return tuple(part for entry in nu_of(A) for part in entry)
 
 
 def a_ddot(A: ColoredMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -259,16 +252,7 @@ def enumerate_colored(
     """
     cells = m * n * n
     check_guard(math.comb(cells + r - 1, r), guard, f"colored matrices ({m},{n},{r})")
-
-    def rec(k: int, remaining: int, flat: tuple[int, ...]):
-        if k == cells:
-            if remaining == 0:
-                yield flat
-            return
-        for v in range(remaining + 1):
-            yield from rec(k + 1, remaining - v, flat + (v,))
-
-    for flat in rec(0, r, ()):
+    for flat in compositions(r, cells):
         yield tuple(
             tuple(
                 flat[(i * n + j) * m : (i * n + j) * m + m] for j in range(n)
@@ -290,16 +274,10 @@ def enumerate_colored_with_margins(
 
     lam = check_composition(lam)
     mu = check_composition(mu)
-
-    def color_splits(total: int) -> Iterator[tuple[int, ...]]:
-        from .permutations import compositions
-
-        yield from compositions(total, m)
-
     for size in matrices_with_margins(lam, mu):
         n_rows, n_cols = len(size), len(size[0]) if size else 0
         per_cell = [
-            list(color_splits(size[i][j]))
+            list(compositions(size[i][j], m))
             for i in range(n_rows)
             for j in range(n_cols)
         ]

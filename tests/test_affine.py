@@ -11,13 +11,17 @@ from straightening_oracle import oracle_move
 from cycloschur.affine import (
     AffineAlgebra,
     affine_from_json,
-    affine_multiply,
     affine_sigma,
     affine_to_json,
     coefficient_symmetry_check,
     epsilon_u,
 )
-from cycloschur.hecke import HeckeAlgebra, sigma_nu
+from cycloschur.hecke import (
+    HeckeAlgebra,
+    element_from_json,
+    element_to_json,
+    sigma_nu,
+)
 from cycloschur.permutations import Permutation, identity, simple
 from cycloschur.ring import RingElem
 
@@ -46,6 +50,9 @@ def test_quadratic_braid_exchange_relations():
         (0, 3, -2)
     )
     assert alg.x_monomial((1, 1, 1)) * alg.x_monomial((-1, -1, -1)) == alg.one()
+    # the shift checks its length rather than truncating
+    with pytest.raises(ValueError, match="exponent vector length mismatch"):
+        alg.gen_T(1).rmul_x((1,))
 
 
 def test_straightening_matches_oracle_nonnegative():
@@ -218,3 +225,18 @@ def test_affine_json_roundtrip():
     assert affine_from_json(alg, data) == x
     keys = [(tuple(t["w"]), tuple(t["a"])) for t in data["terms"]]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("engine", ["cyclotomic", "affine"])
+@pytest.mark.parametrize("field,value", [("w", [3, 1, 2]), ("w", [1]), ("a", [1])])
+def test_json_readers_reject_malformed_keys(engine, field, value):
+    if engine == "cyclotomic":
+        alg = HeckeAlgebra(2, 2)
+        write, read = element_to_json, element_from_json
+    else:
+        alg = AffineAlgebra(2)
+        write, read = affine_to_json, affine_from_json
+    data = write(alg.gen_T(1))
+    data["terms"][0][field] = value
+    with pytest.raises(ValueError):
+        read(alg, data)

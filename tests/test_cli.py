@@ -98,6 +98,15 @@ def test_basis_guard_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_basis_block_guard_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "basis", "--m", "2", "--n", "2", "--r", "3",
+        "--lambda", "2,1", "--mu", "1,2", "--guard", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_mult_identity_is_unit(capsys):
     ident = "[[[1],[0]],[[0],[1]]]"
     code, out, _ = run_cli(

@@ -32,7 +32,6 @@ from cycloschur.permutations import (
     j_set,
     left_coset_factor,
     longest_element,
-    matrices_sum,
     matrices_with_margins,
     nu_of,
     partial_sums,
@@ -287,13 +286,6 @@ def test_coset_reps_within_describes_dlam_cap_coset():
             }
             got = {d * v for v in coset_reps_within(mu, nu_of(A))}
             assert got == expected, (lam, mu, d.im)
-
-
-def test_matrices_sum_counts():
-    # number of n x n naturals matrices with sum r is C(n^2 + r - 1, r)
-    for n, r in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-        count = sum(1 for _ in matrices_sum(n, r))
-        assert count == math.comb(n * n + r - 1, r), (n, r)
 
 
 def test_coset_reps_within_refinement_required():

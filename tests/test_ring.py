@@ -21,7 +21,6 @@ from cycloschur.ring import (
     poincare_polynomial,
     quantum_factorial,
     rank_mod_p,
-    ring_arith,
 )
 
 
@@ -70,14 +69,6 @@ def test_pow():
     assert x**3 == x * x * x
     with pytest.raises(Exception):
         x ** (-1)
-
-
-def test_ring_arith_dispatch():
-    a, b = q(), one()
-    assert ring_arith(a, b, "add") == a + b
-    assert ring_arith(a, b, "sub") == a - b
-    assert ring_arith(a, b, "mul") == a * b
-    assert ring_arith(a, b, "neg") == -a
 
 
 def test_mixed_nvars_rejected():
