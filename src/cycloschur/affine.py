@@ -97,11 +97,7 @@ def _l1_inverse(target: HeckeAlgebra, em_inverse: RingElem) -> HeckeElement:
         raise ValueError("supplied element is not an inverse of e_m(u)")
     total = target.zero()
     for k in range(m):
-        e_k = (
-            RingElem.one(target.nvars)
-            if k == 0
-            else elementary_symmetric_of(list(target.u_params), k)
-        )
+        e_k = elementary_symmetric_of(list(target.u_params), k)
         vec = (m - 1 - k,) + (0,) * (target.r - 1)
         term = target.jm_monomial(vec).scale(e_k.scale((-1) ** k))
         total = total + term

@@ -643,7 +643,8 @@ def _terms_from_json(
         if w.size != alg.r:
             raise ValueError("permutation size mismatch")
         a = tuple(int(v) for v in item["a"])
-        if len(a) != alg.r or (colors is not None and any(not 0 <= e < colors for e in a)):
+        in_range = colors is None or all(0 <= e < colors for e in a)
+        if len(a) != alg.r or not in_range:
             raise ValueError(f"bad exponent vector {a}")
         c = RingElem.from_json(item["poly"], alg.nvars)
         _add_term(terms, (w, a), c)

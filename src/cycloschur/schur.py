@@ -72,7 +72,8 @@ def diagonal_matrix(lam: Sequence[int], m: int) -> ColoredMatrix:
     """The colored diagonal matrix of a composition (color-0 entries)."""
     lam = check_composition(lam)
     n = len(lam)
-    return embed_matrix([[lam[i] if i == j else 0 for j in range(n)] for i in range(n)], m)
+    diag = [[lam[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return embed_matrix(diag, m)
 
 
 class SchurContext:
