@@ -1,8 +1,10 @@
 """Content-addressed JSON result cache.
 
-Entries are immutable files named by a hash of (kind, params).  Each file
-stores its params echo plus a hash of the canonicalized payload; on read,
-both are re-verified and any mismatch or parse failure makes the entry
+Entries are immutable files named by a hash of (kind, params) together
+with ``CACHE_SCHEMA`` and the package version, so a result computed by a
+different version of the code is never served.  Each file stores its
+params echo plus a hash of the canonicalized payload; on read, both are
+re-verified and any mismatch or parse failure makes the entry
 invisible — a corrupt cache can cost time, never correctness.  Writes go
 through a temp file and an atomic rename, so concurrent readers see
 either the old or the new complete entry.
@@ -20,7 +22,12 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from . import __version__
+
 ENV_VAR = "CYCLO_CACHE_DIR"
+
+# Bump when the layout of a payload or the algorithm producing it changes.
+CACHE_SCHEMA = 1
 
 
 def resolve_cache_dir(explicit: str | None = None) -> Path | None:
@@ -38,7 +45,13 @@ def canonical(obj: Any) -> str:
 
 
 def content_key(kind: str, params: dict) -> str:
-    digest = hashlib.sha256(canonical({"kind": kind, "params": params}).encode())
+    key = {
+        "kind": kind,
+        "params": params,
+        "schema": CACHE_SCHEMA,
+        "version": __version__,
+    }
+    digest = hashlib.sha256(canonical(key).encode())
     return digest.hexdigest()[:40]
 
 

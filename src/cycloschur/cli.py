@@ -8,13 +8,15 @@ Subcommands:
     tables   the full multiplication table, with optional disk cache
     verify   run a named check suite
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error, a
+guard past its cap, or stdout closed before the output was complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -114,7 +116,7 @@ def _cmd_element(args) -> int:
         alg: HeckeAlgebra | AffineAlgebra = AffineAlgebra(args.r, nvars=args.m)
     else:
         alg = HeckeAlgebra(args.m, args.r)
-    elem = evaluate_text(args.expr, alg)
+    elem = evaluate_text(args.expr, alg, args.guard)
     if args.format == "json":
         data = affine_to_json(elem) if args.affine else element_to_json(elem)
         print(json.dumps(data, indent=1, sort_keys=True))
@@ -253,6 +255,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ExprError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so the
+        # interpreter's final flush of what is left does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was complete", file=sys.stderr)
         return 2
 
 

@@ -275,12 +275,16 @@ def pretty(e: Expr) -> str:
 Element = Union[HeckeElement, AffineElement]
 
 
-def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
+def evaluate(
+    e: Expr, alg: HeckeAlgebra | AffineAlgebra, guard: int | None = None
+) -> Element:
     """Evaluate a tree in a cyclotomic or affine engine.
 
     L is cyclotomic-only and X affine-only; q and u live in the engine's
     coefficient ring.  Negative powers are allowed for q always and for X
     in the affine engine; everything else needs nonnegative exponents.
+    ``guard`` caps the size of the Young subgroup a symmetrizer x(...)
+    sums over.
     """
     affine = isinstance(alg, AffineAlgebra)
     nvars = alg.nvars
@@ -314,7 +318,7 @@ def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
                 return x_power(node.index, 1)
             raise ExprError(f"unknown generator kind {node.kind!r}")
         if isinstance(node, XComp):
-            return alg.x_lambda(node.parts)
+            return alg.x_lambda(node.parts, guard)
         if isinstance(node, Sigma):
             if affine and not 0 <= node.k <= alg.r:
                 raise ExprError(f"sigma({node.k}) out of range for rank {alg.r}")
@@ -346,5 +350,7 @@ def evaluate(e: Expr, alg: HeckeAlgebra | AffineAlgebra) -> Element:
     return ev(e)
 
 
-def evaluate_text(src: str, alg: HeckeAlgebra | AffineAlgebra) -> Element:
-    return evaluate(parse(src), alg)
+def evaluate_text(
+    src: str, alg: HeckeAlgebra | AffineAlgebra, guard: int | None = None
+) -> Element:
+    return evaluate(parse(src), alg, guard)

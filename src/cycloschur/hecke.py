@@ -127,11 +127,12 @@ class AlgebraBase:
             raise ValueError("permutation size mismatch")
         return self.element_type(self, {(w, (0,) * self.r): self.one_c})
 
-    def x_lambda(self, lam: Sequence[int]) -> ElementBase:
+    def x_lambda(self, lam: Sequence[int], guard: int | None = None) -> ElementBase:
         """The q-symmetrizer sum of T_w over the Young subgroup of lam."""
         lam = check_composition(lam)
         if sum(lam) != self.r:
             raise ValueError(f"{lam} is not a composition of {self.r}")
+        check_guard(young_subgroup_size(lam), guard, f"Young subgroup of {lam}")
         zero_a = (0,) * self.r
         return self.element_type(
             self, {(w, zero_a): self.one_c for w in young_subgroup(lam)}

@@ -4,8 +4,10 @@ Every coefficient in this package is an element of R: a Laurent polynomial
 in the invertible variable q whose coefficients are ordinary (non-Laurent)
 polynomials in the parameters u_1, ..., u_m with integer coefficients.
 Elements are stored sparsely as a map from monomials to nonzero integer
-coefficients, where a monomial is a pair ``(q_exponent, u_exponents)`` with
-``q_exponent`` any integer and ``u_exponents`` a tuple of ``nvars`` naturals.
+coefficients.  A monomial is the pair ``(q_exponent, u_exponents)`` with
+``q_exponent`` any integer and ``u_exponents`` a tuple of ``nvars``
+naturals; internally it is packed into one integer (see ``RingElem``), and
+callers read monomials back through ``sorted_terms`` and ``leading``.
 
 Also provided: elementary symmetric polynomials in the u-parameters (the
 coefficients of the cyclotomic relation), Poincare polynomials of Young
@@ -28,6 +30,16 @@ MODULAR_PRIME = 2**31 - 1
 
 Monomial = tuple[int, tuple[int, ...]]
 
+# Packed monomials: q^e u_1^f_1 ... u_n^f_n is the integer
+#     e * 2^(W n) + sum_i f_i * 2^(W (n - i)),
+# one W-bit field per u-exponent below the q exponent, which Python's
+# unbounded signed ints hold as is.  Integer order is the (q, u) lex order,
+# and while every field stays below 2^(W-1) the product of two monomials is
+# the sum of their keys.
+_W = 32
+_FIELD = (1 << _W) - 1
+U_EXP_MAX = (1 << (_W - 1)) - 1
+
 
 class RingError(ValueError):
     """Raised on contract violations in ring operations."""
@@ -37,21 +49,34 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division turns out to be inexact."""
 
 
+def _unpack(key: int, nvars: int) -> Monomial:
+    ue = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        ue[i] = key & _FIELD
+        key >>= _W
+    return key, tuple(ue)
+
+
 class RingElem:
     """An element of Z[q, q^-1, u_1, ..., u_nvars] in canonical sparse form.
 
-    ``terms`` maps ``(q_exponent, u_exponents)`` to a nonzero integer.
-    Two elements are equal iff they have the same ``nvars`` and identical
-    term maps.  Instances are immutable by convention: no method mutates
-    ``terms`` after construction.
+    ``terms`` maps packed monomial keys to nonzero integers; the keys are
+    private to this module.  ``_ubound`` is an upper bound on every
+    u-exponent of the element: exact at construction, the larger bound
+    under + and -, the sum of the bounds under *.  A product whose bound
+    passes ``U_EXP_MAX`` raises ``RingError``, so no field ever carries
+    into the next.  Two elements are equal iff they have the same ``nvars``
+    and identical term maps.  Instances are immutable by convention: no
+    method mutates ``terms`` after construction.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_ubound", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         if nvars < 0:
             raise RingError("nvars must be nonnegative")
-        clean: dict[Monomial, int] = {}
+        clean: dict[int, int] = {}
+        top = 0
         if terms:
             for (qe, ue), c in terms.items():
                 if c == 0:
@@ -61,11 +86,21 @@ class RingElem:
                     raise RingError(
                         f"u-exponent tuple {ue} has length {len(ue)}, expected {nvars}"
                     )
-                if any(e < 0 for e in ue):
-                    raise RingError(f"negative u-exponent in {ue}")
-                clean[(qe, ue)] = c
+                key = qe
+                for e in ue:
+                    if e < 0:
+                        raise RingError(f"negative u-exponent in {ue}")
+                    if e > top:
+                        if e > U_EXP_MAX:
+                            raise RingError(
+                                f"u-exponent {e} exceeds the limit {U_EXP_MAX}"
+                            )
+                        top = e
+                    key = (key << _W) + e
+                clean[key] = c
         self.nvars = nvars
         self.terms = clean
+        self._ubound = top
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -113,53 +148,48 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
         out = dict(self.terms)
-        for mon, c in other.terms.items():
-            new = out.get(mon, 0) + c
+        for key, c in other.terms.items():
+            new = out.get(key, 0) + c
             if new:
-                out[mon] = new
+                out[key] = new
             else:
-                out.pop(mon, None)
-        res = RingElem.__new__(RingElem)
-        res.nvars = self.nvars
-        res.terms = out
-        res._hash = None
-        return res
+                out.pop(key, None)
+        return _make(self.nvars, out, max(self._ubound, other._ubound))
 
     def __neg__(self) -> "RingElem":
-        res = RingElem.__new__(RingElem)
-        res.nvars = self.nvars
-        res.terms = {mon: -c for mon, c in self.terms.items()}
-        res._hash = None
-        return res
+        return _make(
+            self.nvars, {key: -c for key, c in self.terms.items()}, self._ubound
+        )
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        out: dict[Monomial, int] = {}
-        for (qa, ua), ca in self.terms.items():
-            for (qb, ub), cb in other.terms.items():
-                mon = (qa + qb, tuple(x + y for x, y in zip(ua, ub)))
-                new = out.get(mon, 0) + ca * cb
+        bound = self._ubound + other._ubound
+        if bound > U_EXP_MAX:
+            raise RingError(
+                f"u-exponents of a product may reach {bound}, past the limit {U_EXP_MAX}"
+            )
+        out: dict[int, int] = {}
+        get = out.get
+        other_terms = other.terms.items()
+        for ka, ca in self.terms.items():
+            for kb, cb in other_terms:
+                key = ka + kb
+                new = get(key, 0) + ca * cb
                 if new:
-                    out[mon] = new
+                    out[key] = new
                 else:
-                    del out[mon]
-        res = RingElem.__new__(RingElem)
-        res.nvars = self.nvars
-        res.terms = out
-        res._hash = None
-        return res
+                    del out[key]
+        return _make(self.nvars, out, bound)
 
     def scale(self, c: int) -> "RingElem":
         if c == 0:
             return RingElem.zero(self.nvars)
-        res = RingElem.__new__(RingElem)
-        res.nvars = self.nvars
-        res.terms = {mon: c * v for mon, v in self.terms.items()}
-        res._hash = None
-        return res
+        return _make(
+            self.nvars, {key: c * v for key, v in self.terms.items()}, self._ubound
+        )
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
@@ -169,8 +199,9 @@ class RingElem:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- comparison / hashing ---------------------------------------------
@@ -189,14 +220,15 @@ class RingElem:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms sorted ascending by the canonical (q_exp, u_exps) lex order."""
-        return sorted(self.terms.items())
+        n = self.nvars
+        return [(_unpack(key, n), c) for key, c in sorted(self.terms.items())]
 
     def leading(self) -> tuple[Monomial, int]:
         """The lex-largest monomial and its coefficient (error on zero)."""
         if not self.terms:
             raise RingError("zero element has no leading term")
-        mon = max(self.terms)
-        return mon, self.terms[mon]
+        key = max(self.terms)
+        return _unpack(key, self.nvars), self.terms[key]
 
     # -- specialization ----------------------------------------------------
 
@@ -211,7 +243,8 @@ class RingElem:
         q_val = Fraction(q_val)
         u_vals = [Fraction(v) for v in u_vals]
         total = Fraction(0)
-        for (qe, ue), c in self.terms.items():
+        for key, c in self.terms.items():
+            qe, ue = _unpack(key, self.nvars)
             if q_val == 0 and qe < 0:
                 raise ZeroDivisionError("q = 0 specialization with negative exponent")
             val = Fraction(c)
@@ -224,19 +257,21 @@ class RingElem:
 
     def specialize_mod(self, p: int, q_val: int, u_vals: Sequence[int]) -> int:
         """Evaluate in the prime field F_p; q_val must be nonzero mod p."""
-        if len(u_vals) != self.nvars:
-            raise RingError(f"expected {self.nvars} u-values, got {len(u_vals)}")
+        n = self.nvars
+        if len(u_vals) != n:
+            raise RingError(f"expected {n} u-values, got {len(u_vals)}")
         if q_val % p == 0:
             raise ZeroDivisionError("q specialization must be invertible mod p")
+        last_first = u_vals[::-1]
         total = 0
-        for (qe, ue), c in self.terms.items():
-            val = c % p
-            val = val * pow(q_val, qe, p) % p
-            for u, e in zip(u_vals, ue):
+        for key, c in self.terms.items():
+            for u in last_first:
+                e = key & _FIELD
                 if e:
-                    val = val * pow(u, e, p) % p
-            total = (total + val) % p
-        return total
+                    c = c * pow(u, e, p) % p
+                key >>= _W
+            total += c * pow(q_val, key, p)
+        return total % p
 
     # -- serialization -----------------------------------------------------
 
@@ -282,6 +317,16 @@ class RingElem:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def _make(nvars: int, terms: dict[int, int], ubound: int) -> RingElem:
+    """An element straight from packed terms, skipping the constructor's checks."""
+    res = object.__new__(RingElem)
+    res.nvars = nvars
+    res.terms = terms
+    res._ubound = ubound
+    res._hash = None
+    return res
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -367,12 +412,12 @@ def divide_by_int(a: RingElem, c: int) -> RingElem:
     """Exact division of every coefficient by the integer c."""
     if c == 0:
         raise ExactDivisionError("division by zero")
-    out: dict[Monomial, int] = {}
-    for mon, v in a.terms.items():
+    out: dict[int, int] = {}
+    for key, v in a.terms.items():
         if v % c != 0:
             raise ExactDivisionError(f"coefficient {v} not divisible by {c}")
-        out[mon] = v // c
-    return RingElem(a.nvars, out)
+        out[key] = v // c
+    return _make(a.nvars, out, a._ubound)
 
 
 class RingMatrix:

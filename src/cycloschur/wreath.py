@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .guards import check_guard
+from .guards import DEFAULT_GUARD, check_guard
 from .permutations import (
     Composition,
     IntMatrix,
@@ -269,22 +269,30 @@ def colored_count(n: int, r: int, m: int) -> int:
 def enumerate_colored_with_margins(
     lam: Sequence[int], mu: Sequence[int], m: int, guard: int | None = None
 ) -> Iterator[ColoredMatrix]:
-    """Colored matrices with prescribed row sums lam and column sums mu."""
+    """Colored matrices with prescribed row sums lam and column sums mu.
+
+    The guard bounds the whole block: the color splits of every entry-sum
+    matrix are counted before the first matrix is yielded, and the count
+    stops at the first entry-sum matrix that takes it past the guard.
+    """
     from .permutations import matrices_with_margins
 
     lam = check_composition(lam)
     mu = check_composition(mu)
+    cap = DEFAULT_GUARD if guard is None else guard
+    splits = []
+    total = 0
     for size in matrices_with_margins(lam, mu):
-        n_rows, n_cols = len(size), len(size[0]) if size else 0
-        per_cell = [
-            list(compositions(size[i][j], m))
-            for i in range(n_rows)
-            for j in range(n_cols)
-        ]
+        per_cell = [list(compositions(entry, m)) for row in size for entry in row]
         count = 1
         for options in per_cell:
             count *= len(options)
-        check_guard(count, guard, "colored matrices with margins")
+        splits.append((len(size), len(size[0]) if size else 0, per_cell))
+        total += count
+        if total > cap:
+            break
+    check_guard(total, guard, "colored matrices with margins")
+    for n_rows, n_cols, per_cell in splits:
         for combo in itertools.product(*per_cell):
             yield tuple(
                 tuple(combo[i * n_cols + j] for j in range(n_cols))

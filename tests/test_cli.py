@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycloschur
 from cycloschur import cache
 from cycloschur.cli import main
 from cycloschur.verify import SUITE_NAMES, SuiteParams, exit_code_for, run_suite
@@ -58,6 +63,41 @@ def test_element_context_violation_exits_2(capsys):
     assert "cyclotomic engine" in err
 
 
+def test_element_symmetrizer_guard_exits_2(capsys):
+    # x(9) sums over all 9! = 362,880 permutations; the guard stops it first
+    code, out, err = run_cli(
+        capsys, "element", "x(9)", "--m", "1", "--r", "9", "--guard", "10"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "362880" in err
+    code, out, _ = run_cli(
+        capsys, "element", "x(2,1)", "--m", "1", "--r", "3", "--guard", "2"
+    )
+    assert code == 0 and out.count("T[") == 1
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    # x(7) prints about 115 kB, more than a pipe buffer holds, so the
+    # write after the reader has gone fails with EPIPE
+    env = dict(os.environ)
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycloschur.cli", "element", "x(7)",
+         "--m", "1", "--r", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run_cli(capsys, "element", "T1", "--bogus")[0] == 2
 
@@ -105,6 +145,19 @@ def test_basis_block_guard_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_basis_block_guard_bounds_the_whole_block(capsys):
+    # the block has 14 matrices spread over several entry-sum matrices,
+    # none of which alone has more than 8
+    argv = ("basis", "--m", "2", "--n", "2", "--r", "3",
+            "--lambda", "2,1", "--mu", "1,2")
+    code, out, err = run_cli(capsys, *argv, "--guard", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, *argv, "--guard", "14", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == 14
 
 
 def test_mult_identity_is_unit(capsys):
@@ -164,6 +217,19 @@ def test_cache_store_load_roundtrip(tmp_path):
     assert cache.load(tmp_path, "demo", {"k": 1}) == payload
     assert cache.load(tmp_path, "demo", {"k": 2}) is None
     assert cache.load(None, "demo", {"k": 1}) is None
+
+
+def test_cache_key_carries_schema_and_version(tmp_path, monkeypatch):
+    payload = {"values": [1, 2, 3]}
+    cache.store(tmp_path, "demo", {"k": 1}, payload)
+    assert cache.load(tmp_path, "demo", {"k": 1}) == payload
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "CACHE_SCHEMA", cache.CACHE_SCHEMA + 1)
+        assert cache.load(tmp_path, "demo", {"k": 1}) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "__version__", cache.__version__ + ".dev1")
+        assert cache.load(tmp_path, "demo", {"k": 1}) is None
+    assert cache.load(tmp_path, "demo", {"k": 1}) == payload
 
 
 def test_cache_detects_payload_tampering(tmp_path):

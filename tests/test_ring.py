@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from ring_oracle import OracleElem
 
 from cycloschur.ring import (
+    MODULAR_PRIME,
     ExactDivisionError,
     RingElem,
+    RingError,
     RingMatrix,
     divide_by_int,
     elementary_symmetric_of,
@@ -322,3 +325,73 @@ def test_exact_and_modular_rank_agree_on_grid():
     for rows in cases:
         M = RingMatrix.from_rows(rows)
         assert exact_rank(M) == modular_rank(M, trials=3, seed=9), f"case {rows}"
+
+
+# -- packed monomials against the tuple-keyed oracle -----------------------
+
+
+def oracle_terms(nvars: int):
+    mons = st.tuples(
+        st.integers(min_value=-6, max_value=6),
+        st.tuples(*([st.integers(min_value=0, max_value=40)] * nvars)),
+    )
+    return st.dictionaries(mons, st.integers(min_value=-9, max_value=9), max_size=6)
+
+
+def assert_same(x: RingElem, ox: OracleElem) -> None:
+    assert x.sorted_terms() == ox.sorted_terms()
+    assert len(x.terms) == len(ox.terms)
+    assert x.to_json() == ox.to_json()
+    assert str(x) == str(ox)
+    if ox.terms:
+        assert x.leading() == ox.leading()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_arithmetic_matches_oracle(data):
+    n = data.draw(st.integers(min_value=0, max_value=3), label="nvars")
+    da = data.draw(oracle_terms(n), label="a")
+    db = data.draw(oracle_terms(n), label="b")
+    a, b = RingElem(n, da), RingElem(n, db)
+    oa, ob = OracleElem(n, da), OracleElem(n, db)
+    assert_same(a, oa)
+    assert_same(a * b, oa * ob)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b, oa - ob)
+    assert_same(-a, -oa)
+    k = data.draw(st.integers(min_value=-5, max_value=5), label="k")
+    assert_same(a.scale(k), oa.scale(k))
+    e = data.draw(st.integers(min_value=0, max_value=3), label="e")
+    assert_same(a**e, oa**e)
+    assert RingElem.from_json(a.to_json(), n) == a
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    q_val = data.draw(st.integers(min_value=1, max_value=MODULAR_PRIME - 1))
+    u_vals = data.draw(
+        st.lists(st.integers(min_value=0, max_value=MODULAR_PRIME - 1),
+                 min_size=n, max_size=n)
+    )
+    assert a.specialize_mod(MODULAR_PRIME, q_val, u_vals) == oa.specialize_mod(
+        MODULAR_PRIME, q_val, u_vals
+    )
+    if ob.terms:
+        assert_same(exact_div(a * b, b), oa)
+
+
+def test_u_exponent_limit():
+    assert issubclass(RingError, ValueError)  # the CLI maps it to exit 2
+    with pytest.raises(RingError):
+        RingElem(1, {(0, (2**31,)): 1})
+    with pytest.raises(RingError):
+        RingElem.u_var(1, 2) ** 2**31
+    assert (RingElem.u_var(1, 1) ** 2**30).leading() == ((0, (2**30,)), 1)
+    # the largest exponent the fields hold still multiplies exactly
+    a = RingElem(2, {(-3, (2**30, 7)): 2})
+    b = RingElem(2, {(1, (2**30 - 1, 0)): 3, (-1, (0, 5)): -1})
+    assert (a * b).sorted_terms() == [
+        ((-4, (2**30, 12)), -2),
+        ((-2, (2**31 - 1, 7)), 6),
+    ]
+    assert RingElem(2, {(0, (2**31 - 1, 0)): 1}).leading() == ((0, (2**31 - 1, 0)), 1)
+    with pytest.raises(RingError):
+        RingElem(1, {(0, (2**31 - 1,)): 1}) * RingElem.u_var(1, 1)

@@ -339,7 +339,7 @@ def test_embedded_q_schur_matches_classical():
             lifted = {}
             for C, f in prod1.items():
                 qdict = {}
-                for (qe, ue), c in f.terms.items():
+                for (qe, ue), c in f.sorted_terms():
                     assert all(e == 0 for e in ue)
                     qdict[(qe, (0, 0))] = c
                 lifted[embed_matrix(colored_size(C), 2)] = RingElem(2, qdict)
