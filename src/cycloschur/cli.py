@@ -23,17 +23,18 @@ from typing import Sequence
 from .affine import AffineAlgebra, affine_to_json
 from .cache import load as cache_load, resolve_cache_dir, store as cache_store
 from .expressions import ExprError, evaluate_text
-from .guards import GuardError
+from .guards import GuardError, check_guard
 from .hecke import HeckeAlgebra, element_to_json
 from .ring import RingElem
 from .schur import (
     SchurContext,
     matrix_from_json,
     matrix_to_json,
+    module_dimension,
     multiply_basis,
 )
 from .verify import SUITE_NAMES, SuiteParams, exit_code_for, run_suite
-from .wreath import colored_col_sums, colored_row_sums
+from .wreath import colored_col_sums, colored_row_sums, group_by_row_sums
 
 
 def _composition(text: str) -> tuple[int, ...]:
@@ -167,6 +168,9 @@ def _product_entries(ctx: SchurContext, A, B) -> list[dict]:
 
 def _cmd_mult(args) -> int:
     ctx = SchurContext(args.m, args.n, args.r)
+    lam = colored_row_sums(args.A)
+    what = f"module x_lambda H at lambda {list(lam)}"
+    check_guard(module_dimension(ctx, lam), args.guard, what)
     entries = _product_entries(ctx, args.A, args.B)
     if args.format == "json":
         print(json.dumps({"terms": entries}, sort_keys=True))
@@ -186,11 +190,10 @@ def _cmd_tables(args) -> int:
         ctx = SchurContext(args.m, args.n, args.r)
         basis = ctx.basis(args.guard)
         products = []
+        by_ro = group_by_row_sums(basis)
         for i, A in enumerate(basis):
-            for j, B in enumerate(basis):
-                if colored_col_sums(A) != colored_row_sums(B):
-                    continue
-                entries = _product_entries(ctx, A, B)
+            for j in by_ro.get(colored_col_sums(A), ()):
+                entries = _product_entries(ctx, A, basis[j])
                 products.append({"A": i, "B": j, "terms": entries})
         payload = {
             "basis": [matrix_to_json(A) for A in basis],

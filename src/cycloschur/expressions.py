@@ -11,6 +11,8 @@ Grammar (whitespace-insensitive, precedence ^ over * over + and -):
 Parsing is independent of any algebra; index bounds and the cyclotomic /
 affine distinction (L versus X) are enforced at evaluation time.  The
 pretty-printer emits a canonical form that reparses to the same tree.
+Parentheses may nest at most MAX_DEPTH deep, and so may the parsed tree
+(a chain of k binary operators is k deep).
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from typing import Union
 
 from .hecke import HeckeAlgebra, HeckeElement, sigma_elementary
 from .affine import AffineAlgebra, AffineElement
+from .guards import check_guard
 from .ring import RingElem
+
+# Deepest parenthesis nesting and parse tree the parser accepts; the
+# parser, evaluator and printer recurse once or a few times per level.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -126,6 +133,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -154,6 +162,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.offset)
+        if _depth(e) > MAX_DEPTH:
+            raise ExprError(f"expression is nested deeper than {MAX_DEPTH}")
         return e
 
     def expr(self) -> Expr:
@@ -218,10 +228,32 @@ class _Parser:
             self.expect_op(")")
             return XComp(tuple(parts))
         if tok.kind == "op" and tok.text == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", tok.offset
+                )
             e = self.expr()
             self.expect_op(")")
+            self.parens -= 1
             return e
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+
+
+def _depth(e: Expr) -> int:
+    """Height of the tree, counted without recursion."""
+    best = 0
+    stack = [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        best = max(best, d)
+        if isinstance(node, BinOp):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+        elif isinstance(node, Neg):
+            stack.append((node.operand, d + 1))
+        elif isinstance(node, Pow):
+            stack.append((node.base, d + 1))
+    return best
 
 
 def parse(src: str) -> Expr:
@@ -284,7 +316,8 @@ def evaluate(
     coefficient ring.  Negative powers are allowed for q always and for X
     in the affine engine; everything else needs nonnegative exponents.
     ``guard`` caps the size of the Young subgroup a symmetrizer x(...)
-    sums over.
+    sums over, and the exponent of a power computed by products, nested
+    powers multiplying out: ((a)^3)^3 counts as a^9.
     """
     affine = isinstance(alg, AffineAlgebra)
     nvars = alg.nvars
@@ -294,7 +327,7 @@ def evaluate(
             raise ExprError(f"X{index} out of range for rank {alg.r}")
         return alg.x_monomial(tuple(n if i == index - 1 else 0 for i in range(alg.r)))
 
-    def ev(node: Expr) -> Element:
+    def ev(node: Expr, power: int = 1) -> Element:
         if isinstance(node, Num):
             return alg.scalar(RingElem.const(node.value, nvars))
         if isinstance(node, QVar):
@@ -324,9 +357,9 @@ def evaluate(
                 raise ExprError(f"sigma({node.k}) out of range for rank {alg.r}")
             return sigma_elementary(alg, node.k)
         if isinstance(node, Neg):
-            return -ev(node.operand)
+            return -ev(node.operand, power)
         if isinstance(node, BinOp):
-            left, right = ev(node.left), ev(node.right)
+            left, right = ev(node.left, power), ev(node.right, power)
             if node.op == "+":
                 return left + right
             if node.op == "-":
@@ -340,10 +373,17 @@ def evaluate(
                 return x_power(node.base.index, n)
             if n < 0:
                 raise ExprError("negative powers are only supported for q and X")
+            # Squaring bounds the number of products, not their size: the
+            # terms of T1^n grow with n, so the exponent is guarded too.
+            check_guard(power * n, guard, "exponent")
             out = alg.one()
-            base = ev(node.base)
-            for _ in range(n):
-                out = out * base
+            base = ev(node.base, power * max(n, 1))
+            while n:
+                if n & 1:
+                    out = out * base
+                n >>= 1
+                if n:
+                    base = base * base
             return out
         raise TypeError(f"not an expression node: {node!r}")
 

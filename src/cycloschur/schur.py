@@ -22,6 +22,7 @@ over R.  Composition is right factor first: (x * y) acts by y then x.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from .affine import AffineAlgebra, AffineElement
@@ -48,6 +49,7 @@ from .permutations import (
     nu_of,
     theta,
     theta_inverse,
+    young_subgroup_size,
 )
 from .ring import MODULAR_PRIME, RingElem, RingMatrix, modular_rank, rank_mod_p
 from .wreath import (
@@ -92,6 +94,12 @@ class SchurContext:
         self._tails: dict[ColoredMatrix, HeckeElement] = {}
         self._bs: dict[ColoredMatrix, HeckeElement] = {}
         self._coords: dict[ColoredMatrix, dict] = {}
+        # Memos of express_in_hom_basis: the order key of a module term
+        # (d2, c) under column margins mu, and the colored matrix recovered
+        # from a leading term.  Only recoveries that pass the margin check
+        # are stored, so a term outside the span raises on every call.
+        self._order_keys: dict[tuple, tuple] = {}
+        self._recovered: dict[tuple, ColoredMatrix] = {}
 
     def _signature(self):
         return (self.m, self.n, self.r, self.hecke)
@@ -250,6 +258,13 @@ def _term_order_key(mu: Composition):
     return key
 
 
+def module_dimension(ctx: SchurContext, lam: Sequence[int]) -> int:
+    """Rank of the module x_lam H over R: r!/|S_lam| * m^r."""
+    return (
+        math.factorial(ctx.r) // young_subgroup_size(check_composition(lam))
+    ) * ctx.m**ctx.r
+
+
 def express_in_hom_basis(
     ctx: SchurContext,
     z: HeckeElement,
@@ -263,30 +278,38 @@ def express_in_hom_basis(
     vector leading there, and subtract.  Raises NotInSpanError when z is
     outside the span.
     """
-    import math
-
-    from .permutations import young_subgroup_size
-
     lam = check_composition(lam)
     mu = check_composition(mu)
     coords = dict(module_coords(z, lam))
-    keyfun = _term_order_key(mu)
+    order_keys = ctx._order_keys
+    recovered = ctx._recovered
+    cold_key = _term_order_key(mu)
+
+    def keyfun(item: tuple[Permutation, tuple[int, ...]]):
+        memo_key = (mu, item)
+        k = order_keys.get(memo_key)
+        if k is None:
+            k = order_keys[memo_key] = cold_key(item)
+        return k
+
     out: dict[ColoredMatrix, RingElem] = {}
     zero = RingElem.zero(ctx.hecke.nvars)
     # Each pass strictly lowers the greatest term, so the module dimension
     # bounds the number of passes.
-    budget = (
-        math.factorial(ctx.r) // young_subgroup_size(lam)
-    ) * ctx.m**ctx.r + 1
+    budget = module_dimension(ctx, lam) + 1
     while coords:
         budget -= 1
         if budget < 0:
             raise NotInSpanError("triangular elimination failed to terminate")
         d2, c = max(coords, key=keyfun)
         f = coords[(d2, c)]
-        C, _ = _recover_matrix(ctx, lam, mu, d2, c)
-        if colored_row_sums(C) != lam or colored_col_sums(C) != mu:
-            raise NotInSpanError("recovered matrix has wrong margins")
+        lead = (lam, mu, d2, c)
+        C = recovered.get(lead)
+        if C is None:
+            C, _ = _recover_matrix(ctx, lam, mu, d2, c)
+            if colored_row_sums(C) != lam or colored_col_sums(C) != mu:
+                raise NotInSpanError("recovered matrix has wrong margins")
+            recovered[lead] = C
         out[C] = out.get(C, zero) + f
         for key, coeff in ctx.b_coords(C).items():
             cur = coords.get(key, zero) - coeff * f

@@ -47,7 +47,7 @@ from .typeb import (
     verify_single_row_coset_basis,
     verify_worked_example,
 )
-from .wreath import colored_col_sums, colored_row_sums
+from .wreath import colored_col_sums, group_by_row_sums
 
 SUITE_NAMES = (
     "pbw",
@@ -362,11 +362,9 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     def reconstruct():
         ctx = make_ctx()
         basis = ctx.basis()
+        by_ro = group_by_row_sums(basis)
         pairs = [
-            (A, B)
-            for A in basis
-            for B in basis
-            if colored_col_sums(A) == colored_row_sums(B)
+            (A, basis[j]) for A in basis for j in by_ro.get(colored_col_sums(A), ())
         ]
         sample = pairs if len(pairs) <= 30 else rng.sample(pairs, k=30)
         for A, B in sample:
@@ -384,9 +382,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     def assoc():
         ctx = make_ctx()
         basis = ctx.basis()
-        by_ro: dict[tuple, list] = {}
-        for B in basis:
-            by_ro.setdefault(colored_row_sums(B), []).append(B)
+        by_ro = group_by_row_sums(basis)
         done = 0
         for _ in range(200):
             if done >= max(p.trials, 5):
@@ -395,11 +391,11 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
             bs = by_ro.get(colored_col_sums(A))
             if not bs:
                 continue
-            B = rng.choice(bs)
+            B = basis[rng.choice(bs)]
             cs = by_ro.get(colored_col_sums(B))
             if not cs:
                 continue
-            C = rng.choice(cs)
+            C = basis[rng.choice(cs)]
             fa, fb, fc = (basis_element(ctx, M) for M in (A, B, C))
             if (fa * fb) * fc != fa * (fb * fc):
                 return False, {"A": A, "B": B, "C": C}

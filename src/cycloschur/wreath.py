@@ -149,6 +149,18 @@ def colored_col_sums(A: ColoredMatrix) -> Composition:
     return col_sums(colored_size(A))
 
 
+def group_by_row_sums(matrices: Sequence[ColoredMatrix]) -> dict[Composition, list[int]]:
+    """Positions of the matrices, grouped by row sums, in increasing order.
+
+    The composable partners B of A (col sums of A = row sums of B) are then
+    one lookup instead of a scan of every pair.
+    """
+    out: dict[Composition, list[int]] = {}
+    for j, B in enumerate(matrices):
+        out.setdefault(colored_row_sums(B), []).append(j)
+    return out
+
+
 def colored_matrix_of(
     lam: Sequence[int], g: ColoredPerm, mu: Sequence[int]
 ) -> ColoredMatrix:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,43 @@ def test_closed_stdout_pipe_exits_2_without_traceback():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "expr,flags",
+    [
+        ("T1^100000", ("--guard", "1000")),
+        ("(T1^1000)^1000", ("--guard", "1000")),
+        ("u1^3000000000", ()),
+    ],
+    ids=["flat", "nested", "default-guard"],
+)
+def test_element_power_guard_exits_2(capsys, expr, flags):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "element", expr, "--m", "2", "--r", "2", *flags)
+    assert time.perf_counter() - start < 5
+    _assert_one_line_error(code, out, err)
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 2000 + "T1" + ")" * 2000,
+        "+".join(["T1"] * 2000),
+        "(-" * 2000 + "q" + ")" * 2000,
+    ],
+    ids=["parentheses", "sum-chain", "negations"],
+)
+def test_element_deep_nesting_exits_2(capsys, expr):
+    code, out, err = run_cli(capsys, "element", expr, "--m", "1", "--r", "2")
+    _assert_one_line_error(code, out, err)
+    assert "nested deeper" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run_cli(capsys, "element", "T1", "--bogus")[0] == 2
 
@@ -179,6 +217,17 @@ def test_mult_incompatible_margins_prints_zero(capsys):
         "--A", "[[[2],[0]],[[0],[0]]]", "--B", "[[[1],[0]],[[0],[1]]]",
     )
     assert code == 0 and out.strip() == "0"
+
+
+def test_mult_guard_exits_2(capsys):
+    # the product lives in x_(1,1) H, of rank 2!/1 * 2^2 = 8 over R
+    A = "[[[0,0],[1,0]],[[1,0],[0,0]]]"
+    argv = ("mult", "--m", "2", "--n", "2", "--r", "2", "--A", A, "--B", A)
+    code, out, err = run_cli(capsys, *argv, "--guard", "0")
+    _assert_one_line_error(code, out, err)
+    assert "size 8" in err
+    code, out, _ = run_cli(capsys, *argv, "--guard", "8")
+    assert code == 0 and out.count("Phi") == 8
 
 
 def test_mult_malformed_matrix_exits_2(capsys):

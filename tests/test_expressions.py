@@ -8,6 +8,7 @@ import pytest
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
 from cycloschur.expressions import (
+    MAX_DEPTH,
     BinOp,
     ExprError,
     ExprSyntaxError,
@@ -23,6 +24,7 @@ from cycloschur.expressions import (
     parse,
     pretty,
 )
+from cycloschur.guards import GuardError
 from cycloschur.hecke import HeckeAlgebra, sigma_elementary
 from cycloschur.ring import RingElem
 
@@ -226,3 +228,34 @@ def test_eval_composition_must_match_rank():
 def test_evaluate_accepts_prebuilt_tree():
     alg = HeckeAlgebra(1, 2)
     assert evaluate(parse("T1"), alg) == alg.gen_T(1)
+
+
+@pytest.mark.parametrize("base", ["T1", "(T1+L1)"])
+def test_power_by_squaring_matches_repeated_product(base):
+    alg = HeckeAlgebra(2, 2)
+    elem = evaluate_text(base, alg)
+    want = alg.one()
+    for k in range(7):
+        assert evaluate_text(f"{base}^{k}", alg) == want
+        want = want * elem
+
+
+def test_power_exponent_is_guarded():
+    alg = HeckeAlgebra(2, 2)
+    assert evaluate_text("T1^8", alg, guard=8) == evaluate_text("(T1^2)^4", alg)
+    for src in ("T1^9", "(T1^3)^3", "((T1)^0)^9", "u1^3000000000"):
+        with pytest.raises(GuardError):
+            evaluate_text(src, alg, guard=8)
+    # q and X powers are single monomials and need no guard
+    assert evaluate_text("q^9", alg, guard=8) == alg.scalar(RingElem.q_power(9, 2))
+
+
+def test_nesting_depth_is_capped():
+    deep = "(" * MAX_DEPTH + "T1" + ")" * MAX_DEPTH
+    assert parse(deep) == Gen("T", 1)
+    with pytest.raises(ExprError):
+        parse("(" + deep + ")")
+    chain = "+".join(["T1"] * MAX_DEPTH)
+    assert isinstance(parse(chain), BinOp)
+    with pytest.raises(ExprError):
+        parse(chain + "+T1")

@@ -189,6 +189,55 @@ def test_express_rejects_outside_span():
         express_in_hom_basis(CTX222, z, (2, 0), (2, 0))
 
 
+def _composable_pairs(ctx: SchurContext):
+    basis = ctx.basis()
+    return [
+        (A, B)
+        for A in basis
+        for B in basis
+        if colored_col_sums(A) == colored_row_sums(B)
+    ]
+
+
+@pytest.mark.parametrize("mnr", [(2, 2, 2), (3, 1, 3)])
+def test_memoised_elimination_matches_fresh_context(mnr):
+    # One context expands every product twice, forwards then backwards, so
+    # the second sweep runs on warm order-key and recovery memos; each
+    # result must equal the expansion on a context built for it alone.
+    # Each Hecke product b_A * tail_B (most of the time here) is formed
+    # once and expanded three times, as multiply_basis would expand it.
+    shared = SchurContext(*mnr)
+    products = {
+        (A, B): (shared.b_element(A) * shared.tail(B), colored_row_sums(A),
+                 colored_col_sums(B))
+        for A, B in _composable_pairs(shared)
+    }
+    fresh = {
+        pair: express_in_hom_basis(SchurContext(*mnr, hecke=shared.hecke), *args)
+        for pair, args in products.items()
+    }
+    assert not shared._order_keys and not shared._recovered
+    pairs = list(products)
+    for pair in pairs + pairs[::-1]:
+        assert express_in_hom_basis(shared, *products[pair]) == fresh[pair]
+    assert shared._order_keys and shared._recovered
+    A, B = pairs[0]
+    assert multiply_basis(shared, A, B) == fresh[(A, B)]
+
+
+def test_express_rejects_outside_span_on_warm_context():
+    ctx = SchurContext(2, 2, 2)
+    for A, B in _composable_pairs(ctx):
+        multiply_basis(ctx, A, B)
+    assert ctx._order_keys and ctx._recovered
+    z = ctx.hecke.x_lambda((2, 0)) * ctx.hecke.gen_L(1)
+    for _ in range(2):
+        with pytest.raises(NotInSpanError):
+            express_in_hom_basis(ctx, z, (2, 0), (2, 0))
+    for (lam, mu, _, _), C in ctx._recovered.items():
+        assert (colored_row_sums(C), colored_col_sums(C)) == (lam, mu)
+
+
 def test_express_accepts_free_column_margin():
     # With no column constraints the module itself is the hom space.
     alg = CTX222.hecke
