@@ -58,6 +58,11 @@ class AffineElement(ElementBase):
             _add_term(out, (w, tuple(x + y for x, y in zip(b, a))), c)
         return out
 
+    @staticmethod
+    def _rmul_exponent_group(alg, terms, exps):
+        for a in exps:
+            yield a, (AffineElement._rmul_exponents(alg, terms, a) if any(a) else terms)
+
 
 class AffineAlgebra(AlgebraBase):
     """Context: rank r and the coefficient ring's u-variable count."""

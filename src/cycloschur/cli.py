@@ -65,15 +65,23 @@ def _add_grid_flags(sp: argparse.ArgumentParser, *, with_n: bool = True) -> None
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cyclo",
         description="Exact computation in cyclotomic Hecke and slim q-Schur algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("element", help="evaluate an expression to normal form")
-    sp.add_argument("expr", help="e.g. 'T1*T1' or 'x(2,1)*L3^2'")
+    sp.add_argument("expr", help="e.g. 'T1*T1' or 'x(2,1)*L3^2'; "
+                    "an expression starting with '-' goes after '--'")
     _add_grid_flags(sp, with_n=False)
     sp.add_argument(
         "--affine", action="store_true", help="evaluate in the affine engine (X, not L)"
@@ -189,8 +197,10 @@ def _cmd_tables(args) -> int:
     if payload is None:
         ctx = SchurContext(args.m, args.n, args.r)
         basis = ctx.basis(args.guard)
-        products = []
         by_ro = group_by_row_sums(basis)
+        pairs = sum(len(by_ro.get(colored_col_sums(A), ())) for A in basis)
+        check_guard(pairs, args.guard, "composable pairs of the multiplication table")
+        products = []
         for i, A in enumerate(basis):
             for j in by_ro.get(colored_col_sums(A), ()):
                 entries = _product_entries(ctx, A, basis[j])

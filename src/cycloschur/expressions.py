@@ -304,6 +304,35 @@ def pretty(e: Expr) -> str:
 
 # -- evaluator -------------------------------------------------------------
 
+
+def _factors(node: Expr) -> list[Expr]:
+    """The factors of a chain of products, left to right."""
+    out: list[Expr] = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, BinOp) and cur.op == "*":
+            stack += [cur.right, cur.left]
+        else:
+            out.append(cur)
+    return out
+
+
+def _is_scalar(node: Expr) -> bool:
+    """Is the node a coefficient-ring element (built from integers, q, u)?"""
+    if isinstance(node, (Num, QVar)):
+        return True
+    if isinstance(node, Gen):
+        return node.kind == "u"
+    if isinstance(node, Pow):
+        return _is_scalar(node.base)
+    if isinstance(node, Neg):
+        return _is_scalar(node.operand)
+    if isinstance(node, BinOp):
+        return _is_scalar(node.left) and _is_scalar(node.right)
+    return False
+
+
 Element = Union[HeckeElement, AffineElement]
 
 
@@ -317,7 +346,9 @@ def evaluate(
     in the affine engine; everything else needs nonnegative exponents.
     ``guard`` caps the size of the Young subgroup a symmetrizer x(...)
     sums over, and the exponent of a power computed by products, nested
-    powers multiplying out: ((a)^3)^3 counts as a^9.
+    powers multiplying out: ((a)^3)^3 counts as a^9.  A product of k
+    factors that are not scalars counts as exponent k, so a*a*a counts as
+    a^3 and ((a*a)^3) as a^6.
     """
     affine = isinstance(alg, AffineAlgebra)
     nvars = alg.nvars
@@ -358,13 +389,22 @@ def evaluate(
             return sigma_elementary(alg, node.k)
         if isinstance(node, Neg):
             return -ev(node.operand, power)
+        if isinstance(node, BinOp) and node.op == "*":
+            # A chain of k non-scalar factors costs what a k-th power does.
+            factors = [(f, _is_scalar(f)) for f in _factors(node)]
+            k = sum(not scalar for _, scalar in factors)
+            if k > 1:
+                check_guard(power * k, guard, "exponent")
+            out = None
+            for f, scalar in factors:
+                value = ev(f, power if scalar else power * k)
+                out = value if out is None else out * value
+            return out
         if isinstance(node, BinOp):
             left, right = ev(node.left, power), ev(node.right, power)
             if node.op == "+":
                 return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
+            return left - right
         if isinstance(node, Pow):
             n = node.exponent
             if isinstance(node.base, QVar):

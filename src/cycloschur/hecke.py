@@ -29,8 +29,8 @@ variables u_1..u_m, while explicit ring elements (for instance (-1, Q) at
 two parameters) give specialized models without changing any code path.
 
 ``AlgebraBase`` and ``ElementBase`` hold what the affine engine (``affine``)
-shares with this one: the linear structure, T-straightening, the product
-loop and the JSON term lists.  The sigma builders take either engine.
+shares with this one: the linear structure, T-straightening through the
+per-algebra step tables, the product loop and the JSON term lists.  The sigma builders take either engine.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import RingElem, elementary_symmetric_of
+from .ring import RingAccumulator, RingElem, elementary_symmetric_of
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
+StepColumn = tuple[tuple[TermKey, RingElem], ...]
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +98,15 @@ class AlgebraBase:
         self.q = RingElem.q_power(1, nvars)
         self.one_c = RingElem.one(nvars)
         self.qm1 = self.q - self.one_c
+        # Step tables, filled lazily by _rmul_T/_rmul_L: _steps_T[i] maps a
+        # monomial T_w M^a to the right action of T_i on it, as a tuple of
+        # (monomial, constant) pairs, and _steps_L[j] does the same for L_j.
+        # So a monomial's straightening, and a cyclotomic overflow chain,
+        # runs once per algebra rather than once per term.
+        self._steps_T: list[dict[TermKey, StepColumn]] = [{} for _ in range(r)]
+        self._steps_L: list[dict[TermKey, StepColumn]] = [{} for _ in range(r + 1)]
+        # module_coords: (w, lam) -> the minimal representative of S_lam w.
+        self._coset_reps: dict[tuple[Permutation, tuple[int, ...]], Permutation] = {}
 
     def __eq__(self, other):
         return type(other) is type(self) and self._signature() == other._signature()
@@ -144,7 +154,7 @@ class ElementBase:
 
     M is L in the cyclotomic engine and X in the affine one (``symbol``).
     The engines differ only in how a normal-form dict is multiplied on the
-    right by M^a, which each supplies as ``_rmul_exponents``.
+    right by M^a, which each supplies as ``_rmul_exponent_group``.
     """
 
     __slots__ = ("alg", "terms")
@@ -191,19 +201,31 @@ class ElementBase:
     # -- multiplication ----------------------------------------------------
 
     def _product(self, other: ElementBase) -> ElementBase:
-        """self * other: straighten self by each T_w2 M^a2 of other."""
+        """self * other: straighten self by each T_w2 M^a2 of other.
+
+        The terms of other are grouped by w2, self is straightened once per
+        prefix of their reduced words, each group's exponent vectors share
+        prefixes through ``_rmul_exponent_group``, and the coefficients of
+        other are multiplied in last.
+        """
         self._check(other)
         alg = self.alg
-        acc: dict[TermKey, RingElem] = {}
+        nvars = alg.nvars
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], RingElem]] = {}
         for (w2, a2), c2 in other.terms.items():
-            cur = self.terms
-            for letter in _cached_word(w2.im):
-                cur = _rmul_T(alg, cur, letter)
-            if any(a2):
-                cur = self._rmul_exponents(alg, cur, a2)
-            for key, c in cur.items():
-                _add_term(acc, key, c * c2)
-        return type(self)(alg, acc)
+            groups.setdefault(_cached_word(w2.im), {})[a2] = c2
+        acc: dict[TermKey, RingAccumulator] = {}
+        get = acc.get
+        for word, cur in _walk_words(self.terms, groups, lambda t, i: _rmul_T(alg, t, i)):
+            group = groups[word]
+            for a2, terms in self._rmul_exponent_group(alg, cur, group):
+                c2 = group[a2]
+                for key, c in terms.items():
+                    slot = get(key)
+                    if slot is None:
+                        slot = acc[key] = RingAccumulator(nvars)
+                    slot.add_product(c, c2)
+        return type(self)(alg, _collect(acc))
 
     # -- printing ----------------------------------------------------------
 
@@ -260,11 +282,15 @@ class HeckeElement(ElementBase):
         return self._product(other)
 
     @staticmethod
-    def _rmul_exponents(alg, terms, a):
-        for j, e in enumerate(a, start=1):
-            for _ in range(e):
-                terms = _rmul_L(alg, terms, j)
-        return terms
+    def _rmul_exponent_group(alg, terms, exps):
+        """(a, terms * L^a) for each a in exps, applying each shared prefix
+        of the words L_1^{a_1} L_2^{a_2} ... once."""
+        words = {
+            tuple(j for j, e in enumerate(a, start=1) for _ in range(e)): a
+            for a in exps
+        }
+        for word, cur in _walk_words(terms, words, lambda t, j: _rmul_L(alg, t, j)):
+            yield words[word], cur
 
 
 class HeckeAlgebra(AlgebraBase):
@@ -349,39 +375,66 @@ def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:
             out[key] = new
 
 
+def _walk_words(start, words, step):
+    """Yield (word, start . word) for each word, in lexicographic order.
+
+    ``step(x, letter)`` applies one letter.  A stack holds start . p for
+    the prefixes p of the current word, so each distinct prefix of the
+    words is applied once.
+    """
+    stack = [start]
+    prev: tuple[int, ...] = ()
+    for word in sorted(words):
+        k = 0
+        for x, y in zip(prev, word):
+            if x != y:
+                break
+            k += 1
+        del stack[k + 1 :]
+        for letter in word[k:]:
+            stack.append(step(stack[-1], letter))
+        prev = word
+        yield word, stack[-1]
+
+
+def _collect(acc: Mapping[TermKey, RingAccumulator]) -> dict[TermKey, RingElem]:
+    """The nonzero totals of a dict of accumulators."""
+    out: dict[TermKey, RingElem] = {}
+    for key, slot in acc.items():
+        total = slot.value()
+        if total.terms:
+            out[key] = total
+    return out
+
+
+def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
+    """Right multiplication of a normal-form dict by one generator.
+
+    ``table`` maps a monomial to its column, the generator's right action
+    on it; a missing column is made by ``build(alg, monomial, g)``.
+    """
+    nvars = alg.nvars
+    acc: dict[TermKey, RingAccumulator] = {}
+    get = acc.get
+    for key, c in terms.items():
+        column = table.get(key)
+        if column is None:
+            column = table[key] = tuple(build(alg, key, g).items())
+        for key2, t in column:
+            slot = get(key2)
+            if slot is None:
+                slot = acc[key2] = RingAccumulator(nvars)
+            slot.add_product(c, t)
+    return _collect(acc)
+
+
 def _rmul_T(
-    alg: HeckeAlgebra, terms: Mapping[TermKey, RingElem], i: int
+    alg: AlgebraBase, terms: Mapping[TermKey, RingElem], i: int
 ) -> dict[TermKey, RingElem]:
     """Right multiplication of a normal-form dict by T_i."""
     if not 1 <= i <= alg.r - 1:
         raise ValueError(f"T index {i} out of range")
-    q, qm1, one = alg.q, alg.qm1, alg.one_c
-    neg_qm1 = one - q
-    out: dict[TermKey, RingElem] = {}
-    for (w, a), c in terms.items():
-        ai, aj = a[i - 1], a[i]
-        a_sw = a[: i - 1] + (aj, ai) + a[i + 1 :]
-        wsi = _swap_positions(w, i)
-        if w.im[i - 1] < w.im[i]:
-            _add_term(out, (wsi, a_sw), c)
-        else:
-            _add_term(out, (w, a_sw), c * qm1)
-            _add_term(out, (wsi, a_sw), c * q)
-        if ai < aj:
-            c_corr = c * qm1
-            for t in range(1, aj - ai + 1):
-                b = list(a_sw)
-                b[i - 1] -= t
-                b[i] += t
-                _add_term(out, (w, tuple(b)), c_corr)
-        elif ai > aj:
-            c_corr = c * neg_qm1
-            for t in range(0, ai - aj):
-                b = list(a_sw)
-                b[i - 1] += t
-                b[i] -= t
-                _add_term(out, (w, tuple(b)), c_corr)
-    return out
+    return _apply_steps(alg, terms, alg._steps_T[i], _t_column, i)
 
 
 def _rmul_L(
@@ -390,35 +443,57 @@ def _rmul_L(
     """Right multiplication of a normal-form dict by L_j."""
     if not 1 <= j <= alg.r:
         raise ValueError(f"L index {j} out of range")
+    return _apply_steps(alg, terms, alg._steps_L[j], _l_column, j)
+
+
+def _t_column(alg: AlgebraBase, key: TermKey, i: int) -> dict[TermKey, RingElem]:
+    """T_w M^a * T_i by the three-case rule of the module docstring."""
+    w, a = key
+    out: dict[TermKey, RingElem] = {}
+    ai, aj = a[i - 1], a[i]
+    a_sw = a[: i - 1] + (aj, ai) + a[i + 1 :]
+    wsi = _swap_positions(w, i)
+    if w.im[i - 1] < w.im[i]:
+        _add_term(out, (wsi, a_sw), alg.one_c)
+    else:
+        _add_term(out, (w, a_sw), alg.qm1)
+        _add_term(out, (wsi, a_sw), alg.q)
+    if ai < aj:
+        for t in range(1, aj - ai + 1):
+            b = list(a_sw)
+            b[i - 1] -= t
+            b[i] += t
+            _add_term(out, (w, tuple(b)), alg.qm1)
+    elif ai > aj:
+        neg_qm1 = -alg.qm1
+        for t in range(0, ai - aj):
+            b = list(a_sw)
+            b[i - 1] += t
+            b[i] -= t
+            _add_term(out, (w, tuple(b)), neg_qm1)
+    return out
+
+
+def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem]:
+    """T_w L^a * L_j: an exponent shift, or the cyclotomic overflow."""
+    w, a = key
     m = alg.m
+    if a[j - 1] < m - 1:
+        return {(w, a[: j - 1] + (a[j - 1] + 1,) + a[j:]): alg.one_c}
     out: dict[TermKey, RingElem] = {}
     if j == 1:
-        for (w, a), c in terms.items():
-            if a[0] < m - 1:
-                _add_term(out, (w, (a[0] + 1,) + a[1:]), c)
-            else:
-                for k in range(1, m + 1):
-                    _add_term(out, (w, (m - k,) + a[1:]), c * alg.overflow[k - 1])
+        for k in range(1, m + 1):
+            _add_term(out, (w, (m - k,) + a[1:]), alg.overflow[k - 1])
         return out
-    high: dict[TermKey, RingElem] = {}
-    for (w, a), c in terms.items():
-        if a[j - 1] < m - 1:
-            b = a[: j - 1] + (a[j - 1] + 1,) + a[j:]
-            _add_term(out, (w, b), c)
-        else:
-            high[(w, a)] = c
-    if high:
-        # overflow via L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}
-        cur = high
-        for i in range(j - 1, 0, -1):
-            cur = _rmul_T(alg, cur, i)
-        cur = _rmul_L(alg, cur, 1)
-        for i in range(1, j):
-            cur = _rmul_T(alg, cur, i)
-        scale = RingElem.q_power(1 - j, alg.nvars)
-        for key, c in cur.items():
-            _add_term(out, key, c * scale)
-    return out
+    # overflow via L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}
+    cur: dict[TermKey, RingElem] = {key: alg.one_c}
+    for i in range(j - 1, 0, -1):
+        cur = _rmul_T(alg, cur, i)
+    cur = _rmul_L(alg, cur, 1)
+    for i in range(1, j):
+        cur = _rmul_T(alg, cur, i)
+    scale = RingElem.q_power(1 - j, alg.nvars)
+    return {k: c * scale for k, c in cur.items()}
 
 
 # -- anti-automorphism and the left-handed view ----------------------------
@@ -559,10 +634,13 @@ def module_coords(
     if sum(lam) != alg.r:
         raise ValueError(f"{lam} is not a composition of {alg.r}")
     size = young_subgroup_size(lam)
+    reps = alg._coset_reps
     coords: dict[tuple[Permutation, tuple[int, ...]], RingElem] = {}
     counts: dict[tuple[Permutation, tuple[int, ...]], int] = {}
     for (w, a), c in x.terms.items():
-        _, d = right_coset_factor(w, lam)
+        d = reps.get((w, lam))
+        if d is None:
+            d = reps[(w, lam)] = right_coset_factor(w, lam)[1]
         key = (d, a)
         if key in coords:
             if coords[key] != c:

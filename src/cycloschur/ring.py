@@ -329,6 +329,49 @@ def _make(nvars: int, terms: dict[int, int], ubound: int) -> RingElem:
     return res
 
 
+class RingAccumulator:
+    """A running sum of ring products, formed in place in one packed dict.
+
+    ``add_product(a, b)`` adds a*b to the sum without building a*b or a new
+    partial sum, deleting monomials that cancel as it goes; ``value`` hands
+    the total out as one ``RingElem``, after which the accumulator is done
+    with.  The total's u-exponent bound is the largest bound of its
+    products, checked against ``U_EXP_MAX`` as ``RingElem.__mul__`` checks
+    it.  Every operand must have the accumulator's ``nvars``; callers are
+    the straightening loops, whose coefficients all live in one ring.
+    """
+
+    __slots__ = ("nvars", "_terms", "_ubound")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self._terms: dict[int, int] = {}
+        self._ubound = 0
+
+    def add_product(self, a: RingElem, b: RingElem) -> None:
+        bound = a._ubound + b._ubound
+        if bound > self._ubound:
+            if bound > U_EXP_MAX:
+                raise RingError(
+                    f"u-exponents of a product may reach {bound}, past the limit {U_EXP_MAX}"
+                )
+            self._ubound = bound
+        out = self._terms
+        get = out.get
+        b_terms = b.terms.items()
+        for ka, ca in a.terms.items():
+            for kb, cb in b_terms:
+                key = ka + kb
+                new = get(key, 0) + ca * cb
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+
+    def value(self) -> RingElem:
+        return _make(self.nvars, self._terms, self._ubound)
+
+
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
     """The k-th elementary symmetric polynomial e_k(u_1, ..., u_m).
 

@@ -1,0 +1,109 @@
+"""Independent oracle for engine products: the per-term loop over the direct rules.
+
+``product`` straightens the left factor afresh for every term T_w M^a of
+the right factor, one generator at a time, and adds each piece into the
+result with ``RingElem`` arithmetic.  Every step applies the three-case
+rule or the cyclotomic overflow chain to every term directly: nothing is
+tabulated, no prefix is shared, and no sum is accumulated in place.  This
+is how ``cycloschur.hecke`` formed products before it kept step tables;
+the tests compare the engine's products against it.
+"""
+
+from __future__ import annotations
+
+from cycloschur.permutations import Permutation, reduced_word
+from cycloschur.ring import RingElem
+
+
+def _add(out: dict, key, c: RingElem) -> None:
+    cur = out.get(key)
+    new = c if cur is None else cur + c
+    if new.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = new
+
+
+def _swap_positions(w: Permutation, i: int) -> Permutation:
+    im = list(w.im)
+    im[i - 1], im[i] = im[i], im[i - 1]
+    return Permutation(tuple(im))
+
+
+def rmul_T(alg, terms: dict, i: int) -> dict:
+    """terms * T_i by the three-case rule, term by term."""
+    q, one = alg.q, alg.one_c
+    qm1 = q - one
+    out: dict = {}
+    for (w, a), c in terms.items():
+        ai, aj = a[i - 1], a[i]
+        a_sw = a[: i - 1] + (aj, ai) + a[i + 1 :]
+        wsi = _swap_positions(w, i)
+        if w.im[i - 1] < w.im[i]:
+            _add(out, (wsi, a_sw), c)
+        else:
+            _add(out, (w, a_sw), c * qm1)
+            _add(out, (wsi, a_sw), c * q)
+        if ai < aj:
+            for t in range(1, aj - ai + 1):
+                b = list(a_sw)
+                b[i - 1] -= t
+                b[i] += t
+                _add(out, (w, tuple(b)), c * qm1)
+        elif ai > aj:
+            for t in range(0, ai - aj):
+                b = list(a_sw)
+                b[i - 1] += t
+                b[i] -= t
+                _add(out, (w, tuple(b)), c * (one - q))
+    return out
+
+
+def rmul_L(alg, terms: dict, j: int) -> dict:
+    """terms * L_j: shift, or reduce through L_1^m and the chain
+    L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}."""
+    m = alg.m
+    out: dict = {}
+    high: dict = {}
+    for (w, a), c in terms.items():
+        if a[j - 1] < m - 1:
+            _add(out, (w, a[: j - 1] + (a[j - 1] + 1,) + a[j:]), c)
+        elif j == 1:
+            for k in range(1, m + 1):
+                _add(out, (w, (m - k,) + a[1:]), c * alg.overflow[k - 1])
+        else:
+            high[(w, a)] = c
+    if high:
+        cur = high
+        for i in range(j - 1, 0, -1):
+            cur = rmul_T(alg, cur, i)
+        cur = rmul_L(alg, cur, 1)
+        for i in range(1, j):
+            cur = rmul_T(alg, cur, i)
+        scale = RingElem.q_power(1 - j, alg.nvars)
+        for key, c in cur.items():
+            _add(out, key, c * scale)
+    return out
+
+
+def shift(terms: dict, a: tuple[int, ...]) -> dict:
+    """terms * X^a in the affine engine: a plain exponent shift."""
+    return {(w, tuple(x + y for x, y in zip(b, a))): c for (w, b), c in terms.items()}
+
+
+def product(alg, left: dict, right: dict, affine: bool = False) -> dict:
+    """The normal form of left * right, both given as {(w, a): RingElem}."""
+    out: dict = {}
+    for (w2, a2), c2 in right.items():
+        cur = left
+        for letter in reduced_word(w2):
+            cur = rmul_T(alg, cur, letter)
+        if affine:
+            cur = shift(cur, a2)
+        else:
+            for j, e in enumerate(a2, start=1):
+                for _ in range(e):
+                    cur = rmul_L(alg, cur, j)
+        for key, c in cur.items():
+            _add(out, key, c * c2)
+    return out

@@ -136,8 +136,53 @@ def test_element_deep_nesting_exits_2(capsys, expr):
     assert "nested deeper" in err
 
 
+def test_element_product_chain_guard_exits_2(capsys):
+    # 14 factors count as the exponent 14, as (...)^14 does
+    factor = "(T1+T2+L1+L3+u1)"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "element", "*".join([factor] * 14), "--m", "2", "--r", "3", "--guard", "8"
+    )
+    assert time.perf_counter() - start < 5
+    _assert_one_line_error(code, out, err)
+    assert "exponent has size 14" in err
+    # nested powers multiply the count: (a*a)^3 counts 6
+    code, out, err = run_cli(
+        capsys, "element", f"({factor}*{factor})^3", "--m", "2", "--r", "3", "--guard", "5"
+    )
+    _assert_one_line_error(code, out, err)
+    assert "exponent has size 6" in err
+    # scalar factors are not counted
+    code, out, _ = run_cli(
+        capsys, "element", f"2*q*u1^2*{factor}*{factor}", "--m", "2", "--r", "3",
+        "--guard", "2",
+    )
+    assert code == 0 and out
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run_cli(capsys, "element", "T1", "--bogus")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("element", "-T1", "--r", "2"),
+        ("element", "T1", "--bogus"),
+        ("element", "T1", "--r", "two"),
+        ("bogus",),
+        (),
+    ],
+    ids=["leading-minus", "unknown-flag", "bad-int", "bad-command", "no-command"],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err)
+
+
+def test_expression_starting_with_minus_goes_after_double_dash(capsys):
+    code, out, _ = run_cli(capsys, "element", "--r", "2", "--", "-T1")
+    assert code == 0 and out == "(-1)*T[2,1]\n"
 
 
 # -- basis / mult ----------------------------------------------------------
@@ -238,6 +283,16 @@ def test_mult_malformed_matrix_exits_2(capsys):
 
 
 # -- tables and cache ------------------------------------------------------
+
+
+def test_tables_guard_bounds_the_products(capsys):
+    # S(1; 2, 2) has 10 basis vectors and 34 composable pairs
+    argv = ("tables", "--m", "1", "--n", "2", "--r", "2", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--guard", "10")
+    _assert_one_line_error(code, out, err)
+    assert "composable pairs" in err and "size 34" in err
+    code, out, _ = run_cli(capsys, *argv, "--guard", "34")
+    assert code == 0 and len(json.loads(out)["basis"]) == 10
 
 
 def test_tables_cache_round_trip(tmp_path, capsys):

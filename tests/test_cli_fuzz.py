@@ -1,16 +1,21 @@
-"""Fuzz the `cyclo element` command line: every input ends in exit 0 or 2.
+"""Fuzz the `cyclo` command line: every input ends in exit 0 or 2.
 
-Expressions are drawn from the grammar (plus raw strings over its
-alphabet, for syntax errors) with small exponents and shallow nesting,
-and the flags from small ranges that include invalid values.  A small
---guard must keep each run short.
+For `element`, expressions are drawn from the grammar (plus raw strings
+over its alphabet, for syntax errors) with small exponents and shallow
+nesting.  For `mult` and `tables`, colored matrices are drawn with sizes
+that may or may not match the grid (plus raw strings, for malformed
+JSON), on tiny grids.  The flags come from small ranges that include
+invalid values.  A small --guard must keep each run short.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
 import time
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +54,23 @@ _EXPRESSIONS = st.one_of(
 )
 
 
+def _run(argv: list[str]) -> None:
+    """Run the CLI with no cache directory; assert the exit contract."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("CYCLO_CACHE_DIR", None)
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    assert elapsed < _SECONDS_PER_EXAMPLE, argv
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     expr=_EXPRESSIONS,
@@ -64,14 +86,45 @@ def test_element_exits_0_or_2_without_traceback(expr, m, r, guard, affine, fmt):
     if affine:
         argv.append("--affine")
     argv += ["--", expr]  # so that an expression starting with '-' is not a flag
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    elapsed = time.perf_counter() - start
-    assert code in (0, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-    assert elapsed < _SECONDS_PER_EXAMPLE, argv
+    _run(argv)
+
+
+def _colored_matrix(side: int, colors: int, low: int = 0) -> st.SearchStrategy[str]:
+    """JSON of a side x side matrix whose entries list `colors` counts."""
+    entry = st.lists(st.integers(low, 2), min_size=colors, max_size=colors)
+    row = st.lists(entry, min_size=side, max_size=side)
+    return st.lists(row, min_size=side, max_size=side).map(json.dumps)
+
+
+_GRID = {
+    "m": st.integers(0, 2),
+    "n": st.integers(0, 2),
+    "r": st.integers(0, 3),
+    "fmt": st.sampled_from(["text", "json"]),
+}
+
+
+def _grid_argv(command: str, m, n, r, guard, fmt) -> list[str]:
+    return [command, "--m", str(m), "--n", str(n), "--r", str(r),
+            "--guard", str(guard), "--format", fmt]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), guard=st.integers(0, 40), **_GRID)
+def test_mult_exits_0_or_2_without_traceback(data, m, n, r, guard, fmt):
+    # Mostly matrices of the grid's shape (basis vectors when the entries
+    # happen to sum to r), else other shapes and malformed JSON.
+    matrices = st.one_of(
+        _colored_matrix(max(n, 0), max(m, 0)),
+        st.builds(_colored_matrix, st.integers(0, 3), st.integers(0, 3), st.just(-1))
+        .flatmap(lambda x: x),
+        st.text(alphabet="[]0123,-", max_size=12),
+    )
+    A, B = data.draw(matrices, label="A"), data.draw(matrices, label="B")
+    _run(_grid_argv("mult", m, n, r, guard, fmt) + ["--A", A, "--B", B])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(guard=st.integers(0, 500), **_GRID)
+def test_tables_exits_0_or_2_without_traceback(m, n, r, guard, fmt):
+    _run(_grid_argv("tables", m, n, r, guard, fmt))

@@ -12,6 +12,8 @@ from ring_oracle import OracleElem
 from cycloschur.ring import (
     MODULAR_PRIME,
     ExactDivisionError,
+    U_EXP_MAX,
+    RingAccumulator,
     RingElem,
     RingError,
     RingMatrix,
@@ -395,3 +397,64 @@ def test_u_exponent_limit():
     assert RingElem(2, {(0, (2**31 - 1, 0)): 1}).leading() == ((0, (2**31 - 1, 0)), 1)
     with pytest.raises(RingError):
         RingElem(1, {(0, (2**31 - 1,)): 1}) * RingElem.u_var(1, 1)
+
+
+# -- the in-place accumulator against the oracle ----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_accumulator_matches_oracle_sum_of_products(data):
+    n = data.draw(st.integers(min_value=0, max_value=3), label="nvars")
+    pairs = data.draw(
+        st.lists(st.tuples(oracle_terms(n), oracle_terms(n)), max_size=5), label="pairs"
+    )
+    # Adding a drawn product again negated makes the sum cancel, in part
+    # or (with every pair negated) to zero.
+    negate = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    acc = RingAccumulator(n)
+    total = OracleElem(n)
+    for (da, db), neg in zip(pairs, negate):
+        acc.add_product(RingElem(n, da), RingElem(n, db))
+        total = total + OracleElem(n, da) * OracleElem(n, db)
+        if neg:
+            acc.add_product(-RingElem(n, da), RingElem(n, db))
+            total = total - OracleElem(n, da) * OracleElem(n, db)
+    value = acc.value()
+    assert_same(value, total)
+    assert value == RingElem(n, total.terms)
+
+
+def test_accumulator_cancels_to_zero():
+    u1, q1 = RingElem.u_var(1, 2), RingElem.q_power(1, 2)
+    a = u1 + q1
+    acc = RingAccumulator(2)
+    acc.add_product(a, a)
+    acc.add_product(-a, a)
+    assert acc.value().is_zero()
+    assert acc.value() == RingElem.zero(2)
+    # (u1 + q)(u1 - q) - u1^2 + q^2 = 0, with the cross terms cancelling
+    # inside the first product
+    acc = RingAccumulator(2)
+    acc.add_product(a, u1 - q1)
+    acc.add_product(-u1, u1)
+    acc.add_product(q1, q1)
+    assert acc.value().is_zero()
+    assert RingAccumulator(0).value() == RingElem.zero(0)
+
+
+def test_accumulator_u_exponent_limit():
+    top = RingElem(1, {(0, (U_EXP_MAX,)): 1})
+    u1 = RingElem.u_var(1, 1)
+    acc = RingAccumulator(1)
+    acc.add_product(top, RingElem.one(1))
+    acc.add_product(RingElem(1, {(0, (2**30,)): 1}), RingElem(1, {(0, (2**30 - 1,)): 2}))
+    assert acc.value().sorted_terms() == [((0, (U_EXP_MAX,)), 3)]
+    with pytest.raises(RingError):
+        acc.add_product(top, u1)
+    with pytest.raises(RingError):
+        RingAccumulator(1).add_product(u1, top)
+    # the bound is checked as RingElem.__mul__ checks it: on the operands'
+    # bounds, before any term is formed
+    with pytest.raises(RingError):
+        top * u1
