@@ -112,12 +112,13 @@ def _grid_argv(command: str, m, n, r, guard, fmt) -> list[str]:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), guard=st.integers(0, 40), **_GRID)
 def test_mult_exits_0_or_2_without_traceback(data, m, n, r, guard, fmt):
-    # Mostly matrices of the grid's shape (basis vectors when the entries
-    # happen to sum to r), else other shapes and malformed JSON.
+    # Matrices of the grid's shape (basis vectors when the entries happen
+    # to sum to r), of other shapes with negative entries, or not JSON.
     matrices = st.one_of(
-        _colored_matrix(max(n, 0), max(m, 0)),
-        st.builds(_colored_matrix, st.integers(0, 3), st.integers(0, 3), st.just(-1))
-        .flatmap(lambda x: x),
+        _colored_matrix(n, m),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+            lambda shape: _colored_matrix(*shape, low=-1)
+        ),
         st.text(alphabet="[]0123,-", max_size=12),
     )
     A, B = data.draw(matrices, label="A"), data.draw(matrices, label="B")
