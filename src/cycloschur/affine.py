@@ -32,7 +32,7 @@ from .hecke import (
     sigma_nu,
 )
 from .permutations import Permutation, all_perms, identity
-from .ring import RingElem, elementary_symmetric_of
+from .ring import RingElem
 
 class AffineElement(ElementBase):
     """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
@@ -97,14 +97,14 @@ affine_sigma = sigma_nu
 def _l1_inverse(target: HeckeAlgebra, em_inverse: RingElem) -> HeckeElement:
     """L_1^{-1} in the cyclotomic quotient, given a verified e_m(u)^{-1}."""
     m = target.m
-    em = elementary_symmetric_of(list(target.u_params), m)
-    if em_inverse * em != RingElem.one(target.nvars):
+    # e_k(u) = (-1)^(k+1) overflow[k-1], and e_0 = 1
+    e = [target.one_c] + [c.scale((-1) ** k) for k, c in enumerate(target.overflow)]
+    if em_inverse * e[m] != RingElem.one(target.nvars):
         raise ValueError("supplied element is not an inverse of e_m(u)")
     total = target.zero()
     for k in range(m):
-        e_k = elementary_symmetric_of(list(target.u_params), k)
         vec = (m - 1 - k,) + (0,) * (target.r - 1)
-        term = target.jm_monomial(vec).scale(e_k.scale((-1) ** k))
+        term = target.jm_monomial(vec).scale(e[k].scale((-1) ** k))
         total = total + term
     return total.scale(em_inverse.scale((-1) ** (m + 1)))
 

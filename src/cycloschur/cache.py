@@ -27,7 +27,7 @@ from . import __version__
 ENV_VAR = "CYCLO_CACHE_DIR"
 
 # Bump when the layout of a payload or the algorithm producing it changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def resolve_cache_dir(explicit: str | None = None) -> Path | None:

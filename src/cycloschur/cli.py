@@ -176,6 +176,8 @@ def _product_entries(ctx: SchurContext, A, B) -> list[dict]:
 
 def _cmd_mult(args) -> int:
     ctx = SchurContext(args.m, args.n, args.r)
+    ctx.check_matrix(args.A)
+    ctx.check_matrix(args.B)
     lam = colored_row_sums(args.A)
     what = f"module x_lambda H at lambda {list(lam)}"
     check_guard(module_dimension(ctx, lam), args.guard, what)

@@ -24,13 +24,20 @@ workhorses are:
   and for j > 1 the overflow runs through the chain
   L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}.
 
-The parameter list is pluggable: ``HeckeAlgebra(m, r)`` uses the generic
-variables u_1..u_m, while explicit ring elements (for instance (-1, Q) at
-two parameters) give specialized models without changing any code path.
+The parameters reach straightening only through the coefficients
+overflow[k-1] = (-1)^(k+1) e_k(u) of the cyclotomic relation, which
+identify the algebra.  ``HeckeAlgebra(m, r)`` uses the generic u_1..u_m;
+explicit ring elements (for instance (-1, Q) at two parameters) give
+specialized models; ``overflow=`` takes the coefficients directly.  With
+free variables e_k in place of e_k(u), the algebra lives over
+Z[q^±1][e_1..e_m]: the slim Schur algebras straighten there and expand
+to u only where a coefficient leaves them (``schur.SchurContext``).  The
+code path is the same in every case.
 
 ``AlgebraBase`` and ``ElementBase`` hold what the affine engine (``affine``)
-shares with this one: the linear structure, T-straightening through the
-per-algebra step tables, the product loop and the JSON term lists.  The sigma builders take either engine.
+shares with this one: the linear structure (``LinearCombination``, shared
+with ``schur.SchurElement`` too), T-straightening through the step tables,
+the product loop and the JSON term lists; the sigma builders take either.
 """
 
 from __future__ import annotations
@@ -149,42 +156,37 @@ class AlgebraBase:
         )
 
 
-class ElementBase:
-    """A sparse R-linear combination of monomials T_w M^a.
-
-    M is L in the cyclotomic engine and X in the affine one (``symbol``).
-    The engines differ only in how a normal-form dict is multiplied on the
-    right by M^a, which each supplies as ``_rmul_exponent_group``.
-    """
+class LinearCombination:
+    """A sparse R-linear combination: ``terms`` maps basis keys to nonzero
+    coefficients, over the structure ``alg`` (an algebra, or a Schur
+    context), which + and == compare."""
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: AlgebraBase, terms: dict[TermKey, RingElem]):
+    def __init__(self, alg, terms: dict):
         self.alg = alg
         self.terms = terms
 
-    # -- linear structure --------------------------------------------------
-
-    def _check(self, other: ElementBase) -> None:
+    def _check(self, other: LinearCombination) -> None:
         if self.alg != other.alg:
             raise ValueError("elements from different algebras")
 
-    def __add__(self, other: ElementBase) -> ElementBase:
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             _add_term(out, k, c)
         return type(self)(self.alg, out)
 
-    def __neg__(self) -> ElementBase:
+    def __neg__(self):
         return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: ElementBase) -> ElementBase:
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: RingElem) -> ElementBase:
+    def scale(self, c: RingElem):
         if c.is_zero():
-            return self.alg.zero()
+            return type(self)(self.alg, {})
         return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -194,6 +196,17 @@ class ElementBase:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+class ElementBase(LinearCombination):
+    """A sparse R-linear combination of monomials T_w M^a.
+
+    M is L in the cyclotomic engine and X in the affine one (``symbol``).
+    The engines differ only in how a normal-form dict is multiplied on the
+    right by M^a, which each supplies as ``_rmul_exponent_group``.
+    """
+
+    __slots__ = ()
 
     def rmul_gen_T(self, i: int) -> ElementBase:
         return type(self)(self.alg, _rmul_T(self.alg, self.terms, i))
@@ -258,9 +271,6 @@ class HeckeElement(ElementBase):
 
     symbol = "L"
 
-    def scale_int(self, n: int) -> HeckeElement:
-        return self.scale(RingElem.const(n, self.alg.nvars))
-
     # -- generator actions -------------------------------------------------
 
     def rmul_gen_L(self, j: int) -> HeckeElement:
@@ -304,30 +314,36 @@ class HeckeAlgebra(AlgebraBase):
         r: int,
         nvars: int | None = None,
         u_params: Sequence[RingElem] | None = None,
+        overflow: Sequence[RingElem] | None = None,
     ):
+        """Parameters u_params (default: the generic u_1..u_m), or else the
+        cyclotomic coefficients ``overflow`` directly (u_params is then None)."""
         if m < 1 or r < 1:
             raise ValueError("need m >= 1 and r >= 1")
         if nvars is None:
             nvars = m
-        if u_params is None:
-            u_params = tuple(RingElem.u_var(i, nvars) for i in range(1, m + 1))
-        u_params = tuple(u_params)
-        if len(u_params) != m:
-            raise ValueError(f"need {m} parameters, got {len(u_params)}")
-        for p in u_params:
-            if p.nvars != nvars:
-                raise ValueError("parameters must live in the declared ring")
+        if overflow is None:
+            if u_params is None:
+                u_params = [RingElem.u_var(i, nvars) for i in range(1, m + 1)]
+            u_params = tuple(u_params)
+            if len(u_params) != m:
+                raise ValueError(f"need {m} parameters, got {len(u_params)}")
+            overflow = [
+                elementary_symmetric_of(u_params, k).scale((-1) ** (k + 1))
+                for k in range(1, m + 1)
+            ]
+        elif u_params is not None:
+            raise ValueError("give u_params or overflow, not both")
+        # L_1^m = sum_k overflow[k-1] L_1^{m-k}
+        self.overflow = tuple(overflow)
+        if len(self.overflow) != m or any(c.nvars != nvars for c in self.overflow):
+            raise ValueError(f"need {m} coefficients in the declared ring")
         self._init_ring(r, nvars)
         self.m = m
         self.u_params = u_params
-        # L_1^m = sum_k overflow[k-1] L_1^{m-k}
-        self.overflow = tuple(
-            elementary_symmetric_of(list(u_params), k).scale((-1) ** (k + 1))
-            for k in range(1, m + 1)
-        )
 
     def _signature(self):
-        return (self.m, self.r, self.nvars, self.u_params)
+        return (self.m, self.r, self.nvars, self.overflow)
 
     def __repr__(self):
         return f"HeckeAlgebra(m={self.m}, r={self.r})"
@@ -353,8 +369,12 @@ class HeckeAlgebra(AlgebraBase):
 
     monomial = jm_monomial
 
-    def pbw_basis(self, guard: int | None = None) -> Iterator[TermKey]:
+    def check_dim(self, guard: int | None) -> None:
+        """Raise GuardError if the normal-form basis is larger than guard."""
         check_guard(self.dim(), guard, f"normal-form basis m={self.m}, r={self.r}")
+
+    def pbw_basis(self, guard: int | None = None) -> Iterator[TermKey]:
+        self.check_dim(guard)
         from .permutations import all_perms
 
         for w in all_perms(self.r):

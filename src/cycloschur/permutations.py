@@ -82,10 +82,6 @@ class Permutation:
         """length(s_i * w) < length(w); holds iff i appears after i+1."""
         return self.im.index(i) > self.im.index(i + 1)
 
-    def has_right_descent(self, i: int) -> bool:
-        """length(w * s_i) < length(w); holds iff w(i) > w(i+1)."""
-        return self.im[i - 1] > self.im[i]
-
     def apply_to_tuple(self, a: Sequence) -> tuple:
         """Place permutation: (a . w) = (a_{w(1)}, ..., a_{w(r)}).
 
@@ -106,10 +102,6 @@ def simple(i: int, r: int) -> Permutation:
     return Permutation(tuple(im))
 
 
-def from_word(word: Sequence[int], r: int) -> Permutation:
-    return reduce(lambda w, i: w * simple(i, r), word, identity(r))
-
-
 def reduced_word(w: Permutation) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for w.
 
@@ -125,10 +117,6 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
                 cur = simple(i, r) * cur
                 break
     return tuple(word)
-
-
-def longest_element(r: int) -> Permutation:
-    return Permutation(tuple(range(r, 0, -1)))
 
 
 def all_perms(r: int) -> Iterator[Permutation]:
@@ -182,24 +170,6 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
     for first in range(r + 1):
         for rest in compositions(r - first, n - 1):
             yield (first,) + rest
-
-
-def partitions(r: int, max_parts: int | None = None) -> Iterator[Composition]:
-    """Partitions of r (nonincreasing, no trailing zeros), at most max_parts."""
-
-    def rec(remaining: int, cap: int, slots: int | None) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots is not None and slots == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(
-                remaining - first, first, None if slots is None else slots - 1
-            ):
-                yield (first,) + rest
-
-    yield from rec(r, r, max_parts)
 
 
 def young_subgroup(lam: Sequence[int]) -> Iterator[Permutation]:
@@ -256,15 +226,6 @@ def coset_reps(lam: Sequence[int]) -> list[Permutation]:
     rec(tuple(range(1, r + 1)), 0, {})
     reps.sort(key=lambda d: (d.length(), d.im))
     return reps
-
-
-def is_right_coset_rep(d: Permutation, lam: Sequence[int]) -> bool:
-    dinv = d.inv()
-    return all(dinv(i) < dinv(i + 1) for i in j_set(lam))
-
-
-def is_left_coset_rep(d: Permutation, mu: Sequence[int]) -> bool:
-    return all(d(i) < d(i + 1) for i in j_set(mu))
 
 
 def right_coset_factor(
@@ -419,15 +380,6 @@ def matrices_with_margins(
                 yield (row,) + rest
 
     yield from rec(lam, mu)
-
-
-def double_coset_reps(
-    lam: Sequence[int], mu: Sequence[int]
-) -> list[Permutation]:
-    """Minimal-length representatives of S_lam \\ S_r / S_mu, via matrices."""
-    reps = [theta_inverse(A) for A in matrices_with_margins(lam, mu)]
-    reps.sort(key=lambda d: (d.length(), d.im))
-    return reps
 
 
 def coset_reps_within(

@@ -9,6 +9,12 @@ coefficients.  A monomial is the pair ``(q_exponent, u_exponents)`` with
 naturals; internally it is packed into one integer (see ``RingElem``), and
 callers read monomials back through ``sorted_terms`` and ``leading``.
 
+The same representation holds the symmetric ground ring
+Z[q, q^-1, e_1, ..., e_m], with e_k in the slot of u_k, which the slim
+Schur algebras straighten over (see ``schur``).  ``ElementaryExpansion``
+is the ring homomorphism e_k -> e_k(u_1, ..., u_m) back into R; it is the
+one place where coefficients cross from e- to u-coordinates.
+
 Also provided: elementary symmetric polynomials in the u-parameters (the
 coefficients of the cyclotomic relation), Poincare polynomials of Young
 subgroups, exact specialization at rational points, and rank certification
@@ -379,13 +385,52 @@ def elementary_symmetric_params(k: int, m: int) -> RingElem:
     """
     if not 0 <= k <= m:
         raise RingError(f"k = {k} out of range 0..{m}")
-    terms: dict[Monomial, int] = {}
-    for subset in itertools.combinations(range(m), k):
-        exps = [0] * m
-        for i in subset:
-            exps[i] = 1
-        terms[(0, tuple(exps))] = 1
-    return RingElem(m, terms)
+    return RingElem(m, {
+        (0, tuple(int(i in subset) for i in range(m))): 1
+        for subset in itertools.combinations(range(m), k)
+    })
+
+
+class ElementaryExpansion:
+    """The ring homomorphism Z[q^±1][e_1..e_m] -> Z[q^±1][u_1..u_m] fixing q
+    and sending e_k (in the slot of u_k) to e_k(u_1, ..., u_m); injective.
+
+    Images of e-monomials (the u-part of a packed key, shared by all powers
+    of q) and of elements are memoised; equal inputs share one output.
+    """
+
+    __slots__ = ("m", "_mask", "_gens", "_monomials", "_images")
+
+    def __init__(self, m: int):
+        self.m = m
+        self._mask = (1 << (_W * m)) - 1
+        self._gens = [elementary_symmetric_params(k, m) for k in range(1, m + 1)]
+        self._monomials: dict[int, RingElem] = {}
+        self._images: dict[RingElem, RingElem] = {}
+
+    def _monomial(self, upart: int) -> RingElem:
+        exps = _unpack(upart, self.m)[1]
+        if sum(exps) > U_EXP_MAX:  # the u_1-exponent of the image
+            raise RingError(f"an expansion's u-exponents reach {sum(exps)}, past {U_EXP_MAX}")
+        out = RingElem.one(self.m)
+        for gen, f in zip(self._gens, exps):
+            out = out * gen**f
+        return out
+
+    def __call__(self, c: RingElem) -> RingElem:
+        image = self._images.get(c)
+        if image is None:
+            if c.nvars != self.m:
+                raise RingError(f"expected {self.m} variables, got {c.nvars}")
+            acc = RingAccumulator(self.m)
+            for key, coeff in c.terms.items():
+                upart = key & self._mask
+                mono = self._monomials.get(upart)
+                if mono is None:
+                    mono = self._monomials[upart] = self._monomial(upart)
+                acc.add_product(mono, _make(self.m, {key - upart: coeff}, 0))
+            image = self._images[c] = acc.value()
+        return image
 
 
 def elementary_symmetric_of(values: Sequence[RingElem], k: int) -> RingElem:
@@ -451,18 +496,6 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     return RingElem(nvars, quotient)
 
 
-def divide_by_int(a: RingElem, c: int) -> RingElem:
-    """Exact division of every coefficient by the integer c."""
-    if c == 0:
-        raise ExactDivisionError("division by zero")
-    out: dict[int, int] = {}
-    for key, v in a.terms.items():
-        if v % c != 0:
-            raise ExactDivisionError(f"coefficient {v} not divisible by {c}")
-        out[key] = v // c
-    return _make(a.nvars, out, a._ubound)
-
-
 class RingMatrix:
     """A dense rows x cols matrix of RingElem entries (all sharing nvars)."""
 
@@ -484,11 +517,6 @@ class RingMatrix:
 
     def at(self, i: int, j: int) -> RingElem:
         return self.entries[i * self.cols + j]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[RingElem]]) -> "RingMatrix":
-        flat = [e for row in rows for e in row]
-        return RingMatrix(len(rows), len(rows[0]) if rows else 0, flat)
 
 
 def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:

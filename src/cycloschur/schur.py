@@ -16,8 +16,19 @@ the slim Schur algebra, of rank C(m n^2 + r - 1, r) over R.
 
 Structure constants are computed by a division-free triangular elimination
 against the leading terms of the b_A (the longest representative times the
-lex-greatest monomial of sigma, which always has coefficient 1), entirely
-over R.  Composition is right factor first: (x * y) acts by y then x.
+lex-greatest monomial of sigma, which always has coefficient 1).
+Composition is right factor first: (x * y) acts by y then x.
+
+The parameters u reach straightening only through the coefficients
++-e_k(u) of the cyclotomic relation, so every b_A and structure constant
+lies in Z[q^±1][e_1..e_m].  A ``SchurContext`` built without ``hecke=``
+straightens, eliminates and caches over an algebra on free variables
+e_1..e_m, and expands a coefficient to u (``ring.ElementaryExpansion``)
+only where it leaves the context: in ``multiply_basis``,
+``express_in_hom_basis``, ``tail``, ``b_element`` and ``b_coords``.
+Given ``hecke=``, the same code runs on that algebra with the identity
+map.  Rank certificates use the e-coordinates: the e_k are algebraically
+independent, so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .hecke import (
     ElementBase,
     HeckeAlgebra,
     HeckeElement,
+    LinearCombination,
     _add_term,
     eigen_test,
     module_coords,
@@ -51,7 +63,14 @@ from .permutations import (
     theta_inverse,
     young_subgroup_size,
 )
-from .ring import MODULAR_PRIME, RingElem, RingMatrix, modular_rank, rank_mod_p
+from .ring import (
+    MODULAR_PRIME,
+    ElementaryExpansion,
+    RingElem,
+    RingMatrix,
+    modular_rank,
+    rank_mod_p,
+)
 from .wreath import (
     ColoredMatrix,
     colored_col_sums,
@@ -79,7 +98,8 @@ def diagonal_matrix(lam: Sequence[int], m: int) -> ColoredMatrix:
 
 
 class SchurContext:
-    """The slim Schur algebra for (m, n, r), with per-basis caches."""
+    """The slim Schur algebra for (m, n, r), with per-basis caches on
+    ``_alg`` (over e_1..e_m, or ``hecke``); ``_expand`` maps its coefficients to u."""
 
     def __init__(self, m: int, n: int, r: int, hecke: HeckeAlgebra | None = None):
         if n < 1:
@@ -90,6 +110,14 @@ class SchurContext:
         self.hecke = hecke if hecke is not None else HeckeAlgebra(m, r)
         if self.hecke.m != m or self.hecke.r != r:
             raise ValueError("underlying algebra does not match (m, r)")
+        self._alg = self.hecke
+        self._expand = _identity
+        if hecke is None and m > 1:
+            # L_1^m = e_1 L_1^{m-1} - e_2 L_1^{m-2} + ..., e_k a free variable
+            self._alg = HeckeAlgebra(m, r, overflow=[
+                RingElem.u_var(k, m).scale((-1) ** (k + 1)) for k in range(1, m + 1)
+            ])
+            self._expand = ElementaryExpansion(m)
         self._basis: list[ColoredMatrix] | None = None
         self._tails: dict[ColoredMatrix, HeckeElement] = {}
         self._bs: dict[ColoredMatrix, HeckeElement] = {}
@@ -124,41 +152,71 @@ class SchurContext:
             self._basis = list(enumerate_colored(self.n, self.r, self.m, guard))
         return self._basis
 
+    def weight(self, lam: Sequence[int]) -> Composition:
+        """lam as a composition, if it is one of r into n parts; else raise."""
+        lam = check_composition(lam)
+        if len(lam) != self.n or sum(lam) != self.r:
+            raise ValueError(f"{list(lam)} is not a composition of {self.r} into {self.n} parts")
+        return lam
+
+    def check_matrix(self, A: ColoredMatrix) -> None:
+        """Raise unless A is an n x n matrix of m-color entries summing to r."""
+        n, m = self.n, self.m
+        if not (
+            len(A) == n
+            and all(len(row) == n and all(len(e) == m and min(e) >= 0 for e in row) for row in A)
+            and sum(colored_row_sums(A)) == self.r
+        ):
+            raise ValueError(f"{matrix_to_json(A)} is not a basis matrix of S({m}; {n}, {self.r})")
+
     def basis_block(
         self, lam: Sequence[int], mu: Sequence[int], guard: int | None = None
     ) -> list[ColoredMatrix]:
-        lam, mu = check_composition(lam), check_composition(mu)
+        lam, mu = self.weight(lam), self.weight(mu)
         return list(enumerate_colored_with_margins(lam, mu, self.m, guard))
 
-    # -- the basis homomorphisms ------------------------------------------
+    # -- the basis homomorphisms, cached on _alg and expanded to u ---------
+
+    def _tail(self, A: ColoredMatrix) -> HeckeElement:
+        elem = self._tails.get(A)
+        if elem is None:
+            alg = self._alg
+            elem = alg.from_perm(theta_inverse(colored_size(A))) * sigma_ddot(alg, A)
+            elem = self._tails[A] = elem * _coset_sum(alg, A)
+        return elem
+
+    def _b_element(self, A: ColoredMatrix) -> HeckeElement:
+        elem = self._bs.get(A)
+        if elem is None:
+            elem = self._bs[A] = self._alg.x_lambda(colored_row_sums(A)) * self._tail(A)
+        return elem
+
+    def _b_coords(self, A: ColoredMatrix) -> dict:
+        coords = self._coords.get(A)
+        if coords is None:
+            coords = module_coords(self._b_element(A), colored_row_sums(A))
+            self._coords[A] = coords
+        return coords
+
+    def _to_u(self, x: HeckeElement) -> HeckeElement:
+        if self._alg is self.hecke:
+            return x
+        return HeckeElement(self.hecke, {k: self._expand(c) for k, c in x.terms.items()})
 
     def tail(self, A: ColoredMatrix) -> HeckeElement:
         """T_d * sigma * (coset sum): b_A without the leading symmetrizer."""
-        cached = self._tails.get(A)
-        if cached is not None:
-            return cached
-        alg = self.hecke
-        elem = alg.from_perm(theta_inverse(colored_size(A))) * sigma_ddot(alg, A)
-        elem = elem * _coset_sum(alg, A)
-        self._tails[A] = elem
-        return elem
+        return self._to_u(self._tail(A))
 
     def b_element(self, A: ColoredMatrix) -> HeckeElement:
-        cached = self._bs.get(A)
-        if cached is not None:
-            return cached
-        lam = colored_row_sums(A)
-        out = self.hecke.x_lambda(lam) * self.tail(A)
-        self._bs[A] = out
-        return out
+        return self._to_u(self._b_element(A))
 
     def b_coords(self, A: ColoredMatrix) -> dict:
-        cached = self._coords.get(A)
-        if cached is not None:
-            return cached
-        out = module_coords(self.b_element(A), colored_row_sums(A))
-        self._coords[A] = out
-        return out
+        """Coordinates of b_A in the module x_lam H (see module_coords)."""
+        return {k: self._expand(c) for k, c in self._b_coords(A).items()}
+
+
+def _identity(c: RingElem) -> RingElem:
+    return c
 
 
 def _coset_sum(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
@@ -280,6 +338,14 @@ def express_in_hom_basis(
     """
     lam = check_composition(lam)
     mu = check_composition(mu)
+    # z on ctx's own algebra: eliminate there and expand the result; z on
+    # ctx.hecke: eliminate in u against the expanded coordinates.
+    if z.alg is ctx._alg or z.alg == ctx._alg:
+        b_coords, expand = ctx._b_coords, ctx._expand
+    elif z.alg == ctx.hecke:
+        b_coords, expand = ctx.b_coords, _identity
+    else:
+        raise ValueError("element does not belong to the context's algebra")
     coords = dict(module_coords(z, lam))
     order_keys = ctx._order_keys
     recovered = ctx._recovered
@@ -293,7 +359,7 @@ def express_in_hom_basis(
         return k
 
     out: dict[ColoredMatrix, RingElem] = {}
-    zero = RingElem.zero(ctx.hecke.nvars)
+    zero = RingElem.zero(z.alg.nvars)
     # Each pass strictly lowers the greatest term, so the module dimension
     # bounds the number of passes.
     budget = module_dimension(ctx, lam) + 1
@@ -311,54 +377,29 @@ def express_in_hom_basis(
                 raise NotInSpanError("recovered matrix has wrong margins")
             recovered[lead] = C
         out[C] = out.get(C, zero) + f
-        for key, coeff in ctx.b_coords(C).items():
+        for key, coeff in b_coords(C).items():
             cur = coords.get(key, zero) - coeff * f
             if cur.is_zero():
                 coords.pop(key, None)
             else:
                 coords[key] = cur
-    return {C: f for C, f in out.items() if not f.is_zero()}
+    return {C: expand(f) for C, f in out.items() if not f.is_zero()}
 
 
 # -- elements of the Schur algebra -----------------------------------------
 
 
-class SchurElement:
-    """An R-linear combination of hom-basis vectors."""
+class SchurElement(LinearCombination):
+    """An R-linear combination of hom-basis vectors, over the context ``ctx``."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
     def __init__(self, ctx: SchurContext, terms: dict[ColoredMatrix, RingElem]):
-        self.ctx = ctx
-        self.terms = {A: c for A, c in terms.items() if not c.is_zero()}
+        super().__init__(ctx, {A: c for A, c in terms.items() if not c.is_zero()})
 
-    def _check(self, other: "SchurElement") -> None:
-        if self.ctx != other.ctx:
-            raise ValueError("elements from different Schur algebras")
-
-    def __add__(self, other: "SchurElement") -> "SchurElement":
-        self._check(other)
-        out = dict(self.terms)
-        for A, c in other.terms.items():
-            _add_term(out, A, c)
-        return SchurElement(self.ctx, out)
-
-    def __neg__(self) -> "SchurElement":
-        return SchurElement(self.ctx, {A: -c for A, c in self.terms.items()})
-
-    def __sub__(self, other: "SchurElement") -> "SchurElement":
-        return self + (-other)
-
-    def scale(self, c: RingElem) -> "SchurElement":
-        return SchurElement(self.ctx, {A: v * c for A, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def ctx(self) -> SchurContext:
+        return self.alg
 
     def __mul__(self, other: "SchurElement") -> "SchurElement":
         self._check(other)
@@ -382,7 +423,7 @@ def multiply_basis(
     """Structure constants of Phi_A o Phi_B (apply B's map first)."""
     if colored_col_sums(A) != colored_row_sums(B):
         return {}
-    z = ctx.b_element(A) * ctx.tail(B)
+    z = ctx._b_element(A) * ctx._tail(B)
     return express_in_hom_basis(
         ctx, z, colored_row_sums(A), colored_col_sums(B)
     )
@@ -404,10 +445,7 @@ def basis_element(ctx: SchurContext, A: ColoredMatrix) -> SchurElement:
 
 def idempotent(ctx: SchurContext, lam: Sequence[int]) -> SchurElement:
     """The projection onto the lam summand: the diagonal basis vector."""
-    lam = check_composition(lam)
-    if len(lam) != ctx.n or sum(lam) != ctx.r:
-        raise ValueError(f"{lam} is not an n-part composition of r")
-    return basis_element(ctx, diagonal_matrix(lam, ctx.m))
+    return basis_element(ctx, diagonal_matrix(ctx.weight(lam), ctx.m))
 
 
 def identity_element(ctx: SchurContext) -> SchurElement:
@@ -443,8 +481,9 @@ def verify_rank(
 
     For each pair of weights the coordinate vectors of the b's are stacked
     and their rank is certified (modularly, or exactly with Bareiss) to
-    equal the block size.  Returns a report with the certified total and
-    the closed-form count.
+    equal the block size.  The coordinates are taken on the context's own
+    algebra, in e-coordinates unless ``hecke=`` was given.  Returns a
+    report with the certified total and the closed-form count.
     """
     from .ring import exact_rank
 
@@ -459,7 +498,7 @@ def verify_rank(
             col_index: dict = {}
             rows = []
             for A in block:
-                coords = ctx.b_coords(A)
+                coords = ctx._b_coords(A)
                 row = {}
                 for key, coeff in coords.items():
                     j = col_index.setdefault(key, len(col_index))
@@ -467,7 +506,7 @@ def verify_rank(
                 rows.append(row)
             entries = []
             for row in rows:
-                vec = [RingElem.zero(ctx.hecke.nvars)] * len(col_index)
+                vec = [RingElem.zero(ctx._alg.nvars)] * len(col_index)
                 for j, coeff in row.items():
                     vec[j] = coeff
                 entries.extend(vec)
@@ -508,7 +547,7 @@ def eigen_certificate(ctx: SchurContext, lam: Sequence[int], mu: Sequence[int]) 
     """Symbolic two-sided eigen property of every b in the (lam, mu) block."""
     lam, mu = check_composition(lam), check_composition(mu)
     for A in ctx.basis_block(lam, mu):
-        b = ctx.b_element(A)
+        b = ctx._b_element(A)
         for i in j_set(lam):
             if not eigen_test(b, i, "left"):
                 return False

@@ -94,10 +94,6 @@ def signed_words(r: int, guard: int | None = None) -> dict[ColoredPerm, tuple[in
     return words
 
 
-def signed_length(w: ColoredPerm) -> int:
-    return len(signed_words(w.perm.size)[w])
-
-
 def t_element(alg: HeckeAlgebra, word: Sequence[int]) -> HeckeElement:
     """The product of generators along a word; letter 0 multiplies by L_1."""
     out = alg.one()
@@ -181,24 +177,17 @@ def matrix_double_coset(A: ColoredMatrix, guard: int | None = None) -> set[Color
 # -- cross-checks -----------------------------------------------------------
 
 
-def verify_single_row_coset_basis(r: int, alg: HeckeAlgebra | None = None) -> dict:
-    """x_(r) sigma_i equals the T-sum over the i-flip double coset."""
-    if alg is None:
-        alg = typeb_algebra(r)
-    x = alg.x_lambda((r,))
-    results = []
-    ok = True
-    for i in range(r + 1):
-        lhs = x * sigma_elementary(alg, i)
-        coset = double_coset_elements((r,), d_i_element(i, r), (r,))
-        rhs = coset_sum(alg, coset)
-        good = lhs == rhs
-        ok = ok and good
-        results.append({"i": i, "coset_size": len(coset), "ok": good})
-    return {"r": r, "ok": ok, "cases": results}
+def verify_single_row_coset_basis(
+    r: int, alg: HeckeAlgebra | None = None, guard: int | None = None
+) -> dict:
+    """x_(r) sigma_i equals the T-sum over the i-flip double coset of d_i:
+    the shifted identity at a = 0, b = r (shifted_d_word(0, i) = d_i_word(i))."""
+    return verify_shifted_coset_identity(0, r, r, alg, guard)
 
 
-def verify_shifted_coset_identity(a: int, b: int, r: int, alg: HeckeAlgebra | None = None) -> dict:
+def verify_shifted_coset_identity(
+    a: int, b: int, r: int, alg: HeckeAlgebra | None = None, guard: int | None = None
+) -> dict:
     """x^a_b sigma^a_{b,i} = q^{-ai} T_{coset} for all 0 <= i <= b.
 
     The subgroup permutes positions a+1 .. a+b only, and the coset is
@@ -209,7 +198,7 @@ def verify_shifted_coset_identity(a: int, b: int, r: int, alg: HeckeAlgebra | No
     if alg is None:
         alg = typeb_algebra(r)
     mu_ab = (1,) * a + (b,) + (1,) * (r - a - b)
-    x = alg.x_lambda(mu_ab)
+    x = alg.x_lambda(mu_ab, guard)
     positions = tuple(range(a + 1, a + b + 1))
     results = []
     ok = True
@@ -388,25 +377,3 @@ def signed_poincare(r: int) -> dict[int, int]:
     for word in signed_words(r).values():
         counts[len(word)] = counts.get(len(word), 0) + 1
     return counts
-
-
-def conjugation_pattern(i: int, r: int) -> bool:
-    """d_i^{-1} s_j d_i is s_{i-j} below i, the long flip word at i, and
-    s_j above i."""
-    from .wreath import colored_inverse
-
-    d = d_i_element(i, r)
-    dinv = colored_inverse(d)
-    for j in range(1, r):
-        got = colored_mul(colored_mul(dinv, colored_simple(j, 2, r)), d)
-        if j <= i - 1:
-            want = colored_simple(i - j, 2, r)
-        elif j == i:
-            want = colored_word(
-                tuple(range(0, i)) + (i,) + tuple(range(i - 1, -1, -1)), 2, r
-            )
-        else:
-            want = colored_simple(j, 2, r)
-        if got != want:
-            return False
-    return True

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .affine import AffineAlgebra, coefficient_symmetry_check, epsilon_u
@@ -27,7 +27,7 @@ from .hecke import (
     tau,
     to_left_form,
 )
-from .permutations import compositions, young_subgroup
+from .permutations import compositions, young_subgroup, young_subgroup_size
 from .ring import RingElem, poincare_polynomial
 from .schur import (
     SchurContext,
@@ -76,17 +76,7 @@ class SuiteParams:
     exact: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "lam": list(self.lam) if self.lam is not None else None,
-            "mu": list(self.mu) if self.mu is not None else None,
-            "seed": self.seed,
-            "trials": self.trials,
-            "guard": self.guard,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -117,6 +107,13 @@ def _run_check(
     except GuardError as exc:
         status, witness = "skipped(guard)", str(exc)
     return CheckOutcome(check_id, params, status, witness, time.perf_counter() - start)
+
+
+def _schur(p: SuiteParams, n: int | None = None) -> SchurContext:
+    """The grid's Schur context, once its basis size has passed the guard."""
+    ctx = SchurContext(p.m, p.n if n is None else n, p.r)
+    ctx.basis(p.guard)
+    return ctx
 
 
 # -- random elements -------------------------------------------------------
@@ -251,6 +248,7 @@ def suite_straighten(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("straighten.closed-form", base, closed_form))
 
     def exchange():
+        alg.check_dim(p.guard)
         q = alg.q
         for i in range(1, p.r):
             lhs = alg.gen_T(i) * alg.gen_L(i) * alg.gen_T(i)
@@ -266,6 +264,7 @@ def suite_straighten(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("straighten.exchange", base, exchange))
 
     def jm_commute():
+        alg.check_dim(p.guard)
         for t in range(max(p.trials, 3)):
             a = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
             b = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
@@ -283,15 +282,14 @@ def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
     out: list[CheckOutcome] = []
 
     def counted():
-        ctx = SchurContext(p.m, p.n, p.r)
-        got = len(ctx.basis(p.guard))
+        ctx = _schur(p)
+        got = len(ctx.basis())
         return got == ctx.rank(), {"count": got, "closed_form": ctx.rank()}
 
     out.append(_run_check("basis.count", base, counted))
 
     def eigen():
-        ctx = SchurContext(p.m, p.n, p.r)
-        ctx.basis(p.guard)
+        ctx = _schur(p)
         from .schur import eigen_certificate
 
         for lam in ctx.weights():
@@ -303,8 +301,7 @@ def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("basis.eigen", base, eigen))
 
     def dims():
-        ctx = SchurContext(p.m, p.n, p.r)
-        ctx.basis(p.guard)
+        ctx = _schur(p)
         rep = verify_hom_space_dims(ctx, seed=p.seed)
         return rep["ok"], {"blocks": len(rep["blocks"])}
 
@@ -316,8 +313,7 @@ def suite_rank(p: SuiteParams) -> list[CheckOutcome]:
     base = {"m": p.m, "n": p.n, "r": p.r, "trials": p.trials, "exact": p.exact}
 
     def ranked():
-        ctx = SchurContext(p.m, p.n, p.r)
-        ctx.basis(p.guard)
+        ctx = _schur(p)
         rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
         return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}
 
@@ -328,8 +324,7 @@ def suite_commutative(p: SuiteParams) -> list[CheckOutcome]:
     base = {"m": p.m, "r": p.r}
 
     def commuting():
-        ctx = SchurContext(p.m, 1, p.r)
-        ctx.basis(p.guard)
+        ctx = _schur(p, 1)
         rep = verify_commutative(ctx)
         return rep["ok"], {"size": rep["size"]}
 
@@ -341,13 +336,8 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     out: list[CheckOutcome] = []
     rng = random.Random(p.seed)
 
-    def make_ctx() -> SchurContext:
-        ctx = SchurContext(p.m, p.n, p.r)
-        ctx.basis(p.guard)
-        return ctx
-
     def unit():
-        ctx = make_ctx()
+        ctx = _schur(p)
         one = identity_element(ctx)
         basis = ctx.basis()
         sample = basis if len(basis) <= 40 else rng.sample(basis, k=40)
@@ -360,7 +350,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("schur-mult.unit", base, unit))
 
     def reconstruct():
-        ctx = make_ctx()
+        ctx = _schur(p)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
         pairs = [
@@ -380,7 +370,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("schur-mult.reconstruct", base, reconstruct))
 
     def assoc():
-        ctx = make_ctx()
+        ctx = _schur(p)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
         done = 0
@@ -411,12 +401,13 @@ def suite_typeb(p: SuiteParams) -> list[CheckOutcome]:
     base = {"r": p.r, "n": p.n}
 
     def coset_basis():
-        rep = verify_single_row_coset_basis(p.r)
+        rep = verify_single_row_coset_basis(p.r, guard=p.guard)
         return rep["ok"], {"cases": len(rep["cases"])}
 
     out.append(_run_check("typeb.coset-basis", base, coset_basis))
 
     def shifted():
+        check_guard(2**p.r * math.factorial(p.r), p.guard, f"signed permutations of rank {p.r}")
         checked = 0
         for total in range(2, min(p.r, 4) + 1):
             for b in range(1, total + 1):
@@ -460,6 +451,8 @@ def suite_poincare(p: SuiteParams) -> list[CheckOutcome]:
     def length_sum():
         comps = list(compositions(p.r, min(p.r, 3)))
         for lam in comps:
+            check_guard(young_subgroup_size(lam), p.guard, f"Young subgroup of {lam}")
+        for lam in comps:
             total = RingElem.zero(0)
             for w in young_subgroup(lam):
                 total = total + RingElem.q_power(w.length(), 0)
@@ -470,8 +463,7 @@ def suite_poincare(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("poincare.length-sum", base, length_sum))
 
     def morita():
-        ctx = SchurContext(p.m, p.r, p.r)
-        ctx.basis(p.guard)
+        ctx = _schur(p, p.r)
         omega = (1,) * p.r
         checked = 0
         for lam in ctx.weights():
@@ -496,6 +488,7 @@ def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
     rng = random.Random(p.seed)
 
     def multiplicative():
+        target.check_dim(p.guard)
         trials = max(p.trials, 5)
         for t in range(trials):
             x = _random_affine(aff, rng)
@@ -507,8 +500,9 @@ def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("epsilon.multiplicative", base, multiplicative))
 
     def basis_map():
-        ctx = SchurContext(p.m, p.n, p.r)
-        basis = ctx.basis(p.guard)
+        target.check_dim(p.guard)
+        ctx = _schur(p)
+        basis = ctx.basis()
         sample = basis if len(basis) <= 150 else rng.sample(basis, k=60)
         for A in sample:
             lifted = b_element_affine(aff, A)
@@ -525,7 +519,7 @@ def suite_affine_sym(p: SuiteParams) -> list[CheckOutcome]:
 
     def symmetrizer():
         alg = AffineAlgebra(p.r)
-        x_full = alg.x_lambda((p.r,))
+        x_full = alg.x_lambda((p.r,), p.guard)
         checked = 0
         for exps in itertools.product(range(2), repeat=p.r):
             if sum(exps) > 2:

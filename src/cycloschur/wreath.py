@@ -72,9 +72,6 @@ class ColoredPerm:
     def is_identity(self) -> bool:
         return self.perm.is_identity() and all(c == 0 for c in self.colors)
 
-    def is_uncolored(self) -> bool:
-        return all(c == 0 for c in self.colors)
-
 
 def colored_mul(w: ColoredPerm, v: ColoredPerm) -> ColoredPerm:
     """(w o v)(i) = w(v(i))."""

@@ -9,6 +9,7 @@ integers; the ring tests compare the packed arithmetic against it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 Monomial = tuple[int, tuple[int, ...]]
@@ -112,3 +113,23 @@ class OracleElem:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def elementary(k: int, m: int) -> OracleElem:
+    """e_k(u_1, ..., u_m): one monomial per k-subset of the variables."""
+    return OracleElem(m, {
+        (0, tuple(int(i in subset) for i in range(m))): 1
+        for subset in itertools.combinations(range(m), k)
+    })
+
+
+def substitute(x: OracleElem, images: Sequence[OracleElem]) -> OracleElem:
+    """x with its i-th variable replaced by images[i - 1], q kept."""
+    nvars = images[0].nvars
+    total = OracleElem(nvars)
+    for (qe, ue), c in x.terms.items():
+        term = OracleElem(nvars, {(qe, (0,) * nvars): c})
+        for image, f in zip(images, ue):
+            term = term * image**f
+        total = total + term
+    return total

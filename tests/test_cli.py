@@ -275,6 +275,41 @@ def test_mult_guard_exits_2(capsys):
     assert code == 0 and out.count("Phi") == 8
 
 
+@pytest.mark.parametrize(
+    "grid,matrix",
+    [
+        # two colors at m = 1
+        (("1", "2", "2"), "[[[0,0],[1,0]],[[1,0],[0,0]]]"),
+        # a 2 x 2 matrix at n = 1
+        (("2", "1", "2"), "[[[0,0],[1,0]],[[1,0],[0,0]]]"),
+        # entries summing to 3 at r = 2, and a negative entry
+        (("1", "2", "2"), "[[[2],[0]],[[0],[1]]]"),
+        (("1", "1", "2"), "[[[-1]]]"),
+    ],
+)
+def test_mult_rejects_matrices_outside_the_algebra(capsys, grid, matrix):
+    m, n, r = grid
+    argv = ("mult", "--m", m, "--n", n, "--r", r)
+    code, out, err = run_cli(capsys, *argv, "--A", matrix, "--B", matrix)
+    _assert_one_line_error(code, out, err)
+    assert f"is not a basis matrix of S({m}; {n}, {r})" in err
+    ident = "[[[" + r + "]]]" if n == "1" else None
+    if ident is not None:  # the other operand alone is also checked
+        code, out, err = run_cli(capsys, *argv, "--A", ident, "--B", matrix)
+        _assert_one_line_error(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "lam,mu", [("2,0", "3"), ("2,0,0", "2,0"), ("1,1", "2,1"), ("3,0", "2,0")]
+)
+def test_basis_rejects_margins_outside_the_algebra(capsys, lam, mu):
+    code, out, err = run_cli(
+        capsys, "basis", "--m", "2", "--n", "2", "--r", "2", "--lambda", lam, "--mu", mu
+    )
+    _assert_one_line_error(code, out, err)
+    assert "is not a composition of 2 into 2 parts" in err
+
+
 def test_mult_malformed_matrix_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "mult", "--m", "1", "--n", "2", "--r", "2", "--A", "junk", "--B", "[]"
@@ -395,6 +430,39 @@ def test_run_suite_guard_reports_skip_not_failure():
     report = run_suite("rank", SuiteParams(m=3, n=2, r=3, guard=5))
     assert report["status"] == "pass"
     assert report["checks"][0]["status"] == "skipped(guard)"
+
+
+GRID_999 = ("--m", "9", "--n", "9", "--r", "9", "--guard", "5")
+
+
+@pytest.mark.parametrize(
+    "suite,flags",
+    [
+        ("straighten", GRID_999),
+        ("poincare", GRID_999),
+        ("affine-sym", GRID_999),
+        ("epsilon", ("--m", "3", "--n", "1", "--r", "5", "--guard", "100")),
+        ("typeb", ("--m", "2", "--n", "1", "--r", "7", "--guard", "5")),
+        ("all", GRID_999),
+    ],
+)
+def test_verify_checks_the_guard_before_the_work(suite, flags):
+    # Each of these ran for minutes before its suite checked --guard.  A
+    # separate process, so that a hang fails the test at the time bound.
+    env = dict(os.environ)
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloschur.cli", "verify", "--suite", suite, *flags,
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    hanging = ("straighten.", "poincare.", "affine-sym.", "epsilon.", "typeb.shifted")
+    checks = [c for c in report["checks"] if c["check"].startswith(hanging)]
+    assert checks
+    assert all(c["status"] == "skipped(guard)" for c in checks), checks
 
 
 def test_verify_cli_rank_exit_zero(capsys):

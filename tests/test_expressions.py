@@ -172,7 +172,7 @@ def test_eval_symmetrizer_with_sigma():
 
 def test_eval_numbers_and_scalars():
     alg = HeckeAlgebra(1, 2)
-    assert evaluate_text("2^3", alg) == alg.one().scale_int(8)
+    assert evaluate_text("2^3", alg) == alg.scalar(RingElem.const(8, alg.nvars))
     assert evaluate_text("q^-1*q", alg) == alg.one()
 
 

@@ -17,7 +17,7 @@ from product_oracle import product, rmul_L, rmul_T
 from cycloschur.affine import AffineAlgebra
 from cycloschur.hecke import HeckeAlgebra
 from cycloschur.permutations import all_perms
-from cycloschur.ring import RingElem
+from cycloschur.ring import ElementaryExpansion, RingElem
 
 
 def coefficients(nvars: int):
@@ -81,6 +81,43 @@ def test_specialized_products_match_oracle(data):
     x = data.draw(elements(alg, exps), label="x")
     y = data.draw(elements(alg, exps), label="y")
     assert_products_match(alg, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_overflow_coefficients_match_u_params(data):
+    # The algebra given its cyclotomic coefficients directly is the one
+    # its parameters define: equal, and with the same products.
+    m = data.draw(st.integers(1, 3), label="m")
+    r = data.draw(st.integers(1, 3), label="r")
+    nvars = data.draw(st.integers(0, 2), label="nvars")
+    params = data.draw(st.lists(parameters(nvars), min_size=m, max_size=m), label="u")
+    by_params = HeckeAlgebra(m, r, nvars=nvars, u_params=params)
+    alg = HeckeAlgebra(m, r, nvars=nvars, overflow=by_params.overflow)
+    assert alg == by_params and alg.u_params is None
+    exps = st.integers(0, m - 1)
+    x = data.draw(elements(alg, exps), label="x")
+    y = data.draw(elements(alg, exps), label="y")
+    assert (alg.elem(x) * alg.elem(y)).terms == product(by_params, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_symmetric_coordinates_expand_to_u_products(data):
+    # Over free e_1..e_m (overflow[k-1] = (-1)^(k+1) e_k), a product expanded
+    # by e_k -> e_k(u) is the oracle's product of the expanded factors.
+    m = data.draw(st.integers(1, 3), label="m")
+    r = data.draw(st.integers(1, 3), label="r")
+    alg = HeckeAlgebra(m, r, overflow=[
+        RingElem.u_var(k, m).scale((-1) ** (k + 1)) for k in range(1, m + 1)
+    ])
+    expand = ElementaryExpansion(m)
+    exps = st.integers(0, m - 1)
+    x = data.draw(elements(alg, exps), label="x")
+    y = data.draw(elements(alg, exps), label="y")
+    got = {k: expand(c) for k, c in (alg.elem(x) * alg.elem(y)).terms.items()}
+    ux, uy = ({k: expand(c) for k, c in z.items()} for z in (x, y))
+    assert got == product(HeckeAlgebra(m, r), ux, uy)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,17 +7,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from ring_oracle import OracleElem
+from ring_oracle import OracleElem, elementary, substitute
 
 from cycloschur.ring import (
     MODULAR_PRIME,
+    ElementaryExpansion,
     ExactDivisionError,
     U_EXP_MAX,
     RingAccumulator,
     RingElem,
     RingError,
     RingMatrix,
-    divide_by_int,
     elementary_symmetric_of,
     elementary_symmetric_params,
     exact_div,
@@ -35,6 +35,10 @@ def q(k: int = 1, m: int = 0) -> RingElem:
 
 def one(m: int = 0) -> RingElem:
     return RingElem.one(m)
+
+
+def from_rows(rows) -> RingMatrix:
+    return RingMatrix(len(rows), len(rows[0]) if rows else 0, [e for row in rows for e in row])
 
 
 # -- basic arithmetic ------------------------------------------------------
@@ -207,13 +211,6 @@ def test_exact_div_failure():
         exact_div(RingElem.u_var(1, 1), RingElem.u_var(1, 1) + RingElem.one(1))
 
 
-def test_divide_by_int():
-    x = (q() + one()).scale(6)
-    assert divide_by_int(x, 3) == (q() + one()).scale(2)
-    with pytest.raises(ExactDivisionError):
-        divide_by_int(q() + one().scale(2), 2)
-
-
 # -- matrix ranks ----------------------------------------------------------
 
 
@@ -250,7 +247,7 @@ def test_rank_with_parameters():
         [u1, u1 * u1],
         [RingElem.zero(m), RingElem.one(m)],
     ]
-    M = RingMatrix.from_rows(rows)
+    M = from_rows(rows)
     assert modular_rank(M, trials=3, seed=5) == 2
     assert exact_rank(M) == 2
 
@@ -258,7 +255,7 @@ def test_rank_with_parameters():
 def test_modular_rank_deterministic():
     m = 1
     u1 = RingElem.u_var(1, m)
-    M = RingMatrix.from_rows([[u1, RingElem.one(m)], [RingElem.one(m), u1]])
+    M = from_rows([[u1, RingElem.one(m)], [RingElem.one(m), u1]])
     r1 = modular_rank(M, trials=3, seed=42)
     r2 = modular_rank(M, trials=3, seed=42)
     assert r1 == r2 == 2
@@ -267,7 +264,7 @@ def test_modular_rank_deterministic():
 def test_exact_rank_vandermonde():
     # 3x3 Vandermonde in q has full rank over the fraction field
     rows = [[q(i * j) for j in range(3)] for i in range(3)]
-    assert exact_rank(RingMatrix.from_rows(rows)) == 3
+    assert exact_rank(from_rows(rows)) == 3
 
 
 # -- property tests --------------------------------------------------------
@@ -325,7 +322,7 @@ def test_exact_and_modular_rank_agree_on_grid():
         [[u1 * u1, u1], [u1, o]],
     ]
     for rows in cases:
-        M = RingMatrix.from_rows(rows)
+        M = from_rows(rows)
         assert exact_rank(M) == modular_rank(M, trials=3, seed=9), f"case {rows}"
 
 
@@ -458,3 +455,47 @@ def test_accumulator_u_exponent_limit():
     # bounds, before any term is formed
     with pytest.raises(RingError):
         top * u1
+
+
+# -- the expansion e_k -> e_k(u) against direct substitution ----------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_elementary_expansion_matches_substitution(data):
+    m = data.draw(st.integers(min_value=1, max_value=3), label="m")
+    mons = st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.tuples(*([st.integers(min_value=0, max_value=3)] * m)),
+    )
+    draw = [
+        data.draw(st.dictionaries(mons, st.integers(-5, 5), max_size=5), label="x")
+        for _ in range(2)
+    ]
+    expand = ElementaryExpansion(m)
+    images = [elementary(k, m) for k in range(1, m + 1)]
+    for terms in draw:
+        got = expand(RingElem(m, terms))
+        assert_same(got, substitute(OracleElem(m, terms), images))
+        # memoised: an equal input gets the very same image
+        assert expand(RingElem(m, terms)) is got
+    # a ring homomorphism
+    x, y = (RingElem(m, terms) for terms in draw)
+    assert expand(x * y) == expand(x) * expand(y)
+    assert expand(x + y) == expand(x) + expand(y)
+
+
+def test_elementary_expansion_edges():
+    expand = ElementaryExpansion(2)
+    e1, e2 = RingElem.u_var(1, 2), RingElem.u_var(2, 2)
+    u1, u2 = e1, e2  # the same slots, read in u after the map
+    assert expand(e1) == u1 + u2
+    assert expand(e2) == u1 * u2
+    assert expand(e1 * e1 - e2.scale(2)) == u1 * u1 + u2 * u2
+    assert expand(RingElem.q_power(-2, 2)) == RingElem.q_power(-2, 2)
+    assert expand(RingElem.zero(2)).is_zero()
+    assert ElementaryExpansion(1)(RingElem.u_var(1, 1)) == RingElem.u_var(1, 1)
+    with pytest.raises(RingError):
+        expand(RingElem.u_var(1, 3))
+    with pytest.raises(RingError):
+        expand(RingElem(2, {(0, (U_EXP_MAX, 1)): 1}))

@@ -15,9 +15,9 @@ from cycloschur.permutations import coset_reps, identity, simple
 from cycloschur.ring import RingElem
 from cycloschur.schur import SchurContext
 from cycloschur.typeb import (
-    conjugation_pattern,
     coset_sum,
     d_i_element,
+    d_i_word,
     example_matrix,
     flip_word,
     group_element_key,
@@ -25,7 +25,6 @@ from cycloschur.typeb import (
     matrix_double_coset,
     route_product,
     shifted_d_word,
-    signed_length,
     signed_poincare,
     signed_words,
     t_element,
@@ -39,7 +38,38 @@ from cycloschur.typeb import (
     verify_single_row_coset_basis,
     verify_worked_example,
 )
-from cycloschur.wreath import colored_identity, colored_word, nu_colored
+from cycloschur.wreath import (
+    colored_identity,
+    colored_inverse,
+    colored_mul,
+    colored_simple,
+    colored_word,
+    nu_colored,
+)
+
+
+def signed_length(w) -> int:
+    return len(signed_words(w.perm.size)[w])
+
+
+def conjugation_pattern(i: int, r: int) -> bool:
+    """d_i^{-1} s_j d_i is s_{i-j} below i, the long flip word at i, and
+    s_j above i."""
+    d = d_i_element(i, r)
+    dinv = colored_inverse(d)
+    for j in range(1, r):
+        got = colored_mul(colored_mul(dinv, colored_simple(j, 2, r)), d)
+        if j <= i - 1:
+            want = colored_simple(i - j, 2, r)
+        elif j == i:
+            want = colored_word(
+                tuple(range(0, i)) + (i,) + tuple(range(i - 1, -1, -1)), 2, r
+            )
+        else:
+            want = colored_simple(j, 2, r)
+        if got != want:
+            return False
+    return True
 
 
 def poincare_product(r: int) -> dict[int, int]:
@@ -186,6 +216,7 @@ def test_single_row_coset_basis_small():
     for r in (2, 3):
         rep = verify_single_row_coset_basis(r)
         assert rep["ok"], rep
+        assert all(shifted_d_word(0, i) == d_i_word(i) for i in range(r + 1))
         # coset sizes: |S_r d_i S_r| = (r!)^2 / (i! (r-i)!)
         for case in rep["cases"]:
             i = case["i"]

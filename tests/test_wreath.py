@@ -223,7 +223,7 @@ def test_stabilizer_is_young_subgroup_of_nu():
                         colored_mul(rep, colored_from_uncolored(x, m)),
                         colored_inverse(rep),
                     )
-                    if g.is_uncolored() and any(
+                    if not any(g.colors) and any(
                         g.perm == u for u in young_subgroup(lam)
                     ):
                         stab.add(x)
