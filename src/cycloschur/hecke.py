@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .guards import check_guard
@@ -54,7 +53,6 @@ from .permutations import (
     double_coset_factor,
     identity,
     nu_of,
-    reduced_word,
     right_coset_factor,
     simple,
     young_subgroup,
@@ -65,11 +63,6 @@ from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
 StepColumn = tuple[tuple[TermKey, RingElem], ...]
-
-
-@lru_cache(maxsize=None)
-def _cached_word(im: tuple[int, ...]) -> tuple[int, ...]:
-    return reduced_word(Permutation(im))
 
 
 def _swap_positions(w: Permutation, i: int) -> Permutation:
@@ -226,7 +219,7 @@ class ElementBase(LinearCombination):
         nvars = alg.nvars
         groups: dict[tuple[int, ...], dict[tuple[int, ...], RingElem]] = {}
         for (w2, a2), c2 in other.terms.items():
-            groups.setdefault(_cached_word(w2.im), {})[a2] = c2
+            groups.setdefault(w2.word(), {})[a2] = c2
         acc: dict[TermKey, RingAccumulator] = {}
         get = acc.get
         for word, cur in _walk_words(self.terms, groups, lambda t, i: _rmul_T(alg, t, i)):
@@ -527,7 +520,7 @@ def _from_left_terms(
     id_r = identity(alg.r)
     for a, w, c in items:
         cur: dict[TermKey, RingElem] = {(id_r, a): c}
-        for letter in _cached_word(w.im):
+        for letter in w.word():
             cur = _rmul_T(alg, cur, letter)
         for key, v in cur.items():
             _add_term(acc, key, v)
@@ -714,7 +707,7 @@ def appendix_basis_coords(
         for j in range(1, alg.r + 1):
             for _ in range(b[j - 1]):
                 cur_terms = _rmul_L(alg, cur_terms, j)
-        for letter in _cached_word(v.im):
+        for letter in v.word():
             cur_terms = _rmul_T(alg, cur_terms, letter)
         for key2, v2 in cur_terms.items():
             _add_term(work, key2, -(v2 * c))

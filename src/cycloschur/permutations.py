@@ -4,6 +4,11 @@ Conventions, fixed once for the whole package:
 
 - A permutation w of {1..r} is stored by its one-line notation
   ``im = (w(1), ..., w(r))``.
+- Permutations are interned: ``Permutation(im)`` validates a word once and
+  returns one object per word ever after, so term-key lookups hash and
+  compare permutations by identity, in C.  Identity hashes make the order
+  of a set holding permutations depend on memory addresses, so no output
+  may depend on set iteration order: such sets feed sums and equality only.
 - Composition of permutations is ``(u * v)(i) = u(v(i))``.
 - The simple reflection s_i swaps the values i and i+1; as a right factor
   it swaps positions i, i+1 of the one-line word, as a left factor it swaps
@@ -29,24 +34,49 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator, Sequence
+from functools import reduce, total_ordering
+from typing import Iterable, Iterator, Sequence
 
 Composition = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, order=True)
+_INTERNED: dict[tuple[int, ...], "Permutation"] = {}
+
+
+@total_ordering
 class Permutation:
-    """A permutation of {1..r} in one-line notation."""
+    """A permutation of {1..r} in one-line notation, interned by ``im``:
+    hashing and equality are those of ``object``, ordering compares ``im``."""
 
-    im: tuple[int, ...]
+    __slots__ = ("im", "_word")
 
-    def __post_init__(self):
-        r = len(self.im)
-        if sorted(self.im) != list(range(1, r + 1)):
-            raise ValueError(f"not a permutation of 1..{r}: {self.im}")
+    def __new__(cls, im: Iterable[int]) -> Permutation:
+        im = tuple(im)
+        self = _INTERNED.get(im)
+        if self is None:
+            r = len(im)
+            if sorted(im) != list(range(1, r + 1)):
+                raise ValueError(f"not a permutation of 1..{r}: {im}")
+            im = tuple(map(int, im))
+            self = _INTERNED[im] = object.__new__(cls)
+            object.__setattr__(self, "im", im)
+            object.__setattr__(self, "_word", None)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Permutation is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Permutation, (self.im,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(im={self.im!r})"
+
+    def __lt__(self, other):
+        return self.im < other.im if type(other) is Permutation else NotImplemented
 
     @property
     def size(self) -> int:
@@ -66,14 +96,16 @@ class Permutation:
             out[val - 1] = pos
         return Permutation(tuple(out))
 
+    def word(self) -> tuple[int, ...]:
+        """``reduced_word(self)``, computed once per permutation."""
+        word = self._word
+        if word is None:
+            word = reduced_word(self)
+            object.__setattr__(self, "_word", word)
+        return word
+
     def length(self) -> int:
-        im = self.im
-        return sum(
-            1
-            for i in range(len(im))
-            for j in range(i + 1, len(im))
-            if im[i] > im[j]
-        )
+        return len(self.word())
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.im, start=1))

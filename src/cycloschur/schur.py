@@ -606,7 +606,7 @@ def hom_space_nullity(
 
 
 def verify_hom_space_dims(
-    ctx: SchurContext, seed: int = 0, p: int = MODULAR_PRIME
+    ctx: SchurContext, seed: int = 0, p: int = MODULAR_PRIME, guard: int | None = None
 ) -> dict:
     """Solution-space dimensions match the block sizes, for every block."""
     blocks = []
@@ -614,7 +614,7 @@ def verify_hom_space_dims(
     for lam in ctx.weights():
         for mu in ctx.weights():
             expected = len(ctx.basis_block(lam, mu))
-            got = hom_space_nullity(ctx.hecke, lam, mu, seed=seed, p=p)
+            got = hom_space_nullity(ctx.hecke, lam, mu, seed=seed, p=p, guard=guard)
             blocks.append(
                 {"lam": list(lam), "mu": list(mu), "expected": expected, "dim": got}
             )

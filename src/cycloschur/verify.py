@@ -302,7 +302,7 @@ def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
 
     def dims():
         ctx = _schur(p)
-        rep = verify_hom_space_dims(ctx, seed=p.seed)
+        rep = verify_hom_space_dims(ctx, seed=p.seed, guard=p.guard)
         return rep["ok"], {"blocks": len(rep["blocks"])}
 
     out.append(_run_check("basis.hom-dims", base, dims))
@@ -325,6 +325,7 @@ def suite_commutative(p: SuiteParams) -> list[CheckOutcome]:
 
     def commuting():
         ctx = _schur(p, 1)
+        check_guard(len(ctx.basis()) ** 2, p.guard, "ordered pairs of the commutativity check")
         rep = verify_commutative(ctx)
         return rep["ok"], {"size": rep["size"]}
 
@@ -341,6 +342,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
         one = identity_element(ctx)
         basis = ctx.basis()
         sample = basis if len(basis) <= 40 else rng.sample(basis, k=40)
+        check_guard(2 * len(sample), p.guard, "basis products of the unit check")
         for A in sample:
             phi = basis_element(ctx, A)
             if one * phi != phi or phi * one != phi:
@@ -357,6 +359,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
             (A, basis[j]) for A in basis for j in by_ro.get(colored_col_sums(A), ())
         ]
         sample = pairs if len(pairs) <= 30 else rng.sample(pairs, k=30)
+        check_guard(len(sample), p.guard, "basis products of the reconstruction check")
         for A, B in sample:
             prod = ctx.b_element(A) * ctx.tail(B)
             coeffs = multiply_basis(ctx, A, B)
@@ -373,6 +376,8 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
         ctx = _schur(p)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
+        bound = max(p.trials, 5) * 2 * (1 + len(basis))  # per triple: 2 (1 + |basis|)
+        check_guard(bound, p.guard, "basis products of the associativity check")
         done = 0
         for _ in range(200):
             if done >= max(p.trials, 5):

@@ -380,6 +380,32 @@ def test_cache_detects_payload_tampering(tmp_path):
     assert cache.load(tmp_path, "demo", {"k": 1}) is None
 
 
+def test_cache_entry_is_one_compact_canonical_document(tmp_path):
+    payload = {"values": [1, 2, 3], "text": "(q^-1)*Phi"}
+    cache.store(tmp_path, "demo", {"k": 1}, payload)
+    data = next(tmp_path.glob("demo-*.json")).read_bytes()
+    entry = json.loads(data)
+    assert entry["payload"] == payload and entry["kind"] == "demo"
+    assert data == cache.canonical(entry).encode()
+
+
+def test_cache_flipped_byte_hides_the_entry(tmp_path):
+    payload = {"values": [1, 22, 333], "text": "u1*q"}
+    cache.store(tmp_path, "demo", {"k": 1}, payload)
+    path = next(tmp_path.glob("demo-*.json"))
+    data = path.read_bytes()
+    start = data.index(b'"payload":')
+    # every byte of the payload, and of the header before it
+    for i in range(len(data)):
+        for mask in (0x01, 0x20, 0xFF):
+            bad = bytearray(data)
+            bad[i] ^= mask
+            path.write_bytes(bytes(bad))
+            assert cache.load(tmp_path, "demo", {"k": 1}) is None, (i >= start, i, mask)
+    path.write_bytes(data)
+    assert cache.load(tmp_path, "demo", {"k": 1}) == payload
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv(cache.ENV_VAR, raising=False)
     assert cache.resolve_cache_dir(None) is None
@@ -463,6 +489,34 @@ def test_verify_checks_the_guard_before_the_work(suite, flags):
     checks = [c for c in report["checks"] if c["check"].startswith(hanging)]
     assert checks
     assert all(c["status"] == "skipped(guard)" for c in checks), checks
+
+
+@pytest.mark.parametrize(
+    "suite,guard,guarded",
+    [
+        # 15 basis vectors: 225 ordered pairs of multiply_basis calls
+        ("commutative", "100", ("commutative.pairs",)),
+        # 30 products in each of unit and reconstruct, 160 bounding assoc
+        ("schur-mult", "20", ("schur-mult.unit", "schur-mult.reconstruct",
+                              "schur-mult.assoc")),
+        # the normal-form basis of H(3, 4) has 1,944 monomials
+        ("basis", "20", ("basis.hom-dims",)),
+    ],
+)
+def test_verify_checks_product_counts_against_the_guard(suite, guard, guarded):
+    # Each of these ran past 15 s at (m, n, r) = (3, 1, 4) before it checked
+    # --guard; commutative ran past 300 s without one.
+    env = dict(os.environ)
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloschur.cli", "verify", "--suite", suite,
+         "--m", "3", "--n", "1", "--r", "4", "--guard", guard, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status = {c["check"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    assert all(status[check] == "skipped(guard)" for check in guarded), status
 
 
 def test_verify_cli_rank_exit_zero(capsys):

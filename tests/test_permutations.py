@@ -7,13 +7,22 @@ the constructive algorithms are supposed to guarantee.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import json
 import math
+import os
+import pickle
+import random
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cycloschur
 from cycloschur.permutations import (
     Permutation,
     all_perms,
@@ -90,6 +99,110 @@ def test_inverse_and_length():
         assert (w * w.inv()).is_identity()
         assert w.length() == w.inv().length()
     assert Permutation((4, 3, 2, 1)).length() == 6
+
+
+# -- interning -------------------------------------------------------------
+
+
+def test_equal_words_give_one_object():
+    for t in itertools.permutations(range(1, 5)):
+        assert Permutation(t) is Permutation(list(t)) is Permutation(im=iter(t))
+    assert simple(2, 3) * simple(2, 3) is identity(3)
+    assert Permutation((3, 1, 2)).inv().inv() is Permutation((3, 1, 2))
+    # a word of equal floats names the same permutation, stored as ints
+    w = Permutation((5.0, 3.0, 1.0, 2.0, 4.0))
+    assert w is Permutation((5, 3, 1, 2, 4))
+    assert all(type(v) is int for v in w.im)
+    assert len({Permutation(t) for t in itertools.permutations(range(1, 4))} | {identity(3)}) == 6
+
+
+def test_invalid_word_raises_every_time():
+    for bad in ((1, 1, 3), (0, 1), (2, 3), (1.5, 2)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                Permutation(bad)
+
+
+def test_permutation_is_immutable():
+    w = Permutation((2, 1))
+    with pytest.raises(AttributeError):
+        w.im = (1, 2)
+    with pytest.raises(AttributeError):
+        setattr(w, "extra", 1)
+    with pytest.raises(AttributeError):
+        del w.im
+    assert w.im == (2, 1) and w is Permutation((2, 1))
+    assert repr(w) == "Permutation(im=(2, 1))"
+
+
+def test_ordering_follows_one_line_words():
+    perms4 = list(all_perms(4))
+    random.Random(0).shuffle(perms4)
+    assert [w.im for w in sorted(perms4)] == sorted(w.im for w in perms4)
+    for u, v in itertools.product(perms4[:8], repeat=2):
+        assert (u < v, u <= v, u > v, u >= v) == (
+            u.im < v.im, u.im <= v.im, u.im > v.im, u.im >= v.im
+        )
+    with pytest.raises(TypeError):
+        identity(2) < (1, 2)
+
+
+def test_copies_and_pickles_return_the_same_object():
+    for w in all_perms(3):
+        assert copy.copy(w) is w
+        assert copy.deepcopy(w) is w
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(w, protocol)) is w
+    terms = {(Permutation((2, 3, 1)), (0, 1, 0)): 5}
+    (key,) = copy.deepcopy(terms)
+    assert key[0] is Permutation((2, 3, 1))
+
+
+def test_memoised_word_matches_reduced_word():
+    for r in range(1, 6):
+        for w in all_perms(r):
+            assert w.word() == reduced_word(w)
+            assert w.word() is w.word()
+            inversions = sum(
+                1 for i, j in itertools.combinations(range(r), 2) if w.im[i] > w.im[j]
+            )
+            assert w.length() == inversions
+
+
+def _fresh_cli(argv: list[str], hash_seed: str) -> str:
+    """stdout of one cyclo invocation in a new interpreter, timings removed."""
+    from test_golden import _strip_seconds
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloschur.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "verify":
+        return json.dumps(_strip_seconds(json.loads(proc.stdout)), sort_keys=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "typeb", "--format", "json"],
+        ["tables", "--m", "2", "--n", "1", "--r", "3", "--format", "json"],
+    ],
+    ids=["verify-typeb", "golden-tables_json"],
+)
+def test_output_does_not_depend_on_addresses(argv):
+    # Permutations hash by identity, so a set of them iterates in an order
+    # that follows memory addresses; two fresh interpreters lay objects out
+    # differently, and must print the same bytes.
+    first, second = (_fresh_cli(argv, seed) for seed in ("1", "2"))
+    assert first == second
+    if argv[0] == "tables":
+        golden = Path(__file__).resolve().parent / "golden" / "tables_json.txt"
+        assert first == golden.read_text()
 
 
 def test_from_word_left_to_right():
