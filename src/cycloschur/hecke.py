@@ -206,32 +206,32 @@ class ElementBase(LinearCombination):
 
     # -- multiplication ----------------------------------------------------
 
-    def _product(self, other: ElementBase) -> ElementBase:
-        """self * other: straighten self by each T_w2 M^a2 of other.
+    def _rmul_monomials(self, keys: Iterable[TermKey]) -> Iterator[tuple[TermKey, dict]]:
+        """(k, self * T_w2 M^a2) for each monomial k = (w2, a2) of keys.
 
-        The terms of other are grouped by w2, self is straightened once per
-        prefix of their reduced words, each group's exponent vectors share
-        prefixes through ``_rmul_exponent_group``, and the coefficients of
-        other are multiplied in last.
+        The keys are grouped by w2, self is straightened once per prefix of
+        their reduced words, and each group's exponent vectors share
+        prefixes through ``_rmul_exponent_group``.
         """
-        self._check(other)
         alg = self.alg
-        nvars = alg.nvars
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], RingElem]] = {}
-        for (w2, a2), c2 in other.terms.items():
-            groups.setdefault(w2.word(), {})[a2] = c2
-        acc: dict[TermKey, RingAccumulator] = {}
-        get = acc.get
+        groups: dict[tuple[int, ...], tuple[Permutation, list[tuple[int, ...]]]] = {}
+        for w2, a2 in keys:
+            groups.setdefault(w2.word(), (w2, []))[1].append(a2)
         for word, cur in _walk_words(self.terms, groups, lambda t, i: _rmul_T(alg, t, i)):
-            group = groups[word]
-            for a2, terms in self._rmul_exponent_group(alg, cur, group):
-                c2 = group[a2]
-                for key, c in terms.items():
-                    slot = get(key)
-                    if slot is None:
-                        slot = acc[key] = RingAccumulator(nvars)
-                    slot.add_product(c, c2)
-        return type(self)(alg, _collect(acc))
+            w2, exps = groups[word]
+            for a2, terms in self._rmul_exponent_group(alg, cur, exps):
+                yield (w2, a2), terms
+
+    def _product(self, other: ElementBase) -> ElementBase:
+        """self * other: the straightened monomials of other
+        (``_rmul_monomials``), with other's coefficients multiplied in last."""
+        self._check(other)
+        coeffs = other.terms
+        nvars = self.alg.nvars
+        acc: dict[TermKey, RingAccumulator] = {}
+        for key2, terms in self._rmul_monomials(coeffs):
+            _add_products(acc, nvars, terms.items(), coeffs[key2])
+        return type(self)(self.alg, _collect(acc))
 
     # -- printing ----------------------------------------------------------
 
@@ -408,6 +408,16 @@ def _walk_words(start, words, step):
             stack.append(step(stack[-1], letter))
         prev = word
         yield word, stack[-1]
+
+
+def _add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
+    """Add c * c2 into acc[key] (a ``RingAccumulator``) for each (key, c) of items."""
+    get = acc.get
+    for key, c in items:
+        slot = get(key)
+        if slot is None:
+            slot = acc[key] = RingAccumulator(nvars)
+        slot.add_product(c, c2)
 
 
 def _collect(acc: Mapping[TermKey, RingAccumulator]) -> dict[TermKey, RingElem]:

@@ -4,11 +4,12 @@ Conventions, fixed once for the whole package:
 
 - A permutation w of {1..r} is stored by its one-line notation
   ``im = (w(1), ..., w(r))``.
-- Permutations are interned: ``Permutation(im)`` validates a word once and
-  returns one object per word ever after, so term-key lookups hash and
-  compare permutations by identity, in C.  Identity hashes make the order
-  of a set holding permutations depend on memory addresses, so no output
-  may depend on set iteration order: such sets feed sums and equality only.
+- Permutations are interned: ``Permutation(im)`` returns the one live
+  object of its word (held weakly, so unused words are freed), so term-key
+  lookups hash and compare permutations by identity, in C.  Identity hashes
+  make the order of a set holding permutations depend on memory addresses,
+  so no output may depend on set iteration order: such sets feed sums and
+  equality only.
 - Composition of permutations is ``(u * v)(i) = u(v(i))``.
 - The simple reflection s_i swaps the values i and i+1; as a right factor
   it swaps positions i, i+1 of the one-line word, as a left factor it swaps
@@ -34,6 +35,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import reduce, total_ordering
 from typing import Iterable, Iterator, Sequence
 
@@ -41,7 +43,8 @@ Composition = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-_INTERNED: dict[tuple[int, ...], "Permutation"] = {}
+# One-line word -> its live permutation; an entry goes when its object dies.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @total_ordering
@@ -49,7 +52,7 @@ class Permutation:
     """A permutation of {1..r} in one-line notation, interned by ``im``:
     hashing and equality are those of ``object``, ordering compares ``im``."""
 
-    __slots__ = ("im", "_word")
+    __slots__ = ("im", "_word", "__weakref__")
 
     def __new__(cls, im: Iterable[int]) -> Permutation:
         im = tuple(im)

@@ -19,6 +19,10 @@ against the leading terms of the b_A (the longest representative times the
 lex-greatest monomial of sigma, which always has coefficient 1).
 Composition is right factor first: (x * y) acts by y then x.
 
+``multiply_basis`` sums the x_lam H coordinates of b_A T_w L^a, memoised
+per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
+tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
+
 The parameters u reach straightening only through the coefficients
 +-e_k(u) of the cyclotomic relation, so every b_A and structure constant
 lies in Z[q^±1][e_1..e_m].  A ``SchurContext`` built without ``hecke=``
@@ -34,7 +38,7 @@ independent, so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .affine import AffineAlgebra, AffineElement
 from .hecke import (
@@ -43,7 +47,10 @@ from .hecke import (
     HeckeAlgebra,
     HeckeElement,
     LinearCombination,
+    TermKey,
+    _add_products,
     _add_term,
+    _collect,
     eigen_test,
     module_coords,
     sigma_ddot,
@@ -99,7 +106,9 @@ def diagonal_matrix(lam: Sequence[int], m: int) -> ColoredMatrix:
 
 class SchurContext:
     """The slim Schur algebra for (m, n, r), with per-basis caches on
-    ``_alg`` (over e_1..e_m, or ``hecke``); ``_expand`` maps its coefficients to u."""
+    ``_alg`` (over e_1..e_m, or ``hecke``); ``_expand`` maps its coefficients to u.
+    Keyed by a basis matrix A: tail(A), b_A, b_A's module coordinates, and
+    ``_actions[A]``: (w, a) -> the module coordinates of b_A T_w L^a."""
 
     def __init__(self, m: int, n: int, r: int, hecke: HeckeAlgebra | None = None):
         if n < 1:
@@ -128,6 +137,10 @@ class SchurContext:
         # are stored, so a term outside the span raises on every call.
         self._order_keys: dict[tuple, tuple] = {}
         self._recovered: dict[tuple, ColoredMatrix] = {}
+        # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
+        # equal keys and coefficients being one object, through _pool.
+        self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
+        self._pool: dict = {}
 
     def _signature(self):
         return (self.m, self.n, self.r, self.hecke)
@@ -197,6 +210,18 @@ class SchurContext:
             coords = module_coords(self._b_element(A), colored_row_sums(A))
             self._coords[A] = coords
         return coords
+
+    def _action_row(self, A: ColoredMatrix, keys: Iterable[TermKey]) -> dict[TermKey, tuple]:
+        """_actions[A], with an entry for every monomial (w, a) in keys."""
+        row = self._actions.setdefault(A, {})
+        missing = [key for key in keys if key not in row]
+        if missing:
+            lam = colored_row_sums(A)
+            intern = self._pool.setdefault
+            for key, terms in self._b_element(A)._rmul_monomials(missing):
+                coords = module_coords(HeckeElement(self._alg, terms), lam)
+                row[key] = tuple((intern(k, k), intern(c, c)) for k, c in coords.items())
+        return row
 
     def _to_u(self, x: HeckeElement) -> HeckeElement:
         if self._alg is self.hecke:
@@ -346,7 +371,14 @@ def express_in_hom_basis(
         b_coords, expand = ctx.b_coords, _identity
     else:
         raise ValueError("element does not belong to the context's algebra")
-    coords = dict(module_coords(z, lam))
+    return _eliminate(ctx, module_coords(z, lam), lam, mu, b_coords, expand)
+
+
+def _eliminate(
+    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords, expand
+) -> dict[ColoredMatrix, RingElem]:
+    """The elimination of express_in_hom_basis on x_lam H coordinates
+    (consumed), against the basis coordinates ``b_coords(C)``."""
     order_keys = ctx._order_keys
     recovered = ctx._recovered
     cold_key = _term_order_key(mu)
@@ -359,7 +391,7 @@ def express_in_hom_basis(
         return k
 
     out: dict[ColoredMatrix, RingElem] = {}
-    zero = RingElem.zero(z.alg.nvars)
+    zero = RingElem.zero(ctx._alg.nvars)
     # Each pass strictly lowers the greatest term, so the module dimension
     # bounds the number of passes.
     budget = module_dimension(ctx, lam) + 1
@@ -423,10 +455,13 @@ def multiply_basis(
     """Structure constants of Phi_A o Phi_B (apply B's map first)."""
     if colored_col_sums(A) != colored_row_sums(B):
         return {}
-    z = ctx._b_element(A) * ctx._tail(B)
-    return express_in_hom_basis(
-        ctx, z, colored_row_sums(A), colored_col_sums(B)
-    )
+    tail = ctx._tail(B).terms
+    row = ctx._action_row(A, tail)
+    acc: dict = {}
+    for key, c2 in tail.items():
+        _add_products(acc, ctx._alg.nvars, row[key], c2)
+    lam, mu = colored_row_sums(A), colored_col_sums(B)
+    return _eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._expand)
 
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
@@ -496,20 +531,12 @@ def verify_rank(
             if not block:
                 continue
             col_index: dict = {}
-            rows = []
-            for A in block:
-                coords = ctx._b_coords(A)
-                row = {}
-                for key, coeff in coords.items():
-                    j = col_index.setdefault(key, len(col_index))
-                    row[j] = coeff
-                rows.append(row)
-            entries = []
-            for row in rows:
-                vec = [RingElem.zero(ctx._alg.nvars)] * len(col_index)
-                for j, coeff in row.items():
-                    vec[j] = coeff
-                entries.extend(vec)
+            rows = [
+                {col_index.setdefault(k, len(col_index)): c for k, c in ctx._b_coords(A).items()}
+                for A in block
+            ]
+            zero = RingElem.zero(ctx._alg.nvars)
+            entries = [row.get(j, zero) for row in rows for j in range(len(col_index))]
             M = RingMatrix(len(rows), len(col_index), entries)
             if exact:
                 got = exact_rank(M)

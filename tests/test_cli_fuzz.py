@@ -4,8 +4,10 @@ For `element`, expressions are drawn from the grammar (plus raw strings
 over its alphabet, for syntax errors) with small exponents and shallow
 nesting.  For `mult` and `tables`, colored matrices are drawn with sizes
 that may or may not match the grid (plus raw strings, for malformed
-JSON), on tiny grids.  The flags come from small ranges that include
-invalid values.  A small --guard must keep each run short.
+JSON), on tiny grids.  `verify` runs every suite and `all`; `basis` takes
+`--lambda/--mu` of any length and sum, negative parts included.  The flags
+come from small ranges that include invalid values.  A small --guard must
+keep each run short.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from cycloschur.cli import main
+from cycloschur.verify import SUITE_NAMES
 
 _SECONDS_PER_EXAMPLE = 10
 
@@ -129,3 +132,41 @@ def test_mult_exits_0_or_2_without_traceback(data, m, n, r, guard, fmt):
 @given(guard=st.integers(0, 500), **_GRID)
 def test_tables_exits_0_or_2_without_traceback(m, n, r, guard, fmt):
     _run(_grid_argv("tables", m, n, r, guard, fmt))
+
+
+# Grids for `verify` and `basis`, negative sizes included.
+_WIDE_GRID = {
+    "m": st.integers(-1, 2),
+    "n": st.integers(-1, 2),
+    "r": st.integers(-1, 3),
+    "guard": st.integers(0, 10),
+    "fmt": st.sampled_from(["text", "json"]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(suite=st.sampled_from(SUITE_NAMES + ("all",)), exact=st.booleans(), **_WIDE_GRID)
+def test_verify_exits_0_or_2_without_traceback(suite, exact, m, n, r, guard, fmt):
+    # Exit 1 (a failed check) would be a wrong result, so it fails here too.
+    argv = _grid_argv("verify", m, n, r, guard, fmt) + ["--suite", suite]
+    if exact:
+        argv.append("--exact")
+    _run(argv)
+
+
+_PARTS = st.one_of(
+    st.none(),
+    st.lists(st.integers(-1, 3), max_size=4).map(lambda parts: ",".join(map(str, parts))),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lam=_PARTS, mu=_PARTS, **_WIDE_GRID)
+def test_basis_exits_0_or_2_without_traceback(lam, mu, m, n, r, guard, fmt):
+    # `--lambda=-1,4`, so that a negative first part is not read as a flag.
+    argv = _grid_argv("basis", m, n, r, guard, fmt)
+    if lam is not None:
+        argv.append(f"--lambda={lam}")
+    if mu is not None:
+        argv.append(f"--mu={mu}")
+    _run(argv)

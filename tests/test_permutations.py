@@ -8,6 +8,7 @@ the constructive algorithms are supposed to guarantee.
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import math
@@ -114,6 +115,24 @@ def test_equal_words_give_one_object():
     assert w is Permutation((5, 3, 1, 2, 4))
     assert all(type(v) is int for v in w.im)
     assert len({Permutation(t) for t in itertools.permutations(range(1, 4))} | {identity(3)}) == 6
+
+
+def test_intern_table_releases_unused_words():
+    from cycloschur.permutations import _INTERNED
+
+    gc.collect()  # earlier tests' garbage cycles may still hold permutations
+    before = len(_INTERNED)
+    perms = list(all_perms(8))
+    assert len(_INTERNED) >= 40320
+    w = perms[12345]
+    im, word = w.im, w.word()
+    del perms
+    # Only the live permutation keeps its entry, and stays the one object.
+    assert len(_INTERNED) <= before + 1
+    assert Permutation(im) is w and w.word() == word
+    del w
+    assert len(_INTERNED) == before
+    assert Permutation(im).im == im
 
 
 def test_invalid_word_raises_every_time():
