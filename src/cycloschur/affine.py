@@ -12,7 +12,8 @@ is a plain exponent shift.  ``epsilon_u`` is the evaluation onto the
 cyclotomic quotient, T_w -> T_w and X_j -> L_j; it is defined here for
 nonnegative exponents, and for negative powers of X_1 only when a verified
 inverse of e_m(u) is supplied (negative powers of X_j, j > 1, are
-rejected).
+rejected).  Like a product, it multiplies coefficients in last: each
+L^a is straightened once per call, with coefficient one.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from .hecke import (
     HeckeAlgebra,
     HeckeElement,
     TermKey,
+    _add_products,
     _add_term,
+    _collect,
     _terms_from_json,
     _terms_to_json,
     sigma_nu,
 )
 from .permutations import Permutation, all_perms, identity
-from .ring import RingElem
+from .ring import RingAccumulator, RingElem
 
 class AffineElement(ElementBase):
     """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
@@ -118,35 +121,47 @@ def epsilon_u(
 
     Nonnegative exponents always work.  Negative powers of X_1 require a
     verified inverse of e_m(u); negative powers of X_j for j > 1 are
-    rejected.
+    rejected.  Every exponent is checked before any straightening.
+
+    The terms are grouped by exponent a into P_a = sum_w c_{w,a} T_w.  The
+    coefficient-one L^a of every a is straightened in one prefix-sharing
+    walk, and each P_a * L^a is formed like a product, with the constants
+    of L^a multiplied in last.  A power X_1^{-k} joins the group of
+    k, whose sum is multiplied by L_1^{-k} at the end.
     """
     alg = x.alg
     if target.r != alg.r:
         raise ValueError("rank mismatch")
     if target.nvars != alg.nvars:
         raise ValueError("coefficient rings differ")
+    if any(e < 0 for _, a in x.terms for e in a[1:]):
+        raise ValueError("negative powers of X_j (j > 1) have no direct image")
     l1_inv: HeckeElement | None = None
-    acc = target.zero()
+    if any(a[0] < 0 for _, a in x.terms):
+        if em_inverse is None:
+            raise ValueError("negative powers of X_1 need a verified inverse of e_m(u)")
+        l1_inv = _l1_inverse(target, em_inverse)
+    # k -> a with a_1 clamped at 0 -> the terms of P_a, for the terms of x
+    # whose power of X_1 is -k (k = 0 for every nonnegative power)
+    groups: dict[int, dict[tuple[int, ...], dict[TermKey, RingElem]]] = {}
+    zero_a = (0,) * alg.r
     for (w, a), c in x.terms.items():
-        if any(a[j] < 0 for j in range(1, alg.r)):
-            raise ValueError(
-                "negative powers of X_j (j > 1) have no direct image"
-            )
-        piece = target.from_perm(w).scale(c)
-        for j in range(1, alg.r + 1):
-            for _ in range(max(a[j - 1], 0)):
-                piece = piece.rmul_gen_L(j)
-        if a[0] < 0:
-            if em_inverse is None:
-                raise ValueError(
-                    "negative powers of X_1 need a verified inverse of e_m(u)"
-                )
-            if l1_inv is None:
-                l1_inv = _l1_inverse(target, em_inverse)
-            for _ in range(-a[0]):
-                piece = piece * l1_inv
-        acc = acc + piece
-    return acc
+        a_plus = (max(a[0], 0),) + a[1:]
+        groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = c
+    exps = {a for by_a in groups.values() for a in by_a}
+    powers = dict(HeckeElement._rmul_exponent_group(target, target.one().terms, exps))
+    total = target.zero()
+    for k, by_a in groups.items():
+        acc: dict[TermKey, RingAccumulator] = {}
+        for a, p_terms in by_a.items():
+            power = powers[a]
+            for key, terms in HeckeElement(target, p_terms)._rmul_monomials(power):
+                _add_products(acc, target.nvars, terms.items(), power[key])
+        part = HeckeElement(target, _collect(acc))
+        for _ in range(k):
+            part = part * l1_inv
+        total = total + part
+    return total
 
 
 def coefficient_symmetry_check(z: AffineElement) -> bool:

@@ -167,11 +167,11 @@ def _cmd_basis(args) -> int:
 
 
 def _product_entries(ctx: SchurContext, A, B) -> list[dict]:
-    coeffs = multiply_basis(ctx, A, B)
-    return [
-        {"C": matrix_to_json(C), "poly": c.to_json(), "text": str(c)}
-        for C, c in sorted(coeffs.items())
-    ]
+    entries = []
+    for C, c in sorted(multiply_basis(ctx, A, B).items()):
+        poly, text = c.json_and_text()
+        entries.append({"C": matrix_to_json(C), "poly": poly, "text": text})
+    return entries
 
 
 def _cmd_mult(args) -> int:

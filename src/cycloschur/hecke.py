@@ -24,6 +24,10 @@ workhorses are:
   and for j > 1 the overflow runs through the chain
   L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}.
 
+Right multiplication by L^a applies the word L_r^{a_r} ... L_1^{a_1}, high
+L_j first: an overflow of L_j costs more the larger j is, and applied
+first it meets the element while that is still small.
+
 The parameters reach straightening only through the coefficients
 overflow[k-1] = (-1)^(k+1) e_k(u) of the cyclotomic relation, which
 identify the algebra.  ``HeckeAlgebra(m, r)`` uses the generic u_1..u_m;
@@ -287,9 +291,18 @@ class HeckeElement(ElementBase):
     @staticmethod
     def _rmul_exponent_group(alg, terms, exps):
         """(a, terms * L^a) for each a in exps, applying each shared prefix
-        of the words L_1^{a_1} L_2^{a_2} ... once."""
+        of the words L_r^{a_r} ... L_2^{a_2} L_1^{a_1} once.
+
+        The L_j commute, so any letter order gives the same normal form.
+        Descending order is the cheap one: an overflow of L_j runs through
+        the chain T_{j-1}..T_1 L_1 T_1..T_{j-1}, so the columns of L_j grow
+        with j (at (m, r) = (2, 3), up to 10 terms for L_3 against 2 for
+        L_1).  Applied first, the high L_j meet the element while it is
+        still small.
+        """
+        r = alg.r
         words = {
-            tuple(j for j, e in enumerate(a, start=1) for _ in range(e)): a
+            tuple(j for j in range(r, 0, -1) for _ in range(a[j - 1])): a
             for a in exps
         }
         for word, cur in _walk_words(terms, words, lambda t, j: _rmul_L(alg, t, j)):
@@ -354,11 +367,8 @@ class HeckeAlgebra(AlgebraBase):
         a = tuple(int(x) for x in a)
         if len(a) != self.r or any(x < 0 for x in a):
             raise ValueError(f"bad exponent vector {a}")
-        out = self.one()
-        for j, e in enumerate(a, start=1):
-            for _ in range(e):
-                out = out.rmul_gen_L(j)
-        return out
+        [(_, terms)] = HeckeElement._rmul_exponent_group(self, self.one().terms, [a])
+        return HeckeElement(self, terms)
 
     monomial = jm_monomial
 

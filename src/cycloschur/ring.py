@@ -283,9 +283,12 @@ class RingElem:
 
     def to_json(self) -> list[dict]:
         """Canonical JSON: term list sorted by the monomial order."""
-        return [
-            {"c": c, "q": qe, "u": list(ue)} for (qe, ue), c in self.sorted_terms()
-        ]
+        return _json_of(self.sorted_terms())
+
+    def json_and_text(self) -> tuple[list[dict], str]:
+        """``(self.to_json(), str(self))`` from one sort of the terms."""
+        terms = self.sorted_terms()
+        return _json_of(terms), _text_of(terms)
 
     @staticmethod
     def from_json(data: Iterable[Mapping], nvars: int) -> "RingElem":
@@ -301,28 +304,38 @@ class RingElem:
         return f"RingElem({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (qe, ue), c in self.sorted_terms():
-            factors = []
-            if qe:
-                factors.append("q" if qe == 1 else f"q^{qe}")
-            for i, e in enumerate(ue, start=1):
-                if e:
-                    factors.append(f"u{i}" if e == 1 else f"u{i}^{e}")
-            if not factors:
-                body = str(abs(c))
-            else:
-                mag = "*".join(factors)
-                body = mag if abs(c) == 1 else f"{abs(c)}*{mag}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _text_of(self.sorted_terms())
+
+
+def _json_of(terms: Iterable[tuple[Monomial, int]]) -> list[dict]:
+    """The JSON term list of sorted (monomial, coefficient) pairs."""
+    return [{"c": c, "q": qe, "u": list(ue)} for (qe, ue), c in terms]
+
+
+def _text_of(terms: Sequence[tuple[Monomial, int]]) -> str:
+    """The printed form of sorted (monomial, coefficient) pairs."""
+    if not terms:
+        return "0"
+    parts = []
+    for (qe, ue), c in terms:
+        factors = []
+        if qe:
+            factors.append("q" if qe == 1 else f"q^{qe}")
+        for i, e in enumerate(ue, start=1):
+            if e:
+                factors.append(f"u{i}" if e == 1 else f"u{i}^{e}")
+        if not factors:
+            body = str(abs(c))
+        else:
+            mag = "*".join(factors)
+            body = mag if abs(c) == 1 else f"{abs(c)}*{mag}"
+        sign = "-" if c < 0 else "+"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def _make(nvars: int, terms: dict[int, int], ubound: int) -> RingElem:

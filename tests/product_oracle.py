@@ -7,11 +7,17 @@ rule or the cyclotomic overflow chain to every term directly: nothing is
 tabulated, no prefix is shared, and no sum is accumulated in place.  This
 is how ``cycloschur.hecke`` formed products before it kept step tables;
 the tests compare the engine's products against it.
+
+``epsilon`` is the evaluation of an affine element onto the cyclotomic
+algebra the same way: each term's coefficient is straightened through
+L_1^{a_1} ... L_r^{a_r} one letter at a time, coefficient first, as
+``cycloschur.affine.epsilon_u`` did before it multiplied coefficients in
+last.
 """
 
 from __future__ import annotations
 
-from cycloschur.permutations import Permutation, reduced_word
+from cycloschur.permutations import Permutation, identity, reduced_word
 from cycloschur.ring import RingElem
 
 
@@ -106,4 +112,42 @@ def product(alg, left: dict, right: dict, affine: bool = False) -> dict:
                     cur = rmul_L(alg, cur, j)
         for key, c in cur.items():
             _add(out, key, c * c2)
+    return out
+
+
+def l1_inverse(alg, em_inverse: RingElem) -> dict:
+    """L_1^{-1} = (-1)^(m+1) e_m^{-1} sum_{k<m} (-1)^k e_k L_1^(m-1-k), from
+    prod_i (L_1 - u_i) = 0; raises unless em_inverse * e_m = 1."""
+    m, r = alg.m, alg.r
+    # overflow[k-1] = (-1)^(k+1) e_k
+    e = [alg.one_c] + [c.scale((-1) ** (k + 1)) for k, c in enumerate(alg.overflow, 1)]
+    if em_inverse * e[m] != alg.one_c:
+        raise ValueError("not an inverse of e_m(u)")
+    lead = em_inverse.scale((-1) ** (m + 1))
+    out: dict = {}
+    for k in range(m):
+        _add(out, (identity(r), (m - 1 - k,) + (0,) * (r - 1)), lead * e[k].scale((-1) ** k))
+    return out
+
+
+def epsilon(alg, terms: dict, em_inverse: RingElem | None = None) -> dict:
+    """T_w -> T_w, X_j -> L_j on an affine {(w, a): c}, into the cyclotomic
+    algebra alg, term by term; X_1^{-1} maps to ``l1_inverse``."""
+    zero = (0,) * alg.r
+    out: dict = {}
+    for (w, a), c in terms.items():
+        if any(e < 0 for e in a[1:]):
+            raise ValueError("negative powers of X_j (j > 1) have no direct image")
+        cur = {(w, zero): c}
+        for j, e in enumerate(a, start=1):
+            for _ in range(max(e, 0)):
+                cur = rmul_L(alg, cur, j)
+        if a[0] < 0:
+            if em_inverse is None:
+                raise ValueError("negative powers of X_1 need an inverse of e_m(u)")
+            inverse = l1_inverse(alg, em_inverse)
+            for _ in range(-a[0]):
+                cur = product(alg, cur, inverse)
+        for key, v in cur.items():
+            _add(out, key, v)
     return out

@@ -140,12 +140,21 @@ def test_epsilon_multiplicative_seeded():
 
 def test_epsilon_rejects_unsupported_negatives():
     m, r = 2, 2
-    target = HeckeAlgebra(m, r)
     alg = AffineAlgebra(r, nvars=m)
-    with pytest.raises(ValueError):
-        epsilon_u(alg.x_monomial((-1, 0)), target)  # no inverse supplied
-    with pytest.raises(ValueError):
-        epsilon_u(alg.x_monomial((0, -1)), target, em_inverse=RingElem.one(m))
+    valid = alg.x_monomial((3, 1)) * alg.gen_T(1)
+    not_inverse = RingElem.one(m)  # e_2(u) = u_1 u_2
+    cases = [
+        (alg.x_monomial((-1, 0)), None),  # no inverse supplied
+        (alg.x_monomial((-1, 0)), not_inverse),
+        (alg.x_monomial((0, -1)), not_inverse),
+    ]
+    for bad, em_inverse in cases:
+        for x in (bad, valid + bad, bad + valid):
+            target = HeckeAlgebra(m, r)
+            with pytest.raises(ValueError):
+                epsilon_u(x, target, em_inverse=em_inverse)
+            # no straightening ran: the step tables are still empty
+            assert not any(target._steps_T + target._steps_L), (x, em_inverse)
 
 
 def test_epsilon_inverse_x1_with_verified_inverse():

@@ -147,6 +147,18 @@ def test_jm_monomial_and_reduction():
     assert all(e < 2 for (_, a) in big.terms for e in a)
 
 
+@pytest.mark.parametrize("m,r", [(2, 3), (3, 2)])
+def test_jm_monomial_matches_ascending_generator_product(m, r):
+    # jm_monomial applies L_r first; the ascending product applies L_1 first
+    alg = HeckeAlgebra(m, r)
+    for a in itertools.product(range(2 * m + 1), repeat=r):
+        expected = alg.one()
+        for j, e in enumerate(a, start=1):
+            for _ in range(e):
+                expected = expected.rmul_gen_L(j)
+        assert alg.jm_monomial(a) == expected, a
+
+
 def test_m1_jm_elements_are_typea():
     # at m = 1, L_2 = u1 q^{-1}((q-1) T_1 + q)
     alg = HeckeAlgebra(1, 2)

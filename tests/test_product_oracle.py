@@ -4,7 +4,8 @@ The engine straightens through step tables kept on the algebra, shares
 reduced-word and exponent prefixes within a product, and accumulates
 coefficients in place; the oracle does none of that.  Each example also
 multiplies again on the same algebra, so columns built by one product are
-read back by the next.
+read back by the next.  ``epsilon_u`` is checked the same way against
+the oracle's term-by-term, coefficient-first evaluation.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import itertools
 
 from hypothesis import given, settings, strategies as st
-from product_oracle import product, rmul_L, rmul_T
+from product_oracle import epsilon, product, rmul_L, rmul_T
 
-from cycloschur.affine import AffineAlgebra
+from cycloschur.affine import AffineAlgebra, epsilon_u
 from cycloschur.hecke import HeckeAlgebra
 from cycloschur.permutations import all_perms
 from cycloschur.ring import ElementaryExpansion, RingElem
@@ -144,3 +145,35 @@ def test_generator_steps_match_oracle_on_every_monomial():
                     assert x.rmul_gen_T(i).terms == rmul_T(alg, x.terms, i)
                 for j in (1, 2, 3):
                     assert x.rmul_gen_L(j).terms == rmul_L(alg, x.terms, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_epsilon_matches_oracle(data):
+    m, r = data.draw(st.sampled_from([(1, 3), (2, 3), (3, 2), (2, 2)]), label="(m, r)")
+    params = None
+    if data.draw(st.booleans(), label="a zero parameter"):
+        params = data.draw(st.lists(parameters(m), min_size=m, max_size=m), label="u")
+        params[data.draw(st.integers(0, m - 1), label="zero at")] = RingElem.zero(m)
+    target = HeckeAlgebra(m, r, u_params=params)
+    aff = AffineAlgebra(r, nvars=m)
+    x = data.draw(elements(aff, st.integers(0, 4)), label="x")
+    expected = epsilon(target, x)
+    for _ in range(2):
+        assert epsilon_u(aff.elem(x), target).terms == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_epsilon_of_negative_x1_powers_matches_oracle(data):
+    # (u_1, u_2) = (q, -q^-1): e_2(u) = -1 is its own inverse
+    r = data.draw(st.integers(2, 3), label="r")
+    minus_one = RingElem.const(-1, 0)
+    u_params = (RingElem.q_power(1, 0), RingElem.q_power(-1, 0) * minus_one)
+    target = HeckeAlgebra(2, r, nvars=0, u_params=u_params)
+    aff = AffineAlgebra(r, nvars=0)
+    exps = st.tuples(st.integers(-3, 4), *([st.integers(0, 4)] * (r - 1)))
+    keys = st.tuples(st.sampled_from(list(all_perms(r))), exps)
+    x = data.draw(st.dictionaries(keys, coefficients(0), min_size=1, max_size=3), label="x")
+    got = epsilon_u(aff.elem(x), target, em_inverse=minus_one)
+    assert got.terms == epsilon(target, x, minus_one)
