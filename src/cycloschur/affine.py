@@ -19,7 +19,7 @@ L^a is straightened once per call, with coefficient one.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .hecke import (
     AlgebraBase,
@@ -30,7 +30,6 @@ from .hecke import (
     _add_products,
     _add_term,
     _collect,
-    _terms_from_json,
     _terms_to_json,
     sigma_nu,
 )
@@ -43,13 +42,6 @@ class AffineElement(ElementBase):
     __slots__ = ()
 
     symbol = "X"
-
-    def rmul_x(self, a: Sequence[int]) -> AffineElement:
-        """Right multiplication by X^a: a plain exponent shift."""
-        a = tuple(int(v) for v in a)
-        if len(a) != self.alg.r:
-            raise ValueError("exponent vector length mismatch")
-        return AffineElement(self.alg, self._rmul_exponents(self.alg, self.terms, a))
 
     def __mul__(self, other: AffineElement) -> AffineElement:
         return self._product(other)
@@ -193,9 +185,3 @@ def coefficient_symmetry_check(z: AffineElement) -> bool:
 
 def affine_to_json(x: AffineElement) -> dict:
     return {"r": x.alg.r, "terms": _terms_to_json(x)}
-
-
-def affine_from_json(alg: AffineAlgebra, data: Mapping) -> AffineElement:
-    if int(data["r"]) != alg.r:
-        raise ValueError("serialized element has a different rank")
-    return AffineElement(alg, _terms_from_json(alg, data["terms"]))

@@ -25,7 +25,6 @@ from .cache import load as cache_load, resolve_cache_dir, store as cache_store
 from .expressions import ExprError, evaluate_text
 from .guards import GuardError, check_guard
 from .hecke import HeckeAlgebra, element_to_json
-from .ring import RingElem
 from .schur import (
     SchurContext,
     matrix_from_json,

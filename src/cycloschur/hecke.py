@@ -744,30 +744,5 @@ def _terms_to_json(x: ElementBase) -> list[dict]:
     ]
 
 
-def _terms_from_json(
-    alg: AlgebraBase, items: Iterable[Mapping], colors: int | None = None
-) -> dict[TermKey, RingElem]:
-    """Read a term list back, rejecting any key that is not a monomial of
-    alg: w of size r and r exponents, in 0..colors-1 if colors is given."""
-    terms: dict[TermKey, RingElem] = {}
-    for item in items:
-        w = Permutation(tuple(int(v) for v in item["w"]))
-        if w.size != alg.r:
-            raise ValueError("permutation size mismatch")
-        a = tuple(int(v) for v in item["a"])
-        in_range = colors is None or all(0 <= e < colors for e in a)
-        if len(a) != alg.r or not in_range:
-            raise ValueError(f"bad exponent vector {a}")
-        c = RingElem.from_json(item["poly"], alg.nvars)
-        _add_term(terms, (w, a), c)
-    return terms
-
-
 def element_to_json(x: HeckeElement) -> dict:
     return {"m": x.alg.m, "r": x.alg.r, "terms": _terms_to_json(x)}
-
-
-def element_from_json(alg: HeckeAlgebra, data: Mapping) -> HeckeElement:
-    if int(data["m"]) != alg.m or int(data["r"]) != alg.r:
-        raise ValueError("serialized element belongs to a different algebra")
-    return HeckeElement(alg, _terms_from_json(alg, data["terms"], alg.m))

@@ -38,9 +38,10 @@ independent, so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .affine import AffineAlgebra, AffineElement
+from .guards import check_guard
 from .hecke import (
     AlgebraBase,
     ElementBase,
@@ -104,6 +105,9 @@ def diagonal_matrix(lam: Sequence[int], m: int) -> ColoredMatrix:
     return embed_matrix(diag, m)
 
 
+_UNGUARDED = object()  # basis() called without a guard
+
+
 class SchurContext:
     """The slim Schur algebra for (m, n, r), with per-basis caches on
     ``_alg`` (over e_1..e_m, or ``hecke``); ``_expand`` maps its coefficients to u.
@@ -160,9 +164,15 @@ class SchurContext:
     def weights(self) -> list[Composition]:
         return list(compositions(self.r, self.n))
 
-    def basis(self, guard: int | None = None) -> list[ColoredMatrix]:
+    def basis(self, guard=_UNGUARDED) -> list[ColoredMatrix]:
+        """The basis matrices, enumerated once.  A guard given explicitly
+        (None: the default guard) is checked on every call, also against a
+        cached basis; without one, only the enumeration checks the default."""
         if self._basis is None:
-            self._basis = list(enumerate_colored(self.n, self.r, self.m, guard))
+            cap = None if guard is _UNGUARDED else guard
+            self._basis = list(enumerate_colored(self.n, self.r, self.m, cap))
+        elif guard is not _UNGUARDED:
+            check_guard(len(self._basis), guard, f"colored matrices ({self.m},{self.n},{self.r})")
         return self._basis
 
     def weight(self, lam: Sequence[int]) -> Composition:
@@ -658,20 +668,3 @@ def matrix_to_json(A: ColoredMatrix) -> list:
 
 def matrix_from_json(data) -> ColoredMatrix:
     return tuple(tuple(tuple(int(x) for x in entry) for entry in row) for row in data)
-
-
-def schur_to_json(x: SchurElement) -> dict:
-    terms = []
-    for A, c in sorted(x.terms.items()):
-        terms.append({"matrix": matrix_to_json(A), "poly": c.to_json()})
-    return {"m": x.ctx.m, "n": x.ctx.n, "r": x.ctx.r, "terms": terms}
-
-
-def schur_from_json(ctx: SchurContext, data: Mapping) -> SchurElement:
-    if (int(data["m"]), int(data["n"]), int(data["r"])) != (ctx.m, ctx.n, ctx.r):
-        raise ValueError("serialized element belongs to a different algebra")
-    terms: dict[ColoredMatrix, RingElem] = {}
-    for item in data["terms"]:
-        A = matrix_from_json(item["matrix"])
-        _add_term(terms, A, RingElem.from_json(item["poly"], ctx.hecke.nvars))
-    return SchurElement(ctx, terms)

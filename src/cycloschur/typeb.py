@@ -20,7 +20,7 @@ a^{(1)}_{ij}}, and the group-algebra degeneration at q = q0 = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .guards import check_guard
 from .hecke import HeckeAlgebra, HeckeElement, sigma_elementary
@@ -128,10 +128,6 @@ def d_i_word(i: int) -> tuple[int, ...]:
     for j in range(1, i + 1):
         out = out + tau_word(j)
     return out
-
-
-def d_i_element(i: int, r: int) -> ColoredPerm:
-    return colored_word(d_i_word(i), 2, r)
 
 
 def flip_word(j: int) -> tuple[int, ...]:

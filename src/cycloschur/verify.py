@@ -6,6 +6,13 @@ sub-reports).  Guard violations surface as status "skipped(guard)" so a
 too-large request degrades into an explicit skip instead of an open-ended
 computation.  Reports are deterministic for a fixed seed: entries are
 sorted by check id and the wall-clock field is informational only.
+
+The checks of one ``run_suite`` call share its Schur contexts, one per
+(m, n, r), reached only through ``_schur``: the first check on a grid
+builds the context and the later ones reuse its basis, b_A and memos.
+``run_suite`` creates that dict and passes it to each suite, so no
+context outlives one report.  ``_schur`` checks the guard against the
+basis size on every call, cached or not.
 """
 
 from __future__ import annotations
@@ -109,9 +116,17 @@ def _run_check(
     return CheckOutcome(check_id, params, status, witness, time.perf_counter() - start)
 
 
-def _schur(p: SuiteParams, n: int | None = None) -> SchurContext:
-    """The grid's Schur context, once its basis size has passed the guard."""
-    ctx = SchurContext(p.m, p.n if n is None else n, p.r)
+# The Schur contexts of one run_suite call, by (m, n, r).
+Contexts = dict[tuple[int, int, int], SchurContext]
+
+
+def _schur(p: SuiteParams, contexts: Contexts, n: int | None = None) -> SchurContext:
+    """The run's Schur context for (m, n, r), once its basis size has passed
+    the guard; built on first use."""
+    key = (p.m, p.n if n is None else n, p.r)
+    ctx = contexts.get(key)
+    if ctx is None:
+        ctx = contexts[key] = SchurContext(*key)
     ctx.basis(p.guard)
     return ctx
 
@@ -143,10 +158,15 @@ def _random_affine(alg: AffineAlgebra, rng: random.Random, nterms: int = 3):
     return out
 
 
+def _x_degree(x) -> int:
+    """The largest total X-degree |a| of a monomial T_w X^a of x."""
+    return max((sum(map(abs, a)) for _, a in x.terms), default=0)
+
+
 # -- suites ----------------------------------------------------------------
 
 
-def suite_pbw(p: SuiteParams) -> list[CheckOutcome]:
+def suite_pbw(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "r": p.r}
     out: list[CheckOutcome] = []
     alg = HeckeAlgebra(p.m, p.r)
@@ -229,7 +249,7 @@ def suite_pbw(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_straighten(p: SuiteParams) -> list[CheckOutcome]:
+def suite_straighten(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "r": p.r}
     out: list[CheckOutcome] = []
     alg = HeckeAlgebra(p.m, p.r)
@@ -277,19 +297,19 @@ def suite_straighten(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
+def suite_basis(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "n": p.n, "r": p.r}
     out: list[CheckOutcome] = []
 
     def counted():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         got = len(ctx.basis())
         return got == ctx.rank(), {"count": got, "closed_form": ctx.rank()}
 
     out.append(_run_check("basis.count", base, counted))
 
     def eigen():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         from .schur import eigen_certificate
 
         for lam in ctx.weights():
@@ -301,7 +321,7 @@ def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("basis.eigen", base, eigen))
 
     def dims():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         rep = verify_hom_space_dims(ctx, seed=p.seed, guard=p.guard)
         return rep["ok"], {"blocks": len(rep["blocks"])}
 
@@ -309,22 +329,22 @@ def suite_basis(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_rank(p: SuiteParams) -> list[CheckOutcome]:
+def suite_rank(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "n": p.n, "r": p.r, "trials": p.trials, "exact": p.exact}
 
     def ranked():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
         return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}
 
     return [_run_check("rank.blocks", base, ranked)]
 
 
-def suite_commutative(p: SuiteParams) -> list[CheckOutcome]:
+def suite_commutative(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "r": p.r}
 
     def commuting():
-        ctx = _schur(p, 1)
+        ctx = _schur(p, contexts, 1)
         check_guard(len(ctx.basis()) ** 2, p.guard, "ordered pairs of the commutativity check")
         rep = verify_commutative(ctx)
         return rep["ok"], {"size": rep["size"]}
@@ -332,13 +352,13 @@ def suite_commutative(p: SuiteParams) -> list[CheckOutcome]:
     return [_run_check("commutative.pairs", base, commuting)]
 
 
-def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
+def suite_schur_mult(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"m": p.m, "n": p.n, "r": p.r}
     out: list[CheckOutcome] = []
     rng = random.Random(p.seed)
 
     def unit():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         one = identity_element(ctx)
         basis = ctx.basis()
         sample = basis if len(basis) <= 40 else rng.sample(basis, k=40)
@@ -352,7 +372,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("schur-mult.unit", base, unit))
 
     def reconstruct():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
         pairs = [
@@ -373,7 +393,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("schur-mult.reconstruct", base, reconstruct))
 
     def assoc():
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
         bound = max(p.trials, 5) * 2 * (1 + len(basis))  # per triple: 2 (1 + |basis|)
@@ -401,7 +421,7 @@ def suite_schur_mult(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_typeb(p: SuiteParams) -> list[CheckOutcome]:
+def suite_typeb(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     out: list[CheckOutcome] = []
     base = {"r": p.r, "n": p.n}
 
@@ -449,7 +469,7 @@ def suite_typeb(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_poincare(p: SuiteParams) -> list[CheckOutcome]:
+def suite_poincare(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     out: list[CheckOutcome] = []
     base = {"m": p.m, "r": p.r}
 
@@ -468,7 +488,7 @@ def suite_poincare(p: SuiteParams) -> list[CheckOutcome]:
     out.append(_run_check("poincare.length-sum", base, length_sum))
 
     def morita():
-        ctx = _schur(p, p.r)
+        ctx = _schur(p, contexts, p.r)
         omega = (1,) * p.r
         checked = 0
         for lam in ctx.weights():
@@ -485,7 +505,7 @@ def suite_poincare(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
+def suite_epsilon(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     out: list[CheckOutcome] = []
     base = {"m": p.m, "r": p.r}
     target = HeckeAlgebra(p.m, p.r)
@@ -498,6 +518,10 @@ def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
         for t in range(trials):
             x = _random_affine(aff, rng)
             y = _random_affine(aff, rng)
+            # The longest L-word the trial straightens, in epsilon_u(x * y), has
+            # deg x + deg y letters, each acting on up to target.dim() monomials.
+            work = (_x_degree(x) + _x_degree(y)) * target.dim()
+            check_guard(work, p.guard, f"straightening of multiplicativity trial {t}")
             if epsilon_u(x * y, target) != epsilon_u(x, target) * epsilon_u(y, target):
                 return False, {"trial": t}
         return True, {"trials": trials}
@@ -506,7 +530,7 @@ def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
 
     def basis_map():
         target.check_dim(p.guard)
-        ctx = _schur(p)
+        ctx = _schur(p, contexts)
         basis = ctx.basis()
         sample = basis if len(basis) <= 150 else rng.sample(basis, k=60)
         for A in sample:
@@ -519,7 +543,7 @@ def suite_epsilon(p: SuiteParams) -> list[CheckOutcome]:
     return out
 
 
-def suite_affine_sym(p: SuiteParams) -> list[CheckOutcome]:
+def suite_affine_sym(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     base = {"r": p.r}
 
     def symmetrizer():
@@ -538,7 +562,7 @@ def suite_affine_sym(p: SuiteParams) -> list[CheckOutcome]:
     return [_run_check("affine-sym.symmetrizer", base, symmetrizer)]
 
 
-SUITES: dict[str, Callable[[SuiteParams], list[CheckOutcome]]] = {
+SUITES: dict[str, Callable[[SuiteParams, Contexts], list[CheckOutcome]]] = {
     "pbw": suite_pbw,
     "straighten": suite_straighten,
     "basis": suite_basis,
@@ -564,8 +588,9 @@ def run_suite(name: str, params: SuiteParams) -> dict:
         )
     start = time.perf_counter()
     checks: list[CheckOutcome] = []
+    contexts: Contexts = {}
     for fn in suite_fns:
-        checks.extend(fn(params))
+        checks.extend(fn(params, contexts))
     checks.sort(key=lambda c: c.check)
     status = "pass" if all(c.status != "fail" for c in checks) else "fail"
     return {

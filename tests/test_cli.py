@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import cycloschur
 from cycloschur import cache
 from cycloschur.cli import main
+from cycloschur.schur import SchurContext
 from cycloschur.verify import SUITE_NAMES, SuiteParams, exit_code_for, run_suite
 
 
@@ -22,6 +25,21 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verify_in_subprocess(suite: str, *flags: str) -> dict:
+    """The JSON report of `cyclo verify`, run in a separate process so that a
+    hang fails the test at the 10 s bound; the command must exit 0."""
+    env = dict(os.environ)
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloschur.cli", "verify", "--suite", suite, *flags,
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 # -- element ---------------------------------------------------------------
@@ -473,18 +491,8 @@ GRID_999 = ("--m", "9", "--n", "9", "--r", "9", "--guard", "5")
     ],
 )
 def test_verify_checks_the_guard_before_the_work(suite, flags):
-    # Each of these ran for minutes before its suite checked --guard.  A
-    # separate process, so that a hang fails the test at the time bound.
-    env = dict(os.environ)
-    src = str(Path(cycloschur.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycloschur.cli", "verify", "--suite", suite, *flags,
-         "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    # Each of these ran for minutes before its suite checked --guard.
+    report = verify_in_subprocess(suite, *flags)
     hanging = ("straighten.", "poincare.", "affine-sym.", "epsilon.", "typeb.shifted")
     checks = [c for c in report["checks"] if c["check"].startswith(hanging)]
     assert checks
@@ -506,17 +514,57 @@ def test_verify_checks_the_guard_before_the_work(suite, flags):
 def test_verify_checks_product_counts_against_the_guard(suite, guard, guarded):
     # Each of these ran past 15 s at (m, n, r) = (3, 1, 4) before it checked
     # --guard; commutative ran past 300 s without one.
-    env = dict(os.environ)
-    src = str(Path(cycloschur.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycloschur.cli", "verify", "--suite", suite,
-         "--m", "3", "--n", "1", "--r", "4", "--guard", guard, "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
-    assert proc.returncode == 0, proc.stderr
-    status = {c["check"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    report = verify_in_subprocess(suite, "--m", "3", "--n", "1", "--r", "4", "--guard", guard)
+    status = {c["check"]: c["status"] for c in report["checks"]}
     assert all(status[check] == "skipped(guard)" for check in guarded), status
+
+
+def test_verify_checks_epsilon_trials_against_the_guard():
+    # The normal-form basis of H(2, 4) has 384 monomials, so this passed the
+    # guard and then straightened its five trials for 107 s.
+    report = verify_in_subprocess("epsilon", "--m", "2", "--n", "2", "--r", "4", "--guard", "384")
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert status["epsilon.multiplicative"] == "skipped(guard)", status
+
+
+# S(3; 3, 2) has 378 basis matrices.  Every check that enumerates them skips
+# at guard 377; at 378 only the associativity bound, 3,790 products, is over.
+SCHUR_332_CHECKS = (
+    "basis.count", "basis.eigen", "basis.hom-dims", "epsilon.basis-map", "rank.blocks",
+    "schur-mult.assoc", "schur-mult.reconstruct", "schur-mult.unit",
+)
+
+
+@pytest.mark.parametrize(
+    "guard,skipped", [(377, SCHUR_332_CHECKS), (378, ("schur-mult.assoc",))]
+)
+def test_shared_context_keeps_the_guard_boundary(guard, skipped):
+    report = run_suite("all", SuiteParams(m=3, n=3, r=2, seed=0, guard=guard))
+    got = tuple(c["check"] for c in report["checks"] if c["status"] != "pass")
+    assert got == skipped
+    assert all(c["status"] == "skipped(guard)" for c in report["checks"] if c["check"] in skipped)
+
+
+def test_run_suite_builds_one_context_per_grid_and_run(monkeypatch):
+    built = []
+    init = SchurContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SchurContext, "__init__", counting_init)
+    runs = []
+    for _ in range(2):
+        built.clear()
+        run_suite("all", SuiteParams(m=3, n=3, r=2))
+        grid = [weakref.ref(ctx) for ctx in built if (ctx.m, ctx.n, ctx.r) == (3, 3, 2)]
+        assert len(grid) == 1
+        runs.append(grid[0])
+    built.clear()
+    gc.collect()
+    # Each run built its own context, and none outlived its run.
+    assert runs[0]() is None and runs[1]() is None
 
 
 def test_verify_cli_rank_exit_zero(capsys):

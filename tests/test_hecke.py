@@ -14,13 +14,13 @@ import itertools
 import random
 
 import pytest
+from json_readers import element_from_json
 
 from cycloschur.hecke import (
     HeckeAlgebra,
     HeckeElement,
     appendix_basis_coords,
     eigen_test,
-    element_from_json,
     element_to_json,
     from_left_form,
     module_coords,

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
+from cycloschur.guards import GuardError
 from cycloschur.hecke import HeckeAlgebra, eigen_test
 from cycloschur.permutations import (
     coset_reps_within,
@@ -41,8 +42,6 @@ from cycloschur.schur import (
     matrix_to_json,
     multiply_basis,
     phi_pair,
-    schur_from_json,
-    schur_to_json,
     verify_commutative,
     verify_hom_space_dims,
     verify_rank,
@@ -463,17 +462,13 @@ def test_affine_b_rank_mismatch():
 # -- serialization and misc ------------------------------------------------
 
 
-def test_schur_json_roundtrip():
-    rng = random.Random(29)
-    chosen = rng.sample(CTX222.basis(), k=4)
-    x = SchurElement(
-        CTX222, {A: random_poly(rng, CTX222.hecke.nvars) for A in chosen}
-    )
-    data = schur_to_json(x)
-    assert schur_from_json(CTX222, data) == x
-    import json
-
-    assert json.loads(json.dumps(data)) == data
+def test_basis_checks_an_explicit_guard_on_every_call():
+    ctx = SchurContext(2, 1, 2)  # 3 basis matrices
+    basis = ctx.basis(3)
+    with pytest.raises(GuardError, match="colored matrices \\(2,1,2\\) has size 3"):
+        ctx.basis(2)
+    # no guard: the cached basis, as enumerated under a larger one
+    assert ctx.basis() is basis and ctx.basis(None) is basis
 
 
 def test_matrix_json_roundtrip():

@@ -16,7 +16,6 @@ from cycloschur.ring import RingElem
 from cycloschur.schur import SchurContext
 from cycloschur.typeb import (
     coset_sum,
-    d_i_element,
     d_i_word,
     example_matrix,
     flip_word,
@@ -46,6 +45,11 @@ from cycloschur.wreath import (
     colored_word,
     nu_colored,
 )
+
+
+def d_i_element(i: int, r: int):
+    """The signed permutation of the word d_i_word(i)."""
+    return colored_word(d_i_word(i), 2, r)
 
 
 def signed_length(w) -> int:
