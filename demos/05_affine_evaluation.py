@@ -19,7 +19,7 @@ from cycloschur.affine import (
 )
 from cycloschur.hecke import HeckeAlgebra
 from cycloschur.ring import RingElem
-from cycloschur.schur import SchurContext, b_element_affine
+from cycloschur.schur import SchurContext, b_element_of
 
 
 def main() -> None:
@@ -67,7 +67,7 @@ def main() -> None:
     ctx = SchurContext(2, 2, 2)
     aff2 = AffineAlgebra(2, nvars=2)
     A = ctx.basis()[7]
-    lift = b_element_affine(aff2, A)
+    lift = b_element_of(aff2, A)
     print("hom-space elements lift to the affine side and evaluate back:")
     print("  A =", A)
     print("  affine lift:", lift)

@@ -9,7 +9,8 @@ Subcommands:
     verify   run a named check suite
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error, a
-guard past its cap, or stdout closed before the output was complete.
+guard past its cap, an unusable cache directory, or stdout closed before
+the output was complete.
 """
 
 from __future__ import annotations
@@ -277,6 +278,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: output closed before it was complete", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # e.g. a --cache-dir that is a file, or lies under one
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

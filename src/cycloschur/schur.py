@@ -23,16 +23,17 @@ Composition is right factor first: (x * y) acts by y then x.
 per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
 tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
 
-The parameters u reach straightening only through the coefficients
-+-e_k(u) of the cyclotomic relation, so every b_A and structure constant
-lies in Z[q^±1][e_1..e_m].  A ``SchurContext`` built without ``hecke=``
-straightens, eliminates and caches over an algebra on free variables
-e_1..e_m, and expands a coefficient to u (``ring.ElementaryExpansion``)
-only where it leaves the context: in ``multiply_basis``,
-``express_in_hom_basis``, ``tail``, ``b_element`` and ``b_coords``.
-Given ``hecke=``, the same code runs on that algebra with the identity
-map.  Rank certificates use the e-coordinates: the e_k are algebraically
-independent, so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
+``tail_of``/``b_element_of`` evaluate b_A in any algebra: H_u(r), its
+type-B specialisation, or the affine lift.  The parameters u reach
+straightening only through the coefficients +-e_k(u) of the cyclotomic
+relation, so every b_A and structure constant lies in Z[q^±1][e_1..e_m].
+A ``SchurContext`` straightens, eliminates and caches over an algebra
+``_alg`` on free variables e_1..e_m, and expands a coefficient to u
+(``ring.ElementaryExpansion``) only where it leaves the context: in
+``multiply_basis``, ``express_in_hom_basis``, ``tail``, ``b_element`` and
+``b_coords``.  At m = 1, e_1 = u_1, so ``_alg`` is ``hecke`` itself.  Rank
+certificates use the e-coordinates: the e_k are algebraically independent,
+so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .affine import AffineAlgebra, AffineElement
 from .guards import check_guard
 from .hecke import (
     AlgebraBase,
@@ -109,23 +109,22 @@ _UNGUARDED = object()  # basis() called without a guard
 
 
 class SchurContext:
-    """The slim Schur algebra for (m, n, r), with per-basis caches on
-    ``_alg`` (over e_1..e_m, or ``hecke``); ``_expand`` maps its coefficients to u.
-    Keyed by a basis matrix A: tail(A), b_A, b_A's module coordinates, and
-    ``_actions[A]``: (w, a) -> the module coordinates of b_A T_w L^a."""
+    """The slim Schur algebra for (m, n, r) over ``hecke`` = H_u(r), with
+    per-basis caches on ``_alg`` (over e_1..e_m); ``_expand`` maps its
+    coefficients to u.  Keyed by a basis matrix A: tail(A), b_A, b_A's module
+    coordinates, and ``_actions[A]``: (w, a) -> the module coordinates of
+    b_A T_w L^a."""
 
-    def __init__(self, m: int, n: int, r: int, hecke: HeckeAlgebra | None = None):
+    def __init__(self, m: int, n: int, r: int):
         if n < 1:
             raise ValueError("need n >= 1")
         self.m = m
         self.n = n
         self.r = r
-        self.hecke = hecke if hecke is not None else HeckeAlgebra(m, r)
-        if self.hecke.m != m or self.hecke.r != r:
-            raise ValueError("underlying algebra does not match (m, r)")
+        self.hecke = HeckeAlgebra(m, r)
         self._alg = self.hecke
         self._expand = _identity
-        if hecke is None and m > 1:
+        if m > 1:
             # L_1^m = e_1 L_1^{m-1} - e_2 L_1^{m-2} + ..., e_k a free variable
             self._alg = HeckeAlgebra(m, r, overflow=[
                 RingElem.u_var(k, m).scale((-1) ** (k + 1)) for k in range(1, m + 1)
@@ -146,11 +145,10 @@ class SchurContext:
         self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
         self._pool: dict = {}
 
-    def _signature(self):
-        return (self.m, self.n, self.r, self.hecke)
-
     def __eq__(self, other):
-        return isinstance(other, SchurContext) and self._signature() == other._signature()
+        return isinstance(other, SchurContext) and (self.m, self.n, self.r) == (
+            other.m, other.n, other.r
+        )
 
     def __hash__(self):
         return hash((self.m, self.n, self.r))
@@ -203,9 +201,7 @@ class SchurContext:
     def _tail(self, A: ColoredMatrix) -> HeckeElement:
         elem = self._tails.get(A)
         if elem is None:
-            alg = self._alg
-            elem = alg.from_perm(theta_inverse(colored_size(A))) * sigma_ddot(alg, A)
-            elem = self._tails[A] = elem * _coset_sum(alg, A)
+            elem = self._tails[A] = tail_of(self._alg, A)
         return elem
 
     def _b_element(self, A: ColoredMatrix) -> HeckeElement:
@@ -254,22 +250,19 @@ def _identity(c: RingElem) -> RingElem:
     return c
 
 
-def _coset_sum(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
-    """Sum of T_v over the coset representatives closing b_A on the right."""
-    seq = alg.zero()
-    for v in coset_reps_within(colored_col_sums(A), nu_of(colored_size(A))):
-        seq = seq + alg.from_perm(v)
-    return seq
+def tail_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
+    """T_d sigma(A) (sum of T_v over the coset representatives closing it):
+    b_A without the leading symmetrizer, in alg (X's in place of L's in the
+    affine algebra)."""
+    size = colored_size(A)
+    reps = coset_reps_within(colored_col_sums(A), nu_of(size))
+    seq = alg.elem({(v, (0,) * alg.r): alg.one_c for v in reps})
+    return alg.from_perm(theta_inverse(size)) * sigma_ddot(alg, A) * seq
 
 
-def b_element_affine(alg: AffineAlgebra, A: ColoredMatrix) -> AffineElement:
-    """The affine lift of b_A, with X's in place of L's."""
-    lam = colored_row_sums(A)
-    if alg.r != sum(lam):
-        raise ValueError("rank mismatch")
-    d = theta_inverse(colored_size(A))
-    elem = alg.x_lambda(lam) * alg.from_perm(d) * sigma_ddot(alg, A)
-    return elem * _coset_sum(alg, A)
+def b_element_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
+    """b_A = x_lam tail(A) in alg, lam the row sums of A."""
+    return alg.x_lambda(colored_row_sums(A)) * tail_of(alg, A)
 
 
 # -- triangular expansion in the hom basis ---------------------------------
@@ -373,15 +366,10 @@ def express_in_hom_basis(
     """
     lam = check_composition(lam)
     mu = check_composition(mu)
-    # z on ctx's own algebra: eliminate there and expand the result; z on
-    # ctx.hecke: eliminate in u against the expanded coordinates.
-    if z.alg is ctx._alg or z.alg == ctx._alg:
-        b_coords, expand = ctx._b_coords, ctx._expand
-    elif z.alg == ctx.hecke:
-        b_coords, expand = ctx.b_coords, _identity
-    else:
+    if z.alg != ctx.hecke:
         raise ValueError("element does not belong to the context's algebra")
-    return _eliminate(ctx, module_coords(z, lam), lam, mu, b_coords, expand)
+    # Eliminate in u, against the expanded coordinates of the b_C.
+    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords, _identity)
 
 
 def _eliminate(
@@ -527,7 +515,7 @@ def verify_rank(
     For each pair of weights the coordinate vectors of the b's are stacked
     and their rank is certified (modularly, or exactly with Bareiss) to
     equal the block size.  The coordinates are taken on the context's own
-    algebra, in e-coordinates unless ``hecke=`` was given.  Returns a
+    algebra, in e-coordinates.  Returns a
     report with the certified total and the closed-form count.
     """
     from .ring import exact_rank

@@ -31,7 +31,7 @@ from .permutations import (
     young_subgroup,
 )
 from .ring import RingElem
-from .schur import SchurContext
+from .schur import b_element_of
 from .wreath import (
     ColoredMatrix,
     ColoredPerm,
@@ -45,6 +45,7 @@ from .wreath import (
     colored_t,
     colored_word,
     double_coset_rep,
+    enumerate_colored,
     j_supported,
     nu_colored,
     tilde_offsets,
@@ -251,16 +252,12 @@ def verify_route_agreement(
     column-major flip-factor product, over Theta_2(n, r)."""
     if alg is None:
         alg = typeb_algebra(r)
-    ctx = SchurContext(2, n, r, hecke=alg)
-    basis = ctx.basis()
+    basis = list(enumerate_colored(n, r, 2))
     if sample is not None and sample < len(basis):
         import random
 
         basis = random.Random(seed).sample(basis, k=sample)
-    bad = []
-    for A in basis:
-        if ctx.b_element(A) != route_product(alg, A):
-            bad.append(A)
+    bad = [A for A in basis if b_element_of(alg, A) != route_product(alg, A)]
     return {"n": n, "r": r, "checked": len(basis), "ok": not bad, "failures": bad}
 
 
@@ -293,17 +290,17 @@ def group_element_key(w: ColoredPerm) -> tuple[Permutation, tuple[int, ...]]:
     return (w.perm, w.colors)
 
 
-def verify_group_algebra_basis(n: int, r: int, ctx: SchurContext | None = None) -> dict:
+def verify_group_algebra_basis(n: int, r: int) -> dict:
     """At q = 1, u = (-1, 1) every b_A degenerates to its double-coset sum."""
-    if ctx is None:
-        ctx = SchurContext(2, n, r)
+    alg = HeckeAlgebra(2, r)
+    basis = list(enumerate_colored(n, r, 2))
     bad = []
-    for A in ctx.basis():
-        lhs = group_specialize(ctx.b_element(A))
+    for A in basis:
+        lhs = group_specialize(b_element_of(alg, A))
         rhs = {group_element_key(w): Fraction(1) for w in matrix_double_coset(A)}
         if lhs != rhs:
             bad.append(A)
-    return {"n": n, "r": r, "checked": len(ctx.basis()), "ok": not bad, "failures": bad}
+    return {"n": n, "r": r, "checked": len(basis), "ok": not bad, "failures": bad}
 
 
 def example_matrix() -> ColoredMatrix:
@@ -338,8 +335,7 @@ def verify_worked_example(alg: HeckeAlgebra | None = None) -> dict:
     )
     checks["t_product_expansion"] = lead == expansion
 
-    ctx = SchurContext(2, 2, 3, hecke=alg)
-    b = ctx.b_element(A)
+    b = b_element_of(alg, A)
     x_lam = alg.x_lambda(lam)
     x_mu = alg.x_lambda(mu)
     qinv = RingElem.q_power(-1, alg.nvars)

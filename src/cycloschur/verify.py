@@ -38,7 +38,7 @@ from .permutations import compositions, young_subgroup, young_subgroup_size
 from .ring import RingElem, poincare_polynomial
 from .schur import (
     SchurContext,
-    b_element_affine,
+    b_element_of,
     basis_element,
     identity_element,
     multiply_basis,
@@ -54,7 +54,7 @@ from .typeb import (
     verify_single_row_coset_basis,
     verify_worked_example,
 )
-from .wreath import colored_col_sums, group_by_row_sums
+from .wreath import colored_col_sums, colored_count, group_by_row_sums
 
 SUITE_NAMES = (
     "pbw",
@@ -129,6 +129,14 @@ def _schur(p: SuiteParams, contexts: Contexts, n: int | None = None) -> SchurCon
         ctx = contexts[key] = SchurContext(*key)
     ctx.basis(p.guard)
     return ctx
+
+
+def _trials(p: SuiteParams, least: int, per_trial: int, what: str) -> int:
+    """max(--trials, least), once that many trials times per_trial, the
+    work of one trial, is within --guard."""
+    trials = max(p.trials, least)
+    check_guard(trials * per_trial, p.guard, f"{what} over {trials} trials")
+    return trials
 
 
 # -- random elements -------------------------------------------------------
@@ -214,38 +222,22 @@ def suite_pbw(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
 
     out.append(_run_check("pbw.cyclotomic", base, cyclotomic))
 
-    def roundtrip():
-        ks = keys()
-        for t in range(max(p.trials, 3)):
-            x = _random_hecke(alg, rng, ks)
-            if from_left_form(to_left_form(x)) != x:
-                return False, {"trial": t}
-        return True, {"trials": max(p.trials, 3)}
+    def law(check_id: str, arity: int, holds: Callable[..., bool]) -> None:
+        """A check that ``holds`` on random elements, --trials times (at least 3)."""
 
-    out.append(_run_check("pbw.roundtrip", base, roundtrip))
+        def trials_hold():
+            ks = keys()
+            trials = _trials(p, 3, len(ks), f"normal-form monomials of {check_id}")
+            for t in range(trials):
+                if not holds(*(_random_hecke(alg, rng, ks) for _ in range(arity))):
+                    return False, {"trial": t}
+            return True, {"trials": trials}
 
-    def assoc():
-        ks = keys()
-        for t in range(max(p.trials, 3)):
-            x = _random_hecke(alg, rng, ks)
-            y = _random_hecke(alg, rng, ks)
-            z = _random_hecke(alg, rng, ks)
-            if (x * y) * z != x * (y * z):
-                return False, {"trial": t}
-        return True, {"trials": max(p.trials, 3)}
+        out.append(_run_check(check_id, base, trials_hold))
 
-    out.append(_run_check("pbw.assoc", base, assoc))
-
-    def anti():
-        ks = keys()
-        for t in range(max(p.trials, 3)):
-            x = _random_hecke(alg, rng, ks)
-            y = _random_hecke(alg, rng, ks)
-            if tau(x * y) != tau(y) * tau(x):
-                return False, {"trial": t}
-        return True, {"trials": max(p.trials, 3)}
-
-    out.append(_run_check("pbw.tau-anti", base, anti))
+    law("pbw.roundtrip", 1, lambda x: from_left_form(to_left_form(x)) == x)
+    law("pbw.assoc", 3, lambda x, y, z: (x * y) * z == x * (y * z))
+    law("pbw.tau-anti", 2, lambda x, y: tau(x * y) == tau(y) * tau(x))
     return out
 
 
@@ -285,13 +277,14 @@ def suite_straighten(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
 
     def jm_commute():
         alg.check_dim(p.guard)
-        for t in range(max(p.trials, 3)):
+        trials = _trials(p, 3, alg.dim(), "normal-form monomials of the JM products")
+        for t in range(trials):
             a = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
             b = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
             x, y = alg.jm_monomial(a), alg.jm_monomial(b)
             if x * y != y * x:
                 return False, {"a": a, "b": b}
-        return True, {"trials": max(p.trials, 3)}
+        return True, {"trials": trials}
 
     out.append(_run_check("straighten.jm-commute", base, jm_commute))
     return out
@@ -334,6 +327,8 @@ def suite_rank(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
 
     def ranked():
         ctx = _schur(p, contexts)
+        if not p.exact:
+            _trials(p, 1, len(ctx.weights()) ** 2, "modular ranks of the blocks")
         rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
         return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}
 
@@ -396,11 +391,11 @@ def suite_schur_mult(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
         ctx = _schur(p, contexts)
         basis = ctx.basis()
         by_ro = group_by_row_sums(basis)
-        bound = max(p.trials, 5) * 2 * (1 + len(basis))  # per triple: 2 (1 + |basis|)
-        check_guard(bound, p.guard, "basis products of the associativity check")
+        # per triple: 2 (1 + |basis|) basis products
+        trials = _trials(p, 5, 2 * (1 + len(basis)), "basis products of the associativity check")
         done = 0
         for _ in range(200):
-            if done >= max(p.trials, 5):
+            if done >= trials:
                 break
             A = rng.choice(basis)
             bs = by_ro.get(colored_col_sums(A))
@@ -451,7 +446,7 @@ def suite_typeb(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     out.append(_run_check("typeb.example", base, example))
 
     def routes():
-        count = math.comb(2 * p.n * p.n + p.r - 1, p.r)
+        count = colored_count(p.n, p.r, 2)
         check_guard(count, p.guard, "two-color route comparison")
         sample = None if count <= 150 else 60
         rep = verify_route_agreement(p.n, p.r, sample=sample, seed=p.seed)
@@ -460,8 +455,7 @@ def suite_typeb(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
     out.append(_run_check("typeb.routes", base, routes))
 
     def group_algebra():
-        count = math.comb(2 * p.n * p.n + p.r - 1, p.r)
-        check_guard(count, p.guard, "group algebra degeneration")
+        check_guard(colored_count(p.n, p.r, 2), p.guard, "group algebra degeneration")
         rep = verify_group_algebra_basis(p.n, p.r)
         return rep["ok"], {"checked": rep["checked"]}
 
@@ -514,7 +508,7 @@ def suite_epsilon(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
 
     def multiplicative():
         target.check_dim(p.guard)
-        trials = max(p.trials, 5)
+        trials = _trials(p, 5, target.dim(), "normal-form monomials of the multiplicativity trials")
         for t in range(trials):
             x = _random_affine(aff, rng)
             y = _random_affine(aff, rng)
@@ -534,7 +528,7 @@ def suite_epsilon(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
         basis = ctx.basis()
         sample = basis if len(basis) <= 150 else rng.sample(basis, k=60)
         for A in sample:
-            lifted = b_element_affine(aff, A)
+            lifted = b_element_of(aff, A)
             if epsilon_u(lifted, ctx.hecke) != ctx.b_element(A):
                 return False, {"A": A}
         return True, {"checked": len(sample)}

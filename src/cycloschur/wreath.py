@@ -260,7 +260,7 @@ def enumerate_colored(
     There are C(m n^2 + r - 1, r) of them; guarded against explosion.
     """
     cells = m * n * n
-    check_guard(math.comb(cells + r - 1, r), guard, f"colored matrices ({m},{n},{r})")
+    check_guard(colored_count(n, r, m), guard, f"colored matrices ({m},{n},{r})")
     for flat in compositions(r, cells):
         yield tuple(
             tuple(

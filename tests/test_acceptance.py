@@ -40,7 +40,7 @@ from cycloschur.permutations import (
 from cycloschur.ring import RingElem, poincare_polynomial
 from cycloschur.schur import (
     SchurContext,
-    b_element_affine,
+    b_element_of,
     eigen_certificate,
     phi_pair,
     verify_commutative,
@@ -173,7 +173,7 @@ def test_criterion_04_two_color_symmetrizer_coset_sums():
 def test_criterion_05_group_algebra_degeneration():
     checked = 0
     for n, r in ((2, 2), (2, 3)):
-        rep = verify_group_algebra_basis(n, r, ctx=ctx_for(2, n, r))
+        rep = verify_group_algebra_basis(n, r)
         if not rep["ok"]:
             report(5, False, "group-algebra degeneration of the hom basis",
                    f"(n, r) = {(n, r)} failures {rep['failures'][:2]}")
@@ -377,7 +377,7 @@ def test_criterion_11_affine_evaluation_layer():
     ctx = ctx_for(2, 2, 2)
     aff222 = AffineAlgebra(2, nvars=2)
     for A in ctx.basis():
-        if epsilon_u(b_element_affine(aff222, A), ctx.hecke) != ctx.b_element(A):
+        if epsilon_u(b_element_of(aff222, A), ctx.hecke) != ctx.b_element(A):
             report(11, False, "affine lift of the hom basis", f"A = {A}")
 
     # (c) coefficient symmetry of symmetrizer times symmetric function

@@ -368,6 +368,24 @@ def test_tables_corrupt_cache_is_ignored(tmp_path, capsys):
     assert code == 0 and again == good
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_tables_unusable_cache_dir_exits_2(tmp_path, capsys, monkeypatch, below, via):
+    # A regular file as the cache directory, or a directory under one: the
+    # table is computed, then storing it fails with an OSError.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    directory = str(blocker / below) if below else str(blocker)
+    argv = ["tables", "--m", "1", "--n", "1", "--r", "1"]
+    if via == "flag":
+        argv += ["--cache-dir", directory]
+    else:
+        monkeypatch.setenv(cache.ENV_VAR, directory)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err)
+    assert "not-a-dir" in err
+
+
 def test_cache_store_load_roundtrip(tmp_path):
     payload = {"values": [1, 2, 3]}
     cache.store(tmp_path, "demo", {"k": 1}, payload)
@@ -525,6 +543,26 @@ def test_verify_checks_epsilon_trials_against_the_guard():
     report = verify_in_subprocess("epsilon", "--m", "2", "--n", "2", "--r", "4", "--guard", "384")
     status = {c["check"]: c["status"] for c in report["checks"]}
     assert status["epsilon.multiplicative"] == "skipped(guard)", status
+
+
+@pytest.mark.parametrize(
+    "suite,checks",
+    [
+        ("pbw", ("pbw.roundtrip", "pbw.assoc", "pbw.tau-anti")),
+        ("straighten", ("straighten.jm-commute",)),
+        ("rank", ("rank.blocks",)),
+        ("epsilon", ("epsilon.multiplicative",)),
+    ],
+)
+@pytest.mark.parametrize("guard", [("--guard", "10"), ()], ids=["guard-10", "default-guard"])
+def test_verify_checks_trial_counts_against_the_guard(suite, checks, guard):
+    # At 10^8 trials each of these loops ran until killed, past 10 s at
+    # --guard 10 and past 20 s at the default guard.
+    report = verify_in_subprocess(
+        suite, "--m", "1", "--n", "1", "--r", "1", "--trials", "100000000", *guard
+    )
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert all(status[check] == "skipped(guard)" for check in checks), status
 
 
 # S(3; 3, 2) has 378 basis matrices.  Every check that enumerates them skips

@@ -28,7 +28,7 @@ from cycloschur.schur import (
     NotInSpanError,
     SchurContext,
     SchurElement,
-    b_element_affine,
+    b_element_of,
     basis_element,
     diagonal_matrix,
     embed_matrix,
@@ -42,6 +42,7 @@ from cycloschur.schur import (
     matrix_to_json,
     multiply_basis,
     phi_pair,
+    tail_of,
     verify_commutative,
     verify_hom_space_dims,
     verify_rank,
@@ -212,7 +213,7 @@ def test_memoised_elimination_matches_fresh_context(mnr):
         for A, B in _composable_pairs(shared)
     }
     fresh = {
-        pair: express_in_hom_basis(SchurContext(*mnr, hecke=shared.hecke), *args)
+        pair: express_in_hom_basis(SchurContext(*mnr), *args)
         for pair, args in products.items()
     }
     assert not shared._order_keys and not shared._recovered
@@ -431,7 +432,7 @@ def test_hom_space_dims_full():
 
 def test_hom_space_nullity_matches_block():
     alg = HeckeAlgebra(2, 3)
-    ctx = SchurContext(2, 2, 3, hecke=alg)
+    ctx = SchurContext(2, 2, 3)
     lam, mu = (2, 1), (1, 2)
     expected = len(ctx.basis_block(lam, mu))
     assert hom_space_nullity(alg, lam, mu, seed=9) == expected
@@ -449,14 +450,35 @@ def test_eigen_certificate():
 def test_affine_b_maps_to_cyclotomic_b():
     aff = AffineAlgebra(2, nvars=2)
     for A in CTX222.basis():
-        za = b_element_affine(aff, A)
+        za = b_element_of(aff, A)
         assert epsilon_u(za, CTX222.hecke) == CTX222.b_element(A)
+        assert epsilon_u(tail_of(aff, A), CTX222.hecke) == CTX222.tail(A)
 
 
 def test_affine_b_rank_mismatch():
     aff = AffineAlgebra(3, nvars=2)
     with pytest.raises(ValueError):
-        b_element_affine(aff, CTX222.basis()[0])
+        b_element_of(aff, CTX222.basis()[0])
+    with pytest.raises(ValueError):
+        tail_of(aff, CTX222.basis()[0])
+
+
+def test_b_element_of_is_the_context_value_over_u():
+    # The context caches b_A in e-coordinates and expands it; the module
+    # functions evaluate the formula directly over u.
+    for ctx in (CTX122, CTX222, SchurContext(3, 1, 2)):
+        alg = HeckeAlgebra(ctx.m, ctx.r)
+        for A in ctx.basis():
+            assert ctx.tail(A) == tail_of(alg, A)
+            assert ctx.b_element(A) == b_element_of(alg, A)
+            assert ctx._b_element(A) == b_element_of(ctx._alg, A)
+
+
+def test_context_has_no_algebra_option():
+    with pytest.raises(TypeError):
+        SchurContext(2, 2, 2, hecke=HeckeAlgebra(2, 2))
+    assert SchurContext(2, 2, 2) == CTX222
+    assert SchurContext(2, 2, 3) != CTX222
 
 
 # -- serialization and misc ------------------------------------------------

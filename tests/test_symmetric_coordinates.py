@@ -1,39 +1,43 @@
-"""The Schur layer in e-coordinates against the same layer over u.
+"""The Schur layer in e-coordinates against the same formulas over u.
 
 ``SchurContext(m, n, r)`` straightens over Z[q^±1][e_1..e_m] and expands
-to u where a value leaves it; ``SchurContext(m, n, r,
-hecke=HeckeAlgebra(m, r))`` runs the same code over u with the identity
-map, and is the oracle here.  Both rings have m variables, so an
-e-coefficient that leaked out unexpanded would raise nothing: every public
-method that returns coefficients is compared.
+to u where a value leaves it.  The oracle here builds nothing of the
+context: it evaluates b_A and tail(B) with ``b_element_of``/``tail_of`` in
+a ``HeckeAlgebra(m, r)`` of its own over u, checks each product through
+the identity sum_C c_C b_C = b_A tail(B) in that algebra, and checks the
+ranks of the u-coordinates against the closed form.  Both rings have m
+variables, so an e-coefficient that leaked out unexpanded would raise
+nothing: every public method that returns coefficients is compared.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from cycloschur.hecke import HeckeAlgebra
-from cycloschur.ring import RingElem
+from cycloschur.hecke import HeckeAlgebra, module_coords
+from cycloschur.ring import RingElem, RingMatrix, modular_rank
 from cycloschur.schur import (
     SchurContext,
+    b_element_of,
     express_in_hom_basis,
     multiply_basis,
+    tail_of,
     verify_commutative,
     verify_rank,
 )
-from cycloschur.wreath import colored_col_sums, colored_row_sums
+from cycloschur.wreath import colored_col_sums, colored_count, colored_row_sums
 
 GRIDS = [(m, n, r) for m in (1, 2, 3) for n, r in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
 
-_PAIRS: dict[tuple[int, int, int], tuple[SchurContext, SchurContext]] = {}
+_CONTEXTS: dict[tuple[int, int, int], tuple[SchurContext, HeckeAlgebra]] = {}
 
 
-def contexts(grid) -> tuple[SchurContext, SchurContext]:
-    """(the context in e-coordinates, its oracle over u), shared per grid."""
-    if grid not in _PAIRS:
+def contexts(grid) -> tuple[SchurContext, HeckeAlgebra]:
+    """(the context in e-coordinates, the oracle's algebra over u), per grid."""
+    if grid not in _CONTEXTS:
         m, _, r = grid
-        _PAIRS[grid] = (SchurContext(*grid), SchurContext(*grid, hecke=HeckeAlgebra(m, r)))
-    return _PAIRS[grid]
+        _CONTEXTS[grid] = (SchurContext(*grid), HeckeAlgebra(m, r))
+    return _CONTEXTS[grid]
 
 
 def u_polys(m: int):
@@ -47,25 +51,35 @@ def u_polys(m: int):
     )
 
 
+def combination(alg: HeckeAlgebra, coeffs: dict):
+    """sum_C coeffs[C] b_C in alg."""
+    z = alg.zero()
+    for C, f in coeffs.items():
+        z = z + b_element_of(alg, C).scale(f)
+    return z
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_public_values_match_the_u_ring(data):
     grid = data.draw(st.sampled_from(GRIDS), label="grid")
-    ctx, oracle = contexts(grid)
-    assert ctx == oracle
+    ctx, u_alg = contexts(grid)
     # m > 1 runs on its own algebra over e; m = 1 has e_1 = u_1
     assert (ctx._alg is ctx.hecke) == (grid[0] == 1)
+    assert ctx.hecke == u_alg and ctx.hecke is not u_alg
     basis = ctx.basis()
     A = data.draw(st.sampled_from(basis), label="A")
     partners = [B for B in basis if colored_row_sums(B) == colored_col_sums(A)]
     B = data.draw(st.sampled_from(partners), label="B")
-    assert multiply_basis(ctx, A, B) == multiply_basis(oracle, A, B)
+    product = multiply_basis(ctx, A, B)
+    assert combination(u_alg, product) == b_element_of(u_alg, A) * tail_of(u_alg, B)
     # No L-exponent of b_A or tail(B) reaches m, so their coefficients lie
     # in Z[q^±1]: these compare the algebra the values live on, and the
     # parameters first appear in products (multiply_basis, express).
-    assert ctx.b_element(A) == oracle.b_element(A)
-    assert ctx.tail(B) == oracle.tail(B)
-    assert ctx.b_coords(A) == oracle.b_coords(A)
+    b_u = b_element_of(u_alg, A)
+    assert ctx.b_element(A) == b_u
+    assert ctx.tail(B) == tail_of(u_alg, B)
+    assert ctx.b_coords(A) == module_coords(b_u, colored_row_sums(A))
     for x in (ctx.b_element(A), ctx.tail(B)):
         assert x.alg is ctx.hecke
     # A u-element with coefficients that are not symmetric in u.
@@ -76,23 +90,49 @@ def test_public_values_match_the_u_ring(data):
     )
     coeffs = {C: data.draw(u_polys(grid[0]), label="f") for C in chosen}
     coeffs = {C: f for C, f in coeffs.items() if not f.is_zero()}
-    z = ctx.hecke.zero()
-    for C, f in coeffs.items():
-        z = z + oracle.b_element(C).scale(f)
-    assert express_in_hom_basis(ctx, z, lam, mu) == coeffs
-    assert express_in_hom_basis(oracle, z, lam, mu) == coeffs
+    assert express_in_hom_basis(ctx, combination(u_alg, coeffs), lam, mu) == coeffs
+
+
+def u_rank(u_alg: HeckeAlgebra, block: list) -> int:
+    """The modular rank of the u-coordinates of the b_A of one block."""
+    col_index: dict = {}
+    rows = [
+        {
+            col_index.setdefault(k, len(col_index)): c
+            for k, c in module_coords(b_element_of(u_alg, A), colored_row_sums(A)).items()
+        }
+        for A in block
+    ]
+    zero = RingElem.zero(u_alg.nvars)
+    entries = [row.get(j, zero) for row in rows for j in range(len(col_index))]
+    return modular_rank(RingMatrix(len(rows), len(col_index), entries), trials=2, seed=3)
 
 
 def test_rank_and_commutativity_match_the_u_ring():
     for grid in GRIDS:
-        ctx, oracle = contexts(grid)
+        ctx, u_alg = contexts(grid)
+        m, n, r = grid
+        closed_form = colored_count(n, r, m)
         for exact in (False, True):
             got = verify_rank(ctx, trials=2, seed=3, exact=exact)
-            assert got["ok"] and got == verify_rank(oracle, trials=2, seed=3, exact=exact)
+            assert got["ok"] and got["expected"] == got["certified"] == closed_form
+        total = 0
+        for lam in ctx.weights():
+            for mu in ctx.weights():
+                block = ctx.basis_block(lam, mu)
+                if block:
+                    assert u_rank(u_alg, block) == len(block)
+                    total += len(block)
+        assert total == closed_form
         # (3, 1, 3) takes seconds over u; its products are sampled above.
-        if grid[1] == 1 and grid != (3, 1, 3):
+        if n == 1 and grid != (3, 1, 3):
             got = verify_commutative(ctx)
-            assert got["ok"] and got == verify_commutative(oracle)
+            assert got["ok"] and got["size"] == closed_form
+            basis = ctx.basis()
+            for i, A in enumerate(basis):
+                for B in basis[i + 1:]:
+                    left = b_element_of(u_alg, A) * tail_of(u_alg, B)
+                    assert left == b_element_of(u_alg, B) * tail_of(u_alg, A)
 
 
 def test_internal_coefficients_are_in_e():

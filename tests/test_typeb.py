@@ -13,7 +13,7 @@ from cycloschur.guards import GuardError
 from cycloschur.hecke import HeckeAlgebra
 from cycloschur.permutations import coset_reps, identity, simple
 from cycloschur.ring import RingElem
-from cycloschur.schur import SchurContext
+from cycloschur.schur import SchurContext, b_element_of
 from cycloschur.typeb import (
     coset_sum,
     d_i_word,
@@ -288,9 +288,8 @@ def test_group_specialize_generic_vs_typeb():
     # the same b_A, built in either engine, degenerates identically
     A = example_matrix()
     gen_ctx = SchurContext(2, 2, 3)
-    tb_ctx = SchurContext(2, 2, 3, hecke=typeb_algebra(3))
     assert group_specialize(gen_ctx.b_element(A)) == group_specialize(
-        tb_ctx.b_element(A)
+        b_element_of(typeb_algebra(3), A)
     )
 
 
