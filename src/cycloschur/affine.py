@@ -79,7 +79,7 @@ class AffineAlgebra(AlgebraBase):
         a = tuple(int(v) for v in a)
         if len(a) != self.r:
             raise ValueError("exponent vector length mismatch")
-        return AffineElement(self, {(identity(self.r), a): self.one_c})
+        return AffineElement(self, {(identity(self.r), a): self._one})
 
     monomial = x_monomial
 
@@ -126,29 +126,31 @@ def epsilon_u(
         raise ValueError("rank mismatch")
     if target.nvars != alg.nvars:
         raise ValueError("coefficient rings differ")
-    if any(e < 0 for _, a in x.terms for e in a[1:]):
+    if any(e < 0 for _, a in x._terms for e in a[1:]):
         raise ValueError("negative powers of X_j (j > 1) have no direct image")
     l1_inv: HeckeElement | None = None
-    if any(a[0] < 0 for _, a in x.terms):
+    if any(a[0] < 0 for _, a in x._terms):
         if em_inverse is None:
             raise ValueError("negative powers of X_1 need a verified inverse of e_m(u)")
         l1_inv = _l1_inverse(target, em_inverse)
-    # k -> a with a_1 clamped at 0 -> the terms of P_a, for the terms of x
-    # whose power of X_1 is -k (k = 0 for every nonnegative power)
+    # k -> a with a_1 clamped at 0 -> the terms of P_a, lifted to target's
+    # coefficients, for the terms of x whose power of X_1 is -k (k = 0 for
+    # every nonnegative power)
     groups: dict[int, dict[tuple[int, ...], dict[TermKey, RingElem]]] = {}
     zero_a = (0,) * alg.r
-    for (w, a), c in x.terms.items():
+    lift = target._lift
+    for (w, a), c in x._terms.items():
         a_plus = (max(a[0], 0),) + a[1:]
-        groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = c
+        groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = lift(c)
     exps = {a for by_a in groups.values() for a in by_a}
-    powers = dict(HeckeElement._rmul_exponent_group(target, target.one().terms, exps))
+    powers = dict(HeckeElement._rmul_exponent_group(target, target.one()._terms, exps))
     total = target.zero()
     for k, by_a in groups.items():
         acc: dict[TermKey, RingAccumulator] = {}
         for a, p_terms in by_a.items():
             power = powers[a]
             for key, terms in HeckeElement(target, p_terms)._rmul_monomials(power):
-                _add_products(acc, target.nvars, terms.items(), power[key])
+                _add_products(acc, target._cvars, terms.items(), power[key])
         part = HeckeElement(target, _collect(acc))
         for _ in range(k):
             part = part * l1_inv

@@ -32,11 +32,18 @@ The parameters reach straightening only through the coefficients
 overflow[k-1] = (-1)^(k+1) e_k(u) of the cyclotomic relation, which
 identify the algebra.  ``HeckeAlgebra(m, r)`` uses the generic u_1..u_m;
 explicit ring elements (for instance (-1, Q) at two parameters) give
-specialized models; ``overflow=`` takes the coefficients directly.  With
-free variables e_k in place of e_k(u), the algebra lives over
-Z[q^±1][e_1..e_m]: the slim Schur algebras straighten there and expand
-to u only where a coefficient leaves them (``schur.SchurContext``).  The
-code path is the same in every case.
+specialized models; ``overflow=`` takes the coefficients directly.
+
+An algebra with the generic coefficients +-e_k(u_1..u_m), however given,
+keeps its coefficients privately (``_terms``) over
+Z[q^±1][e_1..e_m][u_1..u_nvars] with e_k free, so its step tables hold
+short e-polynomials.  A coefficient is lifted where it enters (``elem``,
+``scale``, ``epsilon_u``) and expanded by ``ring.ElementaryExpansion``
+where it is read: ``terms`` and all that reads it (printing, JSON, module
+coordinates, ``LeftForm``).  The expansion is not injective
+(u_1 + u_2 - e_1 goes to 0), so ``==`` and ``is_zero`` compare expansions
+unless the private forms are equal.  Specialized algebras (and the affine
+one) run the same code with the identity for both maps.
 
 ``AlgebraBase`` and ``ElementBase`` hold what the affine engine (``affine``)
 shares with this one: the linear structure (``LinearCombination``, shared
@@ -62,7 +69,7 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import RingAccumulator, RingElem, elementary_symmetric_of
+from .ring import ElementaryExpansion, RingAccumulator, RingElem, elementary_symmetric_of
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
@@ -88,7 +95,8 @@ class AlgebraBase:
     """What the cyclotomic and affine engines share.
 
     A context of rank r over Z[q, q^-1, u_1..u_nvars]: the ring constants
-    the straightening rules use, equality by ``_signature``, and the
+    (public, and lifted to the private ring of ``_cvars`` fields that the
+    straightening rules use), equality by ``_signature``, and the
     constructors of elements with zero exponent part.  A subclass names its
     element class in ``element_type`` and its constructor of the commuting
     monomials (L^a or X^a) in ``monomial``.
@@ -96,12 +104,17 @@ class AlgebraBase:
 
     element_type: type[ElementBase]
 
-    def _init_ring(self, r: int, nvars: int) -> None:
+    def _init_ring(self, r: int, nvars: int, expansion: ElementaryExpansion | None = None) -> None:
         self.r = r
         self.nvars = nvars
         self.q = RingElem.q_power(1, nvars)
         self.one_c = RingElem.one(nvars)
         self.qm1 = self.q - self.one_c
+        # The private coefficient ring: with an expansion, its m e-fields
+        # come before the nvars u-fields; without one it is the public ring.
+        self._expansion = expansion
+        self._cvars = nvars if expansion is None else expansion.m + nvars
+        self._q, self._one, self._qm1 = map(self._lift, (self.q, self.one_c, self.qm1))
         # Step tables, filled lazily by _rmul_T/_rmul_L: _steps_T[i] maps a
         # monomial T_w M^a to the right action of T_i on it, as a tuple of
         # (monomial, constant) pairs, and _steps_L[j] does the same for L_j.
@@ -118,9 +131,22 @@ class AlgebraBase:
     def __hash__(self):
         return hash(self._signature())
 
+    def _lift(self, c: RingElem) -> RingElem:
+        """A public coefficient in the private ring."""
+        return c if self._expansion is None else self._expansion.lift(c)
+
+    def _public(self, terms: dict) -> dict:
+        """A dict of private coefficients expanded to the public ring,
+        without the entries that expand to zero (terms itself if there is
+        no expansion)."""
+        expand = self._expansion
+        if expand is None:
+            return terms
+        return {key: image for key, c in terms.items() if (image := expand(c)).terms}
+
     def elem(self, terms: Mapping[TermKey, RingElem]) -> ElementBase:
-        clean = {k: c for k, c in terms.items() if not c.is_zero()}
-        return self.element_type(self, clean)
+        lift = self._lift
+        return self.element_type(self, {k: lift(c) for k, c in terms.items() if not c.is_zero()})
 
     def zero(self) -> ElementBase:
         return self.element_type(self, {})
@@ -139,7 +165,7 @@ class AlgebraBase:
     def from_perm(self, w: Permutation) -> ElementBase:
         if w.size != self.r:
             raise ValueError("permutation size mismatch")
-        return self.element_type(self, {(w, (0,) * self.r): self.one_c})
+        return self.element_type(self, {(w, (0,) * self.r): self._one})
 
     def x_lambda(self, lam: Sequence[int], guard: int | None = None) -> ElementBase:
         """The q-symmetrizer sum of T_w over the Young subgroup of lam."""
@@ -149,20 +175,25 @@ class AlgebraBase:
         check_guard(young_subgroup_size(lam), guard, f"Young subgroup of {lam}")
         zero_a = (0,) * self.r
         return self.element_type(
-            self, {(w, zero_a): self.one_c for w in young_subgroup(lam)}
+            self, {(w, zero_a): self._one for w in young_subgroup(lam)}
         )
 
 
 class LinearCombination:
-    """A sparse R-linear combination: ``terms`` maps basis keys to nonzero
+    """A sparse R-linear combination: ``_terms`` maps basis keys to nonzero
     coefficients, over the structure ``alg`` (an algebra, or a Schur
-    context), which + and == compare."""
+    context), which + and == compare.  ``terms`` is what a caller reads:
+    ``_terms`` itself here, the expanded coefficients in ``ElementBase``."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "_terms")
 
     def __init__(self, alg, terms: dict):
         self.alg = alg
-        self.terms = terms
+        self._terms = terms
+
+    @property
+    def terms(self) -> dict:
+        return self._terms
 
     def _check(self, other: LinearCombination) -> None:
         if self.alg != other.alg:
@@ -170,13 +201,13 @@ class LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._terms)
+        for k, c in other._terms.items():
             _add_term(out, k, c)
         return type(self)(self.alg, out)
 
     def __neg__(self):
-        return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.alg, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -184,15 +215,18 @@ class LinearCombination:
     def scale(self, c: RingElem):
         if c.is_zero():
             return type(self)(self.alg, {})
-        return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.alg, {k: v * c for k, v in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
+        # Equal private forms have equal public ones; else compare those.
+        return self.alg == other.alg and (
+            self._terms == other._terms or self.terms == other.terms
+        )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms or not self.terms
 
 
 class ElementBase(LinearCombination):
@@ -201,12 +235,21 @@ class ElementBase(LinearCombination):
     M is L in the cyclotomic engine and X in the affine one (``symbol``).
     The engines differ only in how a normal-form dict is multiplied on the
     right by M^a, which each supplies as ``_rmul_exponent_group``.
+    Coefficients enter through the algebra's lift and are read through its
+    expansion (see the module docstring).
     """
 
     __slots__ = ()
 
+    @property
+    def terms(self) -> dict[TermKey, RingElem]:
+        return self.alg._public(self._terms)
+
+    def scale(self, c: RingElem) -> ElementBase:
+        return super().scale(self.alg._lift(c))
+
     def rmul_gen_T(self, i: int) -> ElementBase:
-        return type(self)(self.alg, _rmul_T(self.alg, self.terms, i))
+        return type(self)(self.alg, _rmul_T(self.alg, self._terms, i))
 
     # -- multiplication ----------------------------------------------------
 
@@ -221,7 +264,7 @@ class ElementBase(LinearCombination):
         groups: dict[tuple[int, ...], tuple[Permutation, list[tuple[int, ...]]]] = {}
         for w2, a2 in keys:
             groups.setdefault(w2.word(), (w2, []))[1].append(a2)
-        for word, cur in _walk_words(self.terms, groups, lambda t, i: _rmul_T(alg, t, i)):
+        for word, cur in _walk_words(self._terms, groups, lambda t, i: _rmul_T(alg, t, i)):
             w2, exps = groups[word]
             for a2, terms in self._rmul_exponent_group(alg, cur, exps):
                 yield (w2, a2), terms
@@ -230,8 +273,8 @@ class ElementBase(LinearCombination):
         """self * other: the straightened monomials of other
         (``_rmul_monomials``), with other's coefficients multiplied in last."""
         self._check(other)
-        coeffs = other.terms
-        nvars = self.alg.nvars
+        coeffs = other._terms
+        nvars = self.alg._cvars
         acc: dict[TermKey, RingAccumulator] = {}
         for key2, terms in self._rmul_monomials(coeffs):
             _add_products(acc, nvars, terms.items(), coeffs[key2])
@@ -243,10 +286,11 @@ class ElementBase(LinearCombination):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0].im, kv[0][1]))
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.sorted_terms()
+        if not terms:
             return "0"
         parts = []
-        for (w, a), c in self.sorted_terms():
+        for (w, a), c in terms:
             factors = []
             if not w.is_identity():
                 factors.append("T[" + ",".join(map(str, w.im)) + "]")
@@ -271,18 +315,18 @@ class HeckeElement(ElementBase):
     # -- generator actions -------------------------------------------------
 
     def rmul_gen_L(self, j: int) -> HeckeElement:
-        return HeckeElement(self.alg, _rmul_L(self.alg, self.terms, j))
+        return HeckeElement(self.alg, _rmul_L(self.alg, self._terms, j))
 
     def lmul_gen_T(self, i: int) -> HeckeElement:
         """Left multiplication T_i * x in a single pass (L parts untouched)."""
         alg = self.alg
         out: dict[TermKey, RingElem] = {}
-        for (w, a), c in self.terms.items():
+        for (w, a), c in self._terms.items():
             if not w.has_left_descent(i):
                 _add_term(out, (_swap_values(w, i), a), c)
             else:
-                _add_term(out, (w, a), c * alg.qm1)
-                _add_term(out, (_swap_values(w, i), a), c * alg.q)
+                _add_term(out, (w, a), c * alg._qm1)
+                _add_term(out, (_swap_values(w, i), a), c * alg._q)
         return HeckeElement(alg, out)
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
@@ -334,17 +378,21 @@ class HeckeAlgebra(AlgebraBase):
             u_params = tuple(u_params)
             if len(u_params) != m:
                 raise ValueError(f"need {m} parameters, got {len(u_params)}")
-            overflow = [
-                elementary_symmetric_of(u_params, k).scale((-1) ** (k + 1))
-                for k in range(1, m + 1)
-            ]
+            overflow = _overflow_of(u_params)
         elif u_params is not None:
             raise ValueError("give u_params or overflow, not both")
         # L_1^m = sum_k overflow[k-1] L_1^{m-k}
         self.overflow = tuple(overflow)
         if len(self.overflow) != m or any(c.nvars != nvars for c in self.overflow):
             raise ValueError(f"need {m} coefficients in the declared ring")
-        self._init_ring(r, nvars)
+        # The generic relation straightens over free e_k (module docstring).
+        generic = nvars >= m and self.overflow == _overflow_of(
+            [RingElem.u_var(i, nvars) for i in range(1, m + 1)]
+        )
+        self._init_ring(r, nvars, ElementaryExpansion(m, nvars) if generic else None)
+        self._overflow = tuple(
+            RingElem.u_var(k, self._cvars).scale((-1) ** (k + 1)) for k in range(1, m + 1)
+        ) if generic else self.overflow
         self.m = m
         self.u_params = u_params
 
@@ -367,7 +415,7 @@ class HeckeAlgebra(AlgebraBase):
         a = tuple(int(x) for x in a)
         if len(a) != self.r or any(x < 0 for x in a):
             raise ValueError(f"bad exponent vector {a}")
-        [(_, terms)] = HeckeElement._rmul_exponent_group(self, self.one().terms, [a])
+        [(_, terms)] = HeckeElement._rmul_exponent_group(self, self.one()._terms, [a])
         return HeckeElement(self, terms)
 
     monomial = jm_monomial
@@ -383,6 +431,14 @@ class HeckeAlgebra(AlgebraBase):
         for w in all_perms(self.r):
             for a in itertools.product(range(self.m), repeat=self.r):
                 yield (w, a)
+
+
+def _overflow_of(u_params: Sequence[RingElem]) -> tuple[RingElem, ...]:
+    """The coefficients (-1)^(k+1) e_k(u_params) of L_1^m's reduction."""
+    return tuple(
+        elementary_symmetric_of(u_params, k).scale((-1) ** (k + 1))
+        for k in range(1, len(u_params) + 1)
+    )
 
 
 def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:
@@ -446,7 +502,7 @@ def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
     ``table`` maps a monomial to its column, the generator's right action
     on it; a missing column is made by ``build(alg, monomial, g)``.
     """
-    nvars = alg.nvars
+    nvars = alg._cvars
     acc: dict[TermKey, RingAccumulator] = {}
     get = acc.get
     for key, c in terms.items():
@@ -487,18 +543,18 @@ def _t_column(alg: AlgebraBase, key: TermKey, i: int) -> dict[TermKey, RingElem]
     a_sw = a[: i - 1] + (aj, ai) + a[i + 1 :]
     wsi = _swap_positions(w, i)
     if w.im[i - 1] < w.im[i]:
-        _add_term(out, (wsi, a_sw), alg.one_c)
+        _add_term(out, (wsi, a_sw), alg._one)
     else:
-        _add_term(out, (w, a_sw), alg.qm1)
-        _add_term(out, (wsi, a_sw), alg.q)
+        _add_term(out, (w, a_sw), alg._qm1)
+        _add_term(out, (wsi, a_sw), alg._q)
     if ai < aj:
         for t in range(1, aj - ai + 1):
             b = list(a_sw)
             b[i - 1] -= t
             b[i] += t
-            _add_term(out, (w, tuple(b)), alg.qm1)
+            _add_term(out, (w, tuple(b)), alg._qm1)
     elif ai > aj:
-        neg_qm1 = -alg.qm1
+        neg_qm1 = -alg._qm1
         for t in range(0, ai - aj):
             b = list(a_sw)
             b[i - 1] += t
@@ -512,20 +568,20 @@ def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem
     w, a = key
     m = alg.m
     if a[j - 1] < m - 1:
-        return {(w, a[: j - 1] + (a[j - 1] + 1,) + a[j:]): alg.one_c}
+        return {(w, a[: j - 1] + (a[j - 1] + 1,) + a[j:]): alg._one}
     out: dict[TermKey, RingElem] = {}
     if j == 1:
         for k in range(1, m + 1):
-            _add_term(out, (w, (m - k,) + a[1:]), alg.overflow[k - 1])
+            _add_term(out, (w, (m - k,) + a[1:]), alg._overflow[k - 1])
         return out
     # overflow via L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}
-    cur: dict[TermKey, RingElem] = {key: alg.one_c}
+    cur: dict[TermKey, RingElem] = {key: alg._one}
     for i in range(j - 1, 0, -1):
         cur = _rmul_T(alg, cur, i)
     cur = _rmul_L(alg, cur, 1)
     for i in range(1, j):
         cur = _rmul_T(alg, cur, i)
-    scale = RingElem.q_power(1 - j, alg.nvars)
+    scale = RingElem.q_power(1 - j, alg._cvars)
     return {k: c * scale for k, c in cur.items()}
 
 
@@ -535,7 +591,8 @@ def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem
 def _from_left_terms(
     alg: HeckeAlgebra, items: Iterable[tuple[tuple[int, ...], Permutation, RingElem]]
 ) -> HeckeElement:
-    """Normal form of the sum of c L^a T_w over the triples (a, w, c)."""
+    """Normal form of the sum of c L^a T_w over the triples (a, w, c), c
+    private."""
     acc: dict[TermKey, RingElem] = {}
     id_r = identity(alg.r)
     for a, w, c in items:
@@ -552,11 +609,12 @@ def tau(x: HeckeElement) -> HeckeElement:
 
     Sends T_w L^a to L^a T_{w^{-1}}, re-expanded into normal form.
     """
-    return _from_left_terms(x.alg, ((a, w.inv(), c) for (w, a), c in x.terms.items()))
+    return _from_left_terms(x.alg, ((a, w.inv(), c) for (w, a), c in x._terms.items()))
 
 
 class LeftForm:
-    """An element written on the left-handed basis L^a T_w."""
+    """An element written on the left-handed basis L^a T_w, with public
+    coefficients."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -583,7 +641,8 @@ def to_left_form(x: HeckeElement) -> LeftForm:
 
 
 def from_left_form(lf: LeftForm) -> HeckeElement:
-    return _from_left_terms(lf.alg, ((a, w, c) for (a, w), c in lf.coeffs.items()))
+    lift = lf.alg._lift
+    return _from_left_terms(lf.alg, ((a, w, lift(c)) for (a, w), c in lf.coeffs.items()))
 
 
 # -- block elementary symmetric elements -----------------------------------
@@ -662,15 +721,20 @@ def module_coords(
     the normal-form terms of x by coset recovers the coordinates; any
     mismatch means x does not lie in the module, and raises.
     """
+    return _module_coords(x.alg, x.terms, lam)
+
+
+def _module_coords(alg: AlgebraBase, terms: Mapping[TermKey, RingElem], lam) -> dict:
+    """module_coords on a dict of normal-form terms: public ones, or private
+    ones free of u, whose expansion is injective."""
     lam = check_composition(lam)
-    alg = x.alg
     if sum(lam) != alg.r:
         raise ValueError(f"{lam} is not a composition of {alg.r}")
     size = young_subgroup_size(lam)
     reps = alg._coset_reps
     coords: dict[tuple[Permutation, tuple[int, ...]], RingElem] = {}
     counts: dict[tuple[Permutation, tuple[int, ...]], int] = {}
-    for (w, a), c in x.terms.items():
+    for (w, a), c in terms.items():
         d = reps.get((w, lam))
         if d is None:
             d = reps[(w, lam)] = right_coset_factor(w, lam)[1]
@@ -707,13 +771,15 @@ def appendix_basis_coords(
     representatives attached to the cell of d inside the Young subgroup of
     mu.  Triangular elimination: the longest surviving normal-form monomial
     of T_u T_d L^b T_v is T_{udv} L^{b v} with coefficient 1, so repeatedly
-    matching the longest term of x determines the coordinates.
+    matching the longest term of x determines the coordinates.  The
+    elimination runs on x's private form; its coordinates are expanded last
+    (a coordinate that expands to zero is dropped).
     """
     lam = check_composition(lam)
     mu = check_composition(mu)
     alg = x.alg
     coords: dict[tuple[Permutation, Permutation, tuple[int, ...], Permutation], RingElem] = {}
-    work = dict(x.terms)
+    work = dict(x._terms)
     while work:
         w, a = max(work, key=lambda k: (k[0].length(), k[0].im, k[1]))
         c = work[(w, a)]
@@ -723,7 +789,7 @@ def appendix_basis_coords(
         cur = coords.get(key)
         coords[key] = c if cur is None else cur + c
         # rebuild T_u T_d L^b T_v and subtract c times it
-        cur_terms: dict[TermKey, RingElem] = {((u * d), (0,) * alg.r): alg.one_c}
+        cur_terms: dict[TermKey, RingElem] = {((u * d), (0,) * alg.r): alg._one}
         for j in range(1, alg.r + 1):
             for _ in range(b[j - 1]):
                 cur_terms = _rmul_L(alg, cur_terms, j)
@@ -731,7 +797,7 @@ def appendix_basis_coords(
             cur_terms = _rmul_T(alg, cur_terms, letter)
         for key2, v2 in cur_terms.items():
             _add_term(work, key2, -(v2 * c))
-    return {k: c for k, c in coords.items() if not c.is_zero()}
+    return alg._public({k: c for k, c in coords.items() if not c.is_zero()})
 
 
 # -- serialization ---------------------------------------------------------

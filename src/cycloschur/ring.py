@@ -9,11 +9,11 @@ coefficients.  A monomial is the pair ``(q_exponent, u_exponents)`` with
 naturals; internally it is packed into one integer (see ``RingElem``), and
 callers read monomials back through ``sorted_terms`` and ``leading``.
 
-The same representation holds the symmetric ground ring
-Z[q, q^-1, e_1, ..., e_m], with e_k in the slot of u_k, which the slim
-Schur algebras straighten over (see ``schur``).  ``ElementaryExpansion``
-is the ring homomorphism e_k -> e_k(u_1, ..., u_m) back into R; it is the
-one place where coefficients cross from e- to u-coordinates.
+The same representation holds the mixed ring Z[q, q^-1][e_1..e_m][u_1..u_n],
+with e_k in m extra fields, over which a generic cyclotomic Hecke algebra
+straightens (see ``hecke``).  ``ElementaryExpansion`` (e_k -> e_k(u)) and
+its ``lift`` (zero e-fields) are the one place where coefficients cross
+between e- and u-coordinates.
 
 Also provided: elementary symmetric polynomials in the u-parameters (the
 coefficients of the cyclotomic relation), Poincare polynomials of Young
@@ -405,27 +405,43 @@ def elementary_symmetric_params(k: int, m: int) -> RingElem:
 
 
 class ElementaryExpansion:
-    """The ring homomorphism Z[q^±1][e_1..e_m] -> Z[q^±1][u_1..u_m] fixing q
-    and sending e_k (in the slot of u_k) to e_k(u_1, ..., u_m); injective.
+    """The ring homomorphism Z[q^±1][e_1..e_m][u_1..u_nvars] -> Z[q^±1][u_1..u_N],
+    N = max(m, nvars), fixing q and each u_i and sending e_k to
+    e_k(u_1, ..., u_m).  The e-fields of a key sit after q, the u-fields
+    after them; ``lift`` pads a u-ring element with zero e-fields.  The map
+    is injective on the elements free of u (u_1 + ... + u_m - e_1 goes to 0).
 
-    Images of e-monomials (the u-part of a packed key, shared by all powers
-    of q) and of elements are memoised; equal inputs share one output.
+    Images of e-monomials and of elements are memoised; equal inputs share
+    one output.  A term whose u-exponent plus e-degree passes ``U_EXP_MAX``
+    raises ``RingError`` before its image is formed.
     """
 
-    __slots__ = ("m", "_mask", "_gens", "_monomials", "_images")
+    __slots__ = ("m", "nvars", "width", "_gens", "_monomials", "_images")
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, nvars: int = 0):
         self.m = m
-        self._mask = (1 << (_W * m)) - 1
-        self._gens = [elementary_symmetric_params(k, m) for k in range(1, m + 1)]
+        self.nvars = nvars
+        self.width = max(m, nvars)
+        us = [RingElem.u_var(i, self.width) for i in range(1, m + 1)]
+        self._gens = [elementary_symmetric_of(us, k) for k in range(1, m + 1)]
         self._monomials: dict[int, RingElem] = {}
         self._images: dict[RingElem, RingElem] = {}
 
-    def _monomial(self, upart: int) -> RingElem:
-        exps = _unpack(upart, self.m)[1]
-        if sum(exps) > U_EXP_MAX:  # the u_1-exponent of the image
-            raise RingError(f"an expansion's u-exponents reach {sum(exps)}, past {U_EXP_MAX}")
-        out = RingElem.one(self.m)
+    def lift(self, c: RingElem) -> RingElem:
+        """c in Z[q^±1][u_1..u_nvars], as an element of the domain."""
+        if c.nvars != self.nvars:
+            raise RingError(f"expected {self.nvars} variables, got {c.nvars}")
+        umask, ebits = (1 << (_W * self.nvars)) - 1, _W * self.m
+        terms = {((key & ~umask) << ebits) + (key & umask): v for key, v in c.terms.items()}
+        return _make(self.nvars + self.m, terms, c._ubound)
+
+    def _monomial(self, epart: int, top: int) -> RingElem:
+        exps = _unpack(epart, self.m)[1]
+        if sum(exps) + top > U_EXP_MAX:  # the u_1-exponent of the image
+            raise RingError(
+                f"an expansion's u-exponents reach {sum(exps) + top}, past {U_EXP_MAX}"
+            )
+        out = RingElem.one(self.width)
         for gen, f in zip(self._gens, exps):
             out = out * gen**f
         return out
@@ -433,15 +449,23 @@ class ElementaryExpansion:
     def __call__(self, c: RingElem) -> RingElem:
         image = self._images.get(c)
         if image is None:
-            if c.nvars != self.m:
-                raise RingError(f"expected {self.m} variables, got {c.nvars}")
-            acc = RingAccumulator(self.m)
+            n, width = self.nvars, self.width
+            if c.nvars != self.m + n:
+                raise RingError(f"expected {self.m + n} variables, got {c.nvars}")
+            ubits, ebits = _W * n, _W * self.m
+            umask, emask = (1 << ubits) - 1, (1 << ebits) - 1
+            pad, qbits = _W * (width - n), _W * width
+            acc = RingAccumulator(width)
             for key, coeff in c.terms.items():
-                upart = key & self._mask
-                mono = self._monomials.get(upart)
+                upart = key & umask
+                rest = key >> ubits
+                epart = rest & emask
+                top = max(_unpack(upart, n)[1], default=0)
+                mono = self._monomials.get(epart)
                 if mono is None:
-                    mono = self._monomials[upart] = self._monomial(upart)
-                acc.add_product(mono, _make(self.m, {key - upart: coeff}, 0))
+                    mono = self._monomials[epart] = self._monomial(epart, top)
+                base = ((rest >> ebits) << qbits) + (upart << pad)
+                acc.add_product(mono, _make(width, {base: coeff}, top))
             image = self._images[c] = acc.value()
         return image
 

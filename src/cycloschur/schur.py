@@ -27,11 +27,13 @@ tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
 type-B specialisation, or the affine lift.  The parameters u reach
 straightening only through the coefficients +-e_k(u) of the cyclotomic
 relation, so every b_A and structure constant lies in Z[q^±1][e_1..e_m].
-A ``SchurContext`` straightens, eliminates and caches over an algebra
-``_alg`` on free variables e_1..e_m, and expands a coefficient to u
-(``ring.ElementaryExpansion``) only where it leaves the context: in
-``multiply_basis``, ``express_in_hom_basis``, ``tail``, ``b_element`` and
-``b_coords``.  At m = 1, e_1 = u_1, so ``_alg`` is ``hecke`` itself.  Rank
+A ``SchurContext`` straightens, memoises and eliminates on its algebra
+``hecke``, whose private coefficients keep e_1..e_m free (see ``hecke``):
+the memos hold u-free e-polynomials, ``multiply_basis`` eliminates on
+them and expands only the structure constants it returns, and ``tail``,
+``b_element`` and ``b_coords`` read to u like any element.
+``express_in_hom_basis`` eliminates on u-coordinates instead, because a
+caller's element may hold private coefficients that expand to zero.  Rank
 certificates use the e-coordinates: the e_k are algebraically independent,
 so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
 """
@@ -52,6 +54,7 @@ from .hecke import (
     _add_products,
     _add_term,
     _collect,
+    _module_coords,
     eigen_test,
     module_coords,
     sigma_ddot,
@@ -73,7 +76,6 @@ from .permutations import (
 )
 from .ring import (
     MODULAR_PRIME,
-    ElementaryExpansion,
     RingElem,
     RingMatrix,
     modular_rank,
@@ -110,10 +112,9 @@ _UNGUARDED = object()  # basis() called without a guard
 
 class SchurContext:
     """The slim Schur algebra for (m, n, r) over ``hecke`` = H_u(r), with
-    per-basis caches on ``_alg`` (over e_1..e_m); ``_expand`` maps its
-    coefficients to u.  Keyed by a basis matrix A: tail(A), b_A, b_A's module
-    coordinates, and ``_actions[A]``: (w, a) -> the module coordinates of
-    b_A T_w L^a."""
+    per-basis memos in ``hecke``'s private coordinates.  Keyed by a basis
+    matrix A: tail(A), b_A, b_A's module coordinates, and ``_actions[A]``:
+    (w, a) -> the module coordinates of b_A T_w L^a."""
 
     def __init__(self, m: int, n: int, r: int):
         if n < 1:
@@ -122,22 +123,14 @@ class SchurContext:
         self.n = n
         self.r = r
         self.hecke = HeckeAlgebra(m, r)
-        self._alg = self.hecke
-        self._expand = _identity
-        if m > 1:
-            # L_1^m = e_1 L_1^{m-1} - e_2 L_1^{m-2} + ..., e_k a free variable
-            self._alg = HeckeAlgebra(m, r, overflow=[
-                RingElem.u_var(k, m).scale((-1) ** (k + 1)) for k in range(1, m + 1)
-            ])
-            self._expand = ElementaryExpansion(m)
         self._basis: list[ColoredMatrix] | None = None
         self._tails: dict[ColoredMatrix, HeckeElement] = {}
         self._bs: dict[ColoredMatrix, HeckeElement] = {}
         self._coords: dict[ColoredMatrix, dict] = {}
-        # Memos of express_in_hom_basis: the order key of a module term
-        # (d2, c) under column margins mu, and the colored matrix recovered
-        # from a leading term.  Only recoveries that pass the margin check
-        # are stored, so a term outside the span raises on every call.
+        # Memos of _eliminate: the order key of a module term (d2, c) under
+        # column margins mu, and the colored matrix recovered from a
+        # leading term.  Only recoveries that pass the margin check are
+        # stored, so a term outside the span raises on every call.
         self._order_keys: dict[tuple, tuple] = {}
         self._recovered: dict[tuple, ColoredMatrix] = {}
         # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
@@ -196,26 +189,33 @@ class SchurContext:
         lam, mu = self.weight(lam), self.weight(mu)
         return list(enumerate_colored_with_margins(lam, mu, self.m, guard))
 
-    # -- the basis homomorphisms, cached on _alg and expanded to u ---------
+    # -- the basis homomorphisms, memoised ----------------------------------
 
-    def _tail(self, A: ColoredMatrix) -> HeckeElement:
+    def tail(self, A: ColoredMatrix) -> HeckeElement:
+        """T_d * sigma * (coset sum): b_A without the leading symmetrizer."""
         elem = self._tails.get(A)
         if elem is None:
-            elem = self._tails[A] = tail_of(self._alg, A)
+            elem = self._tails[A] = tail_of(self.hecke, A)
         return elem
 
-    def _b_element(self, A: ColoredMatrix) -> HeckeElement:
+    def b_element(self, A: ColoredMatrix) -> HeckeElement:
         elem = self._bs.get(A)
         if elem is None:
-            elem = self._bs[A] = self._alg.x_lambda(colored_row_sums(A)) * self._tail(A)
+            elem = self._bs[A] = self.hecke.x_lambda(colored_row_sums(A)) * self.tail(A)
         return elem
 
     def _b_coords(self, A: ColoredMatrix) -> dict:
+        """b_coords(A) in private coordinates, free of u."""
         coords = self._coords.get(A)
         if coords is None:
-            coords = module_coords(self._b_element(A), colored_row_sums(A))
-            self._coords[A] = coords
+            coords = self._coords[A] = _module_coords(
+                self.hecke, self.b_element(A)._terms, colored_row_sums(A)
+            )
         return coords
+
+    def b_coords(self, A: ColoredMatrix) -> dict:
+        """Coordinates of b_A in the module x_lam H (see module_coords)."""
+        return self.hecke._public(self._b_coords(A))
 
     def _action_row(self, A: ColoredMatrix, keys: Iterable[TermKey]) -> dict[TermKey, tuple]:
         """_actions[A], with an entry for every monomial (w, a) in keys."""
@@ -224,30 +224,10 @@ class SchurContext:
         if missing:
             lam = colored_row_sums(A)
             intern = self._pool.setdefault
-            for key, terms in self._b_element(A)._rmul_monomials(missing):
-                coords = module_coords(HeckeElement(self._alg, terms), lam)
+            for key, terms in self.b_element(A)._rmul_monomials(missing):
+                coords = _module_coords(self.hecke, terms, lam)
                 row[key] = tuple((intern(k, k), intern(c, c)) for k, c in coords.items())
         return row
-
-    def _to_u(self, x: HeckeElement) -> HeckeElement:
-        if self._alg is self.hecke:
-            return x
-        return HeckeElement(self.hecke, {k: self._expand(c) for k, c in x.terms.items()})
-
-    def tail(self, A: ColoredMatrix) -> HeckeElement:
-        """T_d * sigma * (coset sum): b_A without the leading symmetrizer."""
-        return self._to_u(self._tail(A))
-
-    def b_element(self, A: ColoredMatrix) -> HeckeElement:
-        return self._to_u(self._b_element(A))
-
-    def b_coords(self, A: ColoredMatrix) -> dict:
-        """Coordinates of b_A in the module x_lam H (see module_coords)."""
-        return {k: self._expand(c) for k, c in self._b_coords(A).items()}
-
-
-def _identity(c: RingElem) -> RingElem:
-    return c
 
 
 def tail_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
@@ -368,15 +348,18 @@ def express_in_hom_basis(
     mu = check_composition(mu)
     if z.alg != ctx.hecke:
         raise ValueError("element does not belong to the context's algebra")
-    # Eliminate in u, against the expanded coordinates of the b_C.
-    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords, _identity)
+    # Eliminate in u, against the expanded coordinates of the b_C: z's
+    # private coefficients may differ from the u-free ones of the b_C by
+    # terms that expand to zero.
+    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords)
 
 
 def _eliminate(
-    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords, expand
+    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords
 ) -> dict[ColoredMatrix, RingElem]:
     """The elimination of express_in_hom_basis on x_lam H coordinates
-    (consumed), against the basis coordinates ``b_coords(C)``."""
+    (consumed), against the basis coordinates ``b_coords(C)`` of the same
+    ring."""
     order_keys = ctx._order_keys
     recovered = ctx._recovered
     cold_key = _term_order_key(mu)
@@ -389,7 +372,6 @@ def _eliminate(
         return k
 
     out: dict[ColoredMatrix, RingElem] = {}
-    zero = RingElem.zero(ctx._alg.nvars)
     # Each pass strictly lowers the greatest term, so the module dimension
     # bounds the number of passes.
     budget = module_dimension(ctx, lam) + 1
@@ -406,14 +388,10 @@ def _eliminate(
             if colored_row_sums(C) != lam or colored_col_sums(C) != mu:
                 raise NotInSpanError("recovered matrix has wrong margins")
             recovered[lead] = C
-        out[C] = out.get(C, zero) + f
+        _add_term(out, C, f)
         for key, coeff in b_coords(C).items():
-            cur = coords.get(key, zero) - coeff * f
-            if cur.is_zero():
-                coords.pop(key, None)
-            else:
-                coords[key] = cur
-    return {C: expand(f) for C, f in out.items() if not f.is_zero()}
+            _add_term(coords, key, -(coeff * f))
+    return out
 
 
 # -- elements of the Schur algebra -----------------------------------------
@@ -453,13 +431,14 @@ def multiply_basis(
     """Structure constants of Phi_A o Phi_B (apply B's map first)."""
     if colored_col_sums(A) != colored_row_sums(B):
         return {}
-    tail = ctx._tail(B).terms
+    tail = ctx.tail(B)._terms
     row = ctx._action_row(A, tail)
     acc: dict = {}
     for key, c2 in tail.items():
-        _add_products(acc, ctx._alg.nvars, row[key], c2)
+        _add_products(acc, ctx.hecke._cvars, row[key], c2)
     lam, mu = colored_row_sums(A), colored_col_sums(B)
-    return _eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._expand)
+    # The e-coordinates are free of u, so their expansion is injective.
+    return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords))
 
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
@@ -533,7 +512,7 @@ def verify_rank(
                 {col_index.setdefault(k, len(col_index)): c for k, c in ctx._b_coords(A).items()}
                 for A in block
             ]
-            zero = RingElem.zero(ctx._alg.nvars)
+            zero = RingElem.zero(ctx.hecke._cvars)
             entries = [row.get(j, zero) for row in rows for j in range(len(col_index))]
             M = RingMatrix(len(rows), len(col_index), entries)
             if exact:
@@ -572,7 +551,7 @@ def eigen_certificate(ctx: SchurContext, lam: Sequence[int], mu: Sequence[int]) 
     """Symbolic two-sided eigen property of every b in the (lam, mu) block."""
     lam, mu = check_composition(lam), check_composition(mu)
     for A in ctx.basis_block(lam, mu):
-        b = ctx._b_element(A)
+        b = ctx.b_element(A)
         for i in j_set(lam):
             if not eigen_test(b, i, "left"):
                 return False
@@ -615,7 +594,7 @@ def hom_space_nullity(
 
     q_spec = q_val % p
     for j_col, key in enumerate(basis):
-        mono = HeckeElement(alg, {key: alg.one_c})
+        mono = alg.elem({key: alg.one_c})
         for i in j_set(lam):
             moved = mono.lmul_gen_T(i)
             for okey, coeff in moved.terms.items():

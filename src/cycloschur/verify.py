@@ -131,11 +131,17 @@ def _schur(p: SuiteParams, contexts: Contexts, n: int | None = None) -> SchurCon
     return ctx
 
 
+# The least work charged for one trial: drawing and checking a trial costs
+# time even where its size estimate reads 1, so the default guard admits at
+# most 10^6 / 64 = 15,625 trials, a few seconds at (m, n, r) = (1, 1, 1).
+_TRIAL_FLOOR = 64
+
+
 def _trials(p: SuiteParams, least: int, per_trial: int, what: str) -> int:
     """max(--trials, least), once that many trials times per_trial, the
-    work of one trial, is within --guard."""
+    work of one trial (at least _TRIAL_FLOOR), is within --guard."""
     trials = max(p.trials, least)
-    check_guard(trials * per_trial, p.guard, f"{what} over {trials} trials")
+    check_guard(trials * max(per_trial, _TRIAL_FLOOR), p.guard, f"{what} over {trials} trials")
     return trials
 
 

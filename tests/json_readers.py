@@ -38,10 +38,10 @@ def terms_from_json(
 def element_from_json(alg: HeckeAlgebra, data: Mapping) -> HeckeElement:
     if int(data["m"]) != alg.m or int(data["r"]) != alg.r:
         raise ValueError("serialized element belongs to a different algebra")
-    return HeckeElement(alg, terms_from_json(alg, data["terms"], alg.m))
+    return alg.elem(terms_from_json(alg, data["terms"], alg.m))
 
 
 def affine_from_json(alg: AffineAlgebra, data: Mapping) -> AffineElement:
     if int(data["r"]) != alg.r:
         raise ValueError("serialized element has a different rank")
-    return AffineElement(alg, terms_from_json(alg, data["terms"]))
+    return alg.elem(terms_from_json(alg, data["terms"]))

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from cycloschur.hecke import HeckeAlgebra
+from cycloschur.ring import RingElem
 from cycloschur.schur import (
     NotInSpanError,
     SchurContext,
@@ -83,10 +85,11 @@ def test_element_outside_span_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(NotInSpanError):
             express_in_hom_basis(ctx, z, (2, 0), (2, 0))
-    # An element of the private algebra over e is not accepted.
-    private = ctx._alg.x_lambda((2, 0))
+    # An element of another algebra, here the one over free e_1, e_2, is
+    # not accepted.
+    over_e = HeckeAlgebra(2, 2, overflow=[RingElem.u_var(1, 2), -RingElem.u_var(2, 2)])
     with pytest.raises(ValueError, match="context's algebra"):
-        express_in_hom_basis(ctx, private, (2, 0), (2, 0))
+        express_in_hom_basis(ctx, over_e.x_lambda((2, 0)), (2, 0), (2, 0))
     # The failed eliminations leave the memo and the products as they were.
     for A, B in pairs:
         assert multiply_basis(ctx, A, B) == expected[(A, B)]

@@ -545,21 +545,32 @@ def test_verify_checks_epsilon_trials_against_the_guard():
     assert status["epsilon.multiplicative"] == "skipped(guard)", status
 
 
-@pytest.mark.parametrize(
-    "suite,checks",
-    [
-        ("pbw", ("pbw.roundtrip", "pbw.assoc", "pbw.tau-anti")),
-        ("straighten", ("straighten.jm-commute",)),
-        ("rank", ("rank.blocks",)),
-        ("epsilon", ("epsilon.multiplicative",)),
-    ],
-)
+TRIAL_LOOPS = [
+    ("pbw", ("pbw.roundtrip", "pbw.assoc", "pbw.tau-anti")),
+    ("straighten", ("straighten.jm-commute",)),
+    ("rank", ("rank.blocks",)),
+    ("epsilon", ("epsilon.multiplicative",)),
+]
+
+
+@pytest.mark.parametrize("suite,checks", TRIAL_LOOPS)
 @pytest.mark.parametrize("guard", [("--guard", "10"), ()], ids=["guard-10", "default-guard"])
 def test_verify_checks_trial_counts_against_the_guard(suite, checks, guard):
     # At 10^8 trials each of these loops ran until killed, past 10 s at
     # --guard 10 and past 20 s at the default guard.
     report = verify_in_subprocess(
         suite, "--m", "1", "--n", "1", "--r", "1", "--trials", "100000000", *guard
+    )
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert all(status[check] == "skipped(guard)" for check in checks), status
+
+
+@pytest.mark.parametrize("suite,checks", TRIAL_LOOPS)
+def test_trial_cost_has_a_floor(suite, checks):
+    # A trial whose size estimate reads 1 still costs time: 10^6 trials at
+    # (1, 1, 1) passed the default guard and ran past 8 s (pbw, epsilon).
+    report = verify_in_subprocess(
+        suite, "--m", "1", "--n", "1", "--r", "1", "--trials", "1000000"
     )
     status = {c["check"]: c["status"] for c in report["checks"]}
     assert all(status[check] == "skipped(guard)" for check in checks), status

@@ -464,14 +464,15 @@ def test_affine_b_rank_mismatch():
 
 
 def test_b_element_of_is_the_context_value_over_u():
-    # The context caches b_A in e-coordinates and expands it; the module
-    # functions evaluate the formula directly over u.
+    # The context memoises b_A in its algebra's private e-coordinates, which
+    # read to u; the module functions evaluate the formula in an algebra of
+    # their own.
     for ctx in (CTX122, CTX222, SchurContext(3, 1, 2)):
         alg = HeckeAlgebra(ctx.m, ctx.r)
         for A in ctx.basis():
             assert ctx.tail(A) == tail_of(alg, A)
             assert ctx.b_element(A) == b_element_of(alg, A)
-            assert ctx._b_element(A) == b_element_of(ctx._alg, A)
+            assert ctx.b_element(A)._terms == b_element_of(ctx.hecke, A)._terms
 
 
 def test_context_has_no_algebra_option():

@@ -1,13 +1,13 @@
 """The Schur layer in e-coordinates against the same formulas over u.
 
-``SchurContext(m, n, r)`` straightens over Z[q^±1][e_1..e_m] and expands
-to u where a value leaves it.  The oracle here builds nothing of the
-context: it evaluates b_A and tail(B) with ``b_element_of``/``tail_of`` in
-a ``HeckeAlgebra(m, r)`` of its own over u, checks each product through
-the identity sum_C c_C b_C = b_A tail(B) in that algebra, and checks the
-ranks of the u-coordinates against the closed form.  Both rings have m
-variables, so an e-coefficient that leaked out unexpanded would raise
-nothing: every public method that returns coefficients is compared.
+``SchurContext(m, n, r)`` straightens on its algebra's private coefficients
+over Z[q^±1][e_1..e_m][u_1..u_m] and expands to u where a value leaves
+it.  The oracle here builds nothing of the context: it evaluates b_A and
+tail(B) with ``b_element_of``/``tail_of`` in a ``HeckeAlgebra(m, r)`` of
+its own, checks each product through the identity sum_C c_C b_C =
+b_A tail(B) in that algebra, and checks the ranks of the u-coordinates
+against the closed form.  Every public method that returns coefficients
+is compared, so an e-coefficient that leaked out unexpanded shows.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def combination(alg: HeckeAlgebra, coeffs: dict):
 def test_public_values_match_the_u_ring(data):
     grid = data.draw(st.sampled_from(GRIDS), label="grid")
     ctx, u_alg = contexts(grid)
-    # m > 1 runs on its own algebra over e; m = 1 has e_1 = u_1
-    assert (ctx._alg is ctx.hecke) == (grid[0] == 1)
+    # The context runs on its algebra's private coefficients: m e-fields
+    # beside the m u-fields.
+    assert ctx.hecke._cvars == 2 * grid[0]
     assert ctx.hecke == u_alg and ctx.hecke is not u_alg
     basis = ctx.basis()
     A = data.draw(st.sampled_from(basis), label="A")
@@ -137,12 +138,12 @@ def test_rank_and_commutativity_match_the_u_ring():
 
 def test_internal_coefficients_are_in_e():
     # b_A for the colored 1x1 matrix ((1, 0),) at (m, n, r) = (2, 1, 1) is
-    # L_1; L_1^2 = e_1 L_1 - e_2, which reads u1 L_1 - u2 in the e-slots
+    # L_1; L_1^2 = e_1 L_1 - e_2 in the private fields (e_1, e_2, u_1, u_2),
     # and (u1 + u2) L_1 - u1 u2 once expanded.
     ctx, _ = contexts((2, 1, 1))
     A = (((1, 0),),)
-    square = ctx._b_element(A) * ctx._b_element(A)
+    square = ctx.b_element(A) * ctx.b_element(A)
+    e1, e2 = RingElem.u_var(1, 4), RingElem.u_var(2, 4)
+    assert sorted(square._terms.values(), key=str) == sorted([e1, -e2], key=str)
     u1, u2 = RingElem.u_var(1, 2), RingElem.u_var(2, 2)
-    assert sorted(square.terms.values(), key=str) == sorted([u1, -u2], key=str)
-    public = ctx.b_element(A) * ctx.b_element(A)
-    assert sorted(public.terms.values(), key=str) == sorted([u1 + u2, -(u1 * u2)], key=str)
+    assert sorted(square.terms.values(), key=str) == sorted([u1 + u2, -(u1 * u2)], key=str)
