@@ -69,7 +69,7 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import ElementaryExpansion, RingAccumulator, RingElem, elementary_symmetric_of
+from .ring import ElementaryExpansion, RingAccumulator, RingElem, RingError, elementary_symmetric_of
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
@@ -132,8 +132,13 @@ class AlgebraBase:
         return hash(self._signature())
 
     def _lift(self, c: RingElem) -> RingElem:
-        """A public coefficient in the private ring."""
-        return c if self._expansion is None else self._expansion.lift(c)
+        """A public coefficient in the private ring; RingError if its width
+        is not the algebra's ``nvars``."""
+        if self._expansion is not None:
+            return self._expansion.lift(c)
+        if c.nvars != self.nvars:
+            raise RingError(f"expected {self.nvars} variables, got {c.nvars}")
+        return c
 
     def _public(self, terms: dict) -> dict:
         """A dict of private coefficients expanded to the public ring,

@@ -18,8 +18,8 @@ between e- and u-coordinates.
 Also provided: elementary symmetric polynomials in the u-parameters (the
 coefficients of the cyclotomic relation), Poincare polynomials of Young
 subgroups, exact specialization at rational points, and rank certification
-for matrices over R (probabilistic modular rank plus an exact fraction-free
-escape hatch).
+for sparse rows over R (probabilistic modular rank plus an exact
+fraction-free escape hatch).
 
 All values are immutable; all operations are pure functions.
 """
@@ -31,7 +31,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-# Default prime for modular specializations: 2^31 - 1 (Mersenne), > 2^30.
+# The prime of every modular specialization: 2^31 - 1 (Mersenne), > 2^30.
 MODULAR_PRIME = 2**31 - 1
 
 Monomial = tuple[int, tuple[int, ...]]
@@ -533,29 +533,6 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     return RingElem(nvars, quotient)
 
 
-class RingMatrix:
-    """A dense rows x cols matrix of RingElem entries (all sharing nvars)."""
-
-    __slots__ = ("rows", "cols", "nvars", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[RingElem]):
-        if len(entries) != rows * cols:
-            raise RingError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        nvars = entries[0].nvars if entries else 0
-        for e in entries:
-            if e.nvars != nvars:
-                raise RingError("entries must share the same variable count")
-        self.rows = rows
-        self.cols = cols
-        self.nvars = nvars
-        self.entries = list(entries)
-
-    def at(self, i: int, j: int) -> RingElem:
-        return self.entries[i * self.cols + j]
-
-
 def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
     """Rank of a sparse matrix over F_p; rows are {column: value} dicts."""
     pivots: dict[int, dict[int, int]] = {}
@@ -584,43 +561,43 @@ def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
 
 
 def modular_rank(
-    M: RingMatrix, trials: int = 3, seed: int = 0, p: int = MODULAR_PRIME
+    rows: Sequence[Mapping[int, RingElem]], nvars: int, trials: int = 3, seed: int = 0
 ) -> int:
-    """Max rank of M over `trials` random specializations into F_p.
+    """Max rank of sparse rows over R at `trials` random points mod MODULAR_PRIME.
 
-    A lower bound on the rank of M over the fraction field of R; equality
-    with a predicted count certifies linear independence.  Deterministic
-    given the seed; q is drawn nonzero.
+    Each row is a {column: RingElem} dict in `nvars` variables; absent
+    entries are zero and are not specialised.  Trial t draws q (nonzero),
+    then u_1..u_nvars, from ``random.Random(seed)``.  The result is a lower
+    bound on the rank over the fraction field of R; equality with a
+    predicted count certifies linear independence.
     """
     if trials < 1:
         raise RingError("trials must be >= 1")
+    p = MODULAR_PRIME
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
         q_val = rng.randrange(1, p)
-        u_vals = [rng.randrange(p) for _ in range(M.nvars)]
-        rows = []
-        for i in range(M.rows):
-            row = {}
-            for j in range(M.cols):
-                v = M.at(i, j).specialize_mod(p, q_val, u_vals)
-                if v:
-                    row[j] = v
-            rows.append(row)
-        best = max(best, rank_mod_p(rows, p))
+        u_vals = [rng.randrange(p) for _ in range(nvars)]
+        specialised = [
+            {j: v for j, c in row.items() if (v := c.specialize_mod(p, q_val, u_vals))}
+            for row in rows
+        ]
+        best = max(best, rank_mod_p(specialised, p))
     return best
 
 
-def exact_rank(M: RingMatrix) -> int:
-    """Exact rank over the fraction field of R by fraction-free elimination.
+def exact_rank(rows: Sequence[Mapping[int, RingElem]], n_cols: int, nvars: int) -> int:
+    """Exact rank of sparse rows (columns 0..n_cols-1, `nvars` variables)
+    over the fraction field of R, by fraction-free elimination.
 
     Bareiss-style: every division is by the previous pivot and provably
     exact.  Exponential worst case; intended as the --exact escape hatch at
     desk scale.
     """
-    a = [[M.at(i, j) for j in range(M.cols)] for i in range(M.rows)]
-    n_rows, n_cols = M.rows, M.cols
-    nvars = M.nvars
+    zero = RingElem.zero(nvars)
+    a = [[row.get(j, zero) for j in range(n_cols)] for row in rows]
+    n_rows = len(a)
     prev = RingElem.one(nvars)
     rank = 0
     row = 0

@@ -74,13 +74,7 @@ from .permutations import (
     theta_inverse,
     young_subgroup_size,
 )
-from .ring import (
-    MODULAR_PRIME,
-    RingElem,
-    RingMatrix,
-    modular_rank,
-    rank_mod_p,
-)
+from .ring import RingElem, exact_rank, modular_rank
 from .wreath import (
     ColoredMatrix,
     colored_col_sums,
@@ -487,18 +481,16 @@ def verify_rank(
     trials: int = 3,
     seed: int = 0,
     exact: bool = False,
-    p: int = MODULAR_PRIME,
 ) -> dict:
     """Certify that the hom-basis vectors are independent, block by block.
 
-    For each pair of weights the coordinate vectors of the b's are stacked
-    and their rank is certified (modularly, or exactly with Bareiss) to
-    equal the block size.  The coordinates are taken on the context's own
-    algebra, in e-coordinates.  Returns a
-    report with the certified total and the closed-form count.
+    For each pair of weights the coordinate vectors of the b's, taken on
+    the context's own algebra in e-coordinates, are stacked as sparse rows,
+    and their rank (``modular_rank``, or ``exact_rank`` if `exact`) is
+    certified to equal the block size.  Returns a report with the certified
+    total and the closed-form count.
     """
-    from .ring import exact_rank
-
+    nvars = ctx.hecke._cvars
     expected = ctx.rank()
     total = 0
     blocks_report = []
@@ -512,13 +504,10 @@ def verify_rank(
                 {col_index.setdefault(k, len(col_index)): c for k, c in ctx._b_coords(A).items()}
                 for A in block
             ]
-            zero = RingElem.zero(ctx.hecke._cvars)
-            entries = [row.get(j, zero) for row in rows for j in range(len(col_index))]
-            M = RingMatrix(len(rows), len(col_index), entries)
             if exact:
-                got = exact_rank(M)
+                got = exact_rank(rows, len(col_index), nvars)
             else:
-                got = modular_rank(M, trials=trials, seed=seed, p=p)
+                got = modular_rank(rows, nvars, trials=trials, seed=seed)
             total += got
             blocks_report.append(
                 {"lam": list(lam), "mu": list(mu), "size": len(block), "rank": got}
@@ -566,59 +555,38 @@ def hom_space_nullity(
     lam: Sequence[int],
     mu: Sequence[int],
     seed: int = 0,
-    p: int = MODULAR_PRIME,
     guard: int | None = None,
 ) -> int:
-    """Dimension over F_p of {h : T_i h = q h (i in J_lam), h T_j = q h (j in J_mu)}.
+    """Dimension of {h : T_i h = q h (i in J_lam), h T_j = q h (j in J_mu)}
+    at one random point mod 2^31 - 1, an upper bound on the generic dimension.
 
-    Specializes q and the parameters at seeded random points and solves the
-    sparse linear system on the normal-form coordinates of h.
+    Each equation is a sparse row over R on the normal-form coordinates of
+    h: the coefficient of one monomial in T_i h - q h (or h T_j - q h).
+    The result is the basis size minus the ``modular_rank`` of these rows
+    at the single trial that `seed` draws.
     """
-    import random as _random
-
     lam, mu = check_composition(lam), check_composition(mu)
-    rng = _random.Random(seed)
-    q_val = rng.randrange(1, p)
-    u_vals = [rng.randrange(p) for _ in range(alg.nvars)]
     basis = list(alg.pbw_basis(guard))
-    col_of = {key: j for j, key in enumerate(basis)}
-    row_map: dict = {}
-
-    def add_entry(row_key, col, val):
-        if val % p == 0:
-            return
-        row = row_map.setdefault(row_key, {})
-        row[col] = (row.get(col, 0) + val) % p
-        if row[col] == 0:
-            del row[col]
-
-    q_spec = q_val % p
-    for j_col, key in enumerate(basis):
+    rows: dict = {}
+    for col, key in enumerate(basis):
         mono = alg.elem({key: alg.one_c})
-        for i in j_set(lam):
-            moved = mono.lmul_gen_T(i)
-            for okey, coeff in moved.terms.items():
-                add_entry(("L", i, okey), j_col, coeff.specialize_mod(p, q_val, u_vals))
-            add_entry(("L", i, key), j_col, -q_spec)
-        for jj in j_set(mu):
-            moved = mono.rmul_gen_T(jj)
-            for okey, coeff in moved.terms.items():
-                add_entry(("R", jj, okey), j_col, coeff.specialize_mod(p, q_val, u_vals))
-            add_entry(("R", jj, key), j_col, -q_spec)
-    rows = list(row_map.values())
-    return len(basis) - rank_mod_p(rows, p)
+        q_mono = mono.scale(alg.q)
+        moves = [(("L", i), mono.lmul_gen_T(i)) for i in j_set(lam)]
+        moves += [(("R", j), mono.rmul_gen_T(j)) for j in j_set(mu)]
+        for gen, moved in moves:
+            for okey, c in (moved - q_mono).terms.items():
+                rows.setdefault((gen, okey), {})[col] = c
+    return len(basis) - modular_rank(list(rows.values()), alg.nvars, trials=1, seed=seed)
 
 
-def verify_hom_space_dims(
-    ctx: SchurContext, seed: int = 0, p: int = MODULAR_PRIME, guard: int | None = None
-) -> dict:
+def verify_hom_space_dims(ctx: SchurContext, seed: int = 0, guard: int | None = None) -> dict:
     """Solution-space dimensions match the block sizes, for every block."""
     blocks = []
     ok = True
     for lam in ctx.weights():
         for mu in ctx.weights():
             expected = len(ctx.basis_block(lam, mu))
-            got = hom_space_nullity(ctx.hecke, lam, mu, seed=seed, p=p, guard=guard)
+            got = hom_space_nullity(ctx.hecke, lam, mu, seed=seed, guard=guard)
             blocks.append(
                 {"lam": list(lam), "mu": list(mu), "expected": expected, "dim": got}
             )

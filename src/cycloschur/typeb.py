@@ -51,8 +51,6 @@ from .wreath import (
     tilde_offsets,
 )
 
-SIGNED_GUARD = 10**6
-
 _WORD_CACHE: dict[int, dict[ColoredPerm, tuple[int, ...]]] = {}
 
 
@@ -71,13 +69,12 @@ def signed_words(r: int, guard: int | None = None) -> dict[ColoredPerm, tuple[in
     yields, for each element, the lexicographically least among its
     shortest words.
     """
+    import math
+
+    check_guard((2**r) * math.factorial(r), guard, f"signed permutation group of rank {r}")
     cached = _WORD_CACHE.get(r)
     if cached is not None:
         return cached
-    import math
-
-    check_guard((2**r) * math.factorial(r), guard if guard is not None else SIGNED_GUARD,
-                f"signed permutation group of rank {r}")
     gens = [colored_t(1, 2, r)] + [colored_simple(i, 2, r) for i in range(1, r)]
     words: dict[ColoredPerm, tuple[int, ...]] = {colored_identity(2, r): ()}
     frontier = [colored_identity(2, r)]
@@ -158,8 +155,7 @@ def double_coset_elements(
     r = c.perm.size
     left = uncolored_subgroup(lam, r)
     right = uncolored_subgroup(mu, r)
-    check_guard(len(left) * len(right), guard if guard is not None else SIGNED_GUARD,
-                "double coset enumeration")
+    check_guard(len(left) * len(right), guard, "double coset enumeration")
     return {
         colored_mul(colored_mul(x, c), y) for x in left for y in right
     }

@@ -56,19 +56,6 @@ from .typeb import (
 )
 from .wreath import colored_col_sums, colored_count, group_by_row_sums
 
-SUITE_NAMES = (
-    "pbw",
-    "straighten",
-    "basis",
-    "rank",
-    "commutative",
-    "schur-mult",
-    "typeb",
-    "poincare",
-    "epsilon",
-    "affine-sym",
-)
-
 
 @dataclass
 class SuiteParams:
@@ -574,12 +561,13 @@ SUITES: dict[str, Callable[[SuiteParams, Contexts], list[CheckOutcome]]] = {
     "epsilon": suite_epsilon,
     "affine-sym": suite_affine_sym,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, params: SuiteParams) -> dict:
     """Execute one named suite (or 'all') and assemble a stable report."""
     if name == "all":
-        suite_fns = [SUITES[n] for n in SUITE_NAMES]
+        suite_fns = list(SUITES.values())
     elif name in SUITES:
         suite_fns = [SUITES[name]]
     else:

@@ -32,6 +32,7 @@ from cycloschur.ring import (
     elementary_symmetric_params,
 )
 from cycloschur.schur import SchurContext, express_in_hom_basis
+from cycloschur.typeb import typeb_algebra
 
 U1, U2 = RingElem.u_var(1, 2), RingElem.u_var(2, 2)
 
@@ -133,6 +134,17 @@ def test_specialized_algebras_keep_their_own_coordinates():
         assert alg._expansion is None and alg._cvars == alg.nvars
         x = alg.monomial((1, 1)) * alg.monomial((1, 0))
         assert x.terms is x._terms
+
+
+def test_identity_maps_reject_coefficients_of_another_width():
+    # Packed in a 1-variable ring, u_2 of a 3-variable ring would read as q.
+    key, wide, u = (identity(2), (0, 0)), RingElem.u_var(2, 3), RingElem.u_var(1, 1)
+    for alg in (typeb_algebra(2), AffineAlgebra(2, nvars=1)):
+        with pytest.raises(RingError, match="expected 1 variables, got 3"):
+            alg.elem({key: wide})
+        with pytest.raises(RingError, match="expected 1 variables, got 3"):
+            alg.one().scale(wide)
+        assert alg.elem({key: u}) == alg.one().scale(u) == alg.scalar(u)
 
 
 def test_generalised_expansion():

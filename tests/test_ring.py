@@ -17,7 +17,6 @@ from cycloschur.ring import (
     RingAccumulator,
     RingElem,
     RingError,
-    RingMatrix,
     elementary_symmetric_of,
     elementary_symmetric_params,
     exact_div,
@@ -37,8 +36,9 @@ def one(m: int = 0) -> RingElem:
     return RingElem.one(m)
 
 
-def from_rows(rows) -> RingMatrix:
-    return RingMatrix(len(rows), len(rows[0]) if rows else 0, [e for row in rows for e in row])
+def from_rows(rows) -> list[dict[int, RingElem]]:
+    """Sparse {column: entry} rows of a list of lists, without the zeros."""
+    return [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in rows]
 
 
 # -- basic arithmetic ------------------------------------------------------
@@ -221,21 +221,15 @@ def test_rank_mod_p_simple():
 
 
 def test_modular_rank_identity():
-    m = 0
-    entries = [one() if i == j else RingElem.zero(0) for i in range(3) for j in range(3)]
-    M = RingMatrix(3, 3, entries)
-    assert modular_rank(M, trials=2, seed=1) == 3
-    assert exact_rank(M) == 3
+    M = from_rows([[one() if i == j else RingElem.zero(0) for j in range(3)] for i in range(3)])
+    assert modular_rank(M, 0, trials=2, seed=1) == 3
+    assert exact_rank(M, 3, 0) == 3
 
 
 def test_modular_rank_deficient():
-    M = RingMatrix(
-        2,
-        2,
-        [q(), RingElem.zero(0), RingElem.zero(0), RingElem.zero(0)],
-    )
-    assert modular_rank(M, trials=3, seed=0) == 1
-    assert exact_rank(M) == 1
+    M = from_rows([[q(), RingElem.zero(0)], [RingElem.zero(0), RingElem.zero(0)]])
+    assert modular_rank(M, 0, trials=3, seed=0) == 1
+    assert exact_rank(M, 2, 0) == 1
 
 
 def test_rank_with_parameters():
@@ -248,23 +242,35 @@ def test_rank_with_parameters():
         [RingElem.zero(m), RingElem.one(m)],
     ]
     M = from_rows(rows)
-    assert modular_rank(M, trials=3, seed=5) == 2
-    assert exact_rank(M) == 2
+    assert modular_rank(M, m, trials=3, seed=5) == 2
+    assert exact_rank(M, 2, m) == 2
 
 
 def test_modular_rank_deterministic():
     m = 1
     u1 = RingElem.u_var(1, m)
     M = from_rows([[u1, RingElem.one(m)], [RingElem.one(m), u1]])
-    r1 = modular_rank(M, trials=3, seed=42)
-    r2 = modular_rank(M, trials=3, seed=42)
+    r1 = modular_rank(M, m, trials=3, seed=42)
+    r2 = modular_rank(M, m, trials=3, seed=42)
     assert r1 == r2 == 2
 
 
 def test_exact_rank_vandermonde():
     # 3x3 Vandermonde in q has full rank over the fraction field
     rows = [[q(i * j) for j in range(3)] for i in range(3)]
-    assert exact_rank(from_rows(rows)) == 3
+    assert exact_rank(from_rows(rows), 3, 0) == 3
+
+
+def test_ranks_of_ragged_sparse_rows():
+    # An empty row, rows of unequal length, and a column no row reaches:
+    # (1), (), (u, 1, q), u (u, 1, q) and (0, 1) span a space of rank 3.
+    m = 1
+    u1, o = RingElem.u_var(1, m), RingElem.one(m)
+    base = [u1, o, q(1, m)]
+    rows = from_rows([[o], [], base, [u1 * e for e in base], [RingElem.zero(m), o]])
+    assert [len(row) for row in rows] == [1, 0, 3, 3, 1]
+    assert exact_rank(rows, 4, m) == modular_rank(rows, m, trials=3, seed=9) == 3
+    assert exact_rank([{}], 0, m) == modular_rank([{}], m) == 0
 
 
 # -- property tests --------------------------------------------------------
@@ -323,7 +329,8 @@ def test_exact_and_modular_rank_agree_on_grid():
     ]
     for rows in cases:
         M = from_rows(rows)
-        assert exact_rank(M) == modular_rank(M, trials=3, seed=9), f"case {rows}"
+        got = exact_rank(M, len(rows[0]), m)
+        assert got == modular_rank(M, m, trials=3, seed=9), f"case {rows}"
 
 
 # -- packed monomials against the tuple-keyed oracle -----------------------

@@ -112,6 +112,13 @@ def test_signed_words_guard():
         signed_words(9, guard=1000)
 
 
+def test_signed_words_checks_the_guard_on_every_call():
+    signed_words(3)
+    with pytest.raises(GuardError, match="exceeding guard 10"):
+        signed_words(3, guard=10)
+    assert len(signed_words(3, guard=48)) == 48
+
+
 def test_length_of_identity_and_generators():
     r = 3
     assert signed_length(colored_identity(2, r)) == 0
