@@ -28,7 +28,6 @@ from .hecke import (
     HeckeElement,
     TermKey,
     _add_products,
-    _add_term,
     _collect,
     _terms_to_json,
     sigma_nu,
@@ -47,16 +46,10 @@ class AffineElement(ElementBase):
         return self._product(other)
 
     @staticmethod
-    def _rmul_exponents(alg, terms, a):
-        out: dict[TermKey, RingElem] = {}
-        for (w, b), c in terms.items():
-            _add_term(out, (w, tuple(x + y for x, y in zip(b, a))), c)
-        return out
-
-    @staticmethod
     def _rmul_exponent_group(alg, terms, exps):
+        """(a, terms * X^a) for each a in exps: a shift, one-to-one on keys."""
         for a in exps:
-            yield a, (AffineElement._rmul_exponents(alg, terms, a) if any(a) else terms)
+            yield a, {(w, tuple(x + y for x, y in zip(b, a))): c for (w, b), c in terms.items()}
 
 
 class AffineAlgebra(AlgebraBase):

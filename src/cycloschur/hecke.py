@@ -55,12 +55,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .guards import check_guard
 from .permutations import (
     Permutation,
+    blocks,
     check_composition,
+    coset_reps_within,
     double_coset_factor,
     identity,
     nu_of,
@@ -124,6 +127,7 @@ class AlgebraBase:
         self._steps_L: list[dict[TermKey, StepColumn]] = [{} for _ in range(r + 1)]
         # module_coords: (w, lam) -> the minimal representative of S_lam w.
         self._coset_reps: dict[tuple[Permutation, tuple[int, ...]], Permutation] = {}
+        self._reps_within: dict[tuple, list[Permutation]] = {}  # coset_reps_within
 
     def __eq__(self, other):
         return type(other) is type(self) and self._signature() == other._signature()
@@ -148,6 +152,12 @@ class AlgebraBase:
         if expand is None:
             return terms
         return {key: image for key, c in terms.items() if (image := expand(c)).terms}
+
+    def coset_reps_within(self, mu: tuple[int, ...], nu: tuple[int, ...]) -> list[Permutation]:
+        """``permutations.coset_reps_within(mu, nu)``, memoised on the algebra."""
+        if (mu, nu) not in self._reps_within:
+            self._reps_within[mu, nu] = coset_reps_within(mu, nu)
+        return self._reps_within[mu, nu]
 
     def elem(self, terms: Mapping[TermKey, RingElem]) -> ElementBase:
         lift = self._lift
@@ -665,52 +675,67 @@ def sigma_elementary(
         raise ValueError(f"k = {k} out of range for {len(positions)} positions")
     if any(not 1 <= j <= alg.r for j in positions):
         raise ValueError(f"positions {positions} out of range 1..{alg.r}")
-    total = alg.zero()
-    for subset in itertools.combinations(positions, k):
-        exps = [0] * alg.r
-        for j in subset:
-            exps[j - 1] += 1
-        total = total + alg.monomial(exps)
-    return total
+    poly = Counter(
+        tuple(s.count(j) for j in range(1, alg.r + 1)) for s in itertools.combinations(positions, k)
+    )
+    return alg.element_type(alg, _rmul_poly(alg, alg.one()._terms, poly))
 
 
 def sigma_nu(
-    alg: AlgebraBase, nu: Sequence[int], exps: Sequence[Sequence[int]]
+    alg: AlgebraBase, nu: Sequence[int], exps: Sequence[Sequence[int]], start=None
 ) -> ElementBase:
-    """Blockwise product of powers of elementary symmetric L- (or X-)
-    polynomials.
+    """start (default 1) times prod_t e_t(L's of block c)^{exps[c][t-1]}
+    over the blocks c of nu (X's in place of L's in the affine engine).
 
-    The composition nu cuts {1..r} into consecutive blocks; block c of size
-    k contributes prod_t e_t(L's of block c)^{exps[c][t-1]}, with exps[c]
-    of length k.
+    The L_j commute, so the product is multiplied out on exponent vectors
+    and straightened by ``_rmul_poly``: after every m - 1 factors of a block
+    in the cyclotomic engine, as walks through overflows cost more than the
+    products they replace (a factor raises an exponent by at most 1).
     """
     nu = check_composition(nu)
     if sum(nu) != alg.r:
         raise ValueError(f"{nu} is not a composition of {alg.r}")
     if len(exps) != len(nu):
         raise ValueError("need one exponent tuple per block")
-    from .permutations import blocks
-
-    result = alg.one()
+    start = alg.one() if start is None else start
+    if start.alg != alg:
+        raise ValueError("start element belongs to another algebra")
+    m, cur, poly = getattr(alg, "m", None), start._terms, {(0,) * alg.r: 1}
     for blk, ex in zip(blocks(nu), exps):
-        positions = list(blk)
-        if len(ex) != len(positions):
-            raise ValueError(
-                f"exponent tuple {tuple(ex)} does not match block size {len(positions)}"
-            )
+        if len(ex) != len(blk):
+            raise ValueError(f"exponent tuple {tuple(ex)} does not match block size {len(blk)}")
+        depth = 0  # factors of this block in poly, a bound on their exponents
         for t, e in enumerate(ex, start=1):
+            steps = [tuple(s.count(j) for j in range(1, alg.r + 1))
+                     for s in itertools.combinations(blk, t)]
             for _ in range(int(e)):
-                result = result * sigma_elementary(alg, t, positions)
-    return result
+                if m is not None and depth and depth >= m - 1:
+                    cur, poly, depth = _rmul_poly(alg, cur, poly), {(0,) * alg.r: 1}, 0
+                product: Counter = Counter()
+                for a, c in poly.items():
+                    for step in steps:
+                        product[tuple(x + y for x, y in zip(a, step))] += c
+                poly, depth = product, depth + 1
+    return alg.element_type(alg, _rmul_poly(alg, cur, poly))
 
 
-def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
-    """The interpolating symmetric element attached to a colored matrix.
+def _rmul_poly(alg: AlgebraBase, terms: dict, poly: Mapping[tuple[int, ...], int]) -> dict:
+    """terms * sum_a poly[a] M^a, each M^a straightened once in one prefix-
+    sharing walk (``_rmul_exponent_group``, which reduces exponents >= m)."""
+    acc: dict[TermKey, RingAccumulator] = {}
+    for a, moved in alg.element_type._rmul_exponent_group(alg, terms, poly):
+        _add_products(acc, alg._cvars, moved.items(), RingElem.const(poly[a], alg._cvars))
+    return _collect(acc)
+
+
+def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix, start=None) -> ElementBase:
+    """start (default 1) times the interpolating symmetric element of A.
 
     Blocks follow the column-major composition of the entry-sum matrix;
-    block (i, j) carries the reindexed exponent tuple of the colored entry.
+    block (i, j) carries the reindexed exponent tuple of the colored entry,
+    whose entries sum to less than m: no L-exponent reaches m.
     """
-    return sigma_nu(alg, nu_of(colored_size(A)), nu_of(a_ddot(A)))
+    return sigma_nu(alg, nu_of(colored_size(A)), nu_of(a_ddot(A)), start)
 
 
 # -- module coordinates and linear tests -----------------------------------

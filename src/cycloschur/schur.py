@@ -24,7 +24,8 @@ per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
 tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
 
 ``tail_of``/``b_element_of`` evaluate b_A in any algebra: H_u(r), its
-type-B specialisation, or the affine lift.  The parameters u reach
+type-B specialisation, or the affine lift, with T_d sigma straightened in
+one walk from T_d over the exponent vectors of sigma.  The parameters u reach
 straightening only through the coefficients +-e_k(u) of the cyclotomic
 relation, so every b_A and structure constant lies in Z[q^±1][e_1..e_m].
 A ``SchurContext`` straightens, memoises and eliminates on its algebra
@@ -65,7 +66,6 @@ from .permutations import (
     Permutation,
     check_composition,
     compositions,
-    coset_reps_within,
     identity,
     j_set,
     left_coset_factor,
@@ -227,11 +227,11 @@ class SchurContext:
 def tail_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
     """T_d sigma(A) (sum of T_v over the coset representatives closing it):
     b_A without the leading symmetrizer, in alg (X's in place of L's in the
-    affine algebra)."""
+    affine algebra).  T_d sigma(A) is ``sigma_ddot`` started at T_d."""
     size = colored_size(A)
-    reps = coset_reps_within(colored_col_sums(A), nu_of(size))
+    reps = alg.coset_reps_within(colored_col_sums(A), nu_of(size))
     seq = alg.elem({(v, (0,) * alg.r): alg.one_c for v in reps})
-    return alg.from_perm(theta_inverse(size)) * sigma_ddot(alg, A) * seq
+    return sigma_ddot(alg, A, alg.from_perm(theta_inverse(size))) * seq
 
 
 def b_element_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
@@ -277,7 +277,7 @@ def _recover_matrix(
     d, v = left_coset_factor(d2, mu)
     size = theta(lam, d, mu)
     nu = nu_of(size)
-    vs = coset_reps_within(mu, nu)
+    vs = ctx.hecke.coset_reps_within(mu, nu)
     max_len = max(x.length() for x in vs)
     longest = [x for x in vs if x.length() == max_len]
     if len(longest) != 1:
@@ -550,6 +550,28 @@ def eigen_certificate(ctx: SchurContext, lam: Sequence[int], mu: Sequence[int]) 
     return True
 
 
+def _eigen_rows(alg: HeckeAlgebra, guard: int | None) -> tuple[int, dict]:
+    """(basis size, rows): rows[(side, i)][okey] = {col: coefficient of okey in T_i h - q h
+    (side "L") or h T_i - q h ("R"), h the monomial of column col}, i in 1..r-1."""
+    basis = list(alg.pbw_basis(guard))
+    rows: dict = {}
+    for col, key in enumerate(basis):
+        mono = alg.elem({key: alg.one_c})
+        q_mono = mono.scale(alg.q)
+        for i in range(1, alg.r):
+            for side, moved in (("L", mono.lmul_gen_T(i)), ("R", mono.rmul_gen_T(i))):
+                for okey, c in (moved - q_mono).terms.items():
+                    rows.setdefault((side, i), {}).setdefault(okey, {})[col] = c
+    return len(basis), rows
+
+
+def _nullity(alg: HeckeAlgebra, eigen_rows: tuple[int, dict], lam, mu, seed: int) -> int:
+    size, rows = eigen_rows
+    gens = [("L", i) for i in j_set(lam)] + [("R", j) for j in j_set(mu)]
+    picked = [row for gen in gens for row in rows.get(gen, {}).values()]
+    return size - modular_rank(picked, alg.nvars, trials=1, seed=seed)
+
+
 def hom_space_nullity(
     alg: HeckeAlgebra,
     lam: Sequence[int],
@@ -566,27 +588,19 @@ def hom_space_nullity(
     at the single trial that `seed` draws.
     """
     lam, mu = check_composition(lam), check_composition(mu)
-    basis = list(alg.pbw_basis(guard))
-    rows: dict = {}
-    for col, key in enumerate(basis):
-        mono = alg.elem({key: alg.one_c})
-        q_mono = mono.scale(alg.q)
-        moves = [(("L", i), mono.lmul_gen_T(i)) for i in j_set(lam)]
-        moves += [(("R", j), mono.rmul_gen_T(j)) for j in j_set(mu)]
-        for gen, moved in moves:
-            for okey, c in (moved - q_mono).terms.items():
-                rows.setdefault((gen, okey), {})[col] = c
-    return len(basis) - modular_rank(list(rows.values()), alg.nvars, trials=1, seed=seed)
+    return _nullity(alg, _eigen_rows(alg, guard), lam, mu, seed)
 
 
 def verify_hom_space_dims(ctx: SchurContext, seed: int = 0, guard: int | None = None) -> dict:
-    """Solution-space dimensions match the block sizes, for every block."""
+    """Solution-space dimensions match the block sizes, for every block
+    (on the eigen equations of ``_eigen_rows``, built once)."""
+    eigen_rows = _eigen_rows(ctx.hecke, guard)
     blocks = []
     ok = True
     for lam in ctx.weights():
         for mu in ctx.weights():
             expected = len(ctx.basis_block(lam, mu))
-            got = hom_space_nullity(ctx.hecke, lam, mu, seed=seed, guard=guard)
+            got = _nullity(ctx.hecke, eigen_rows, lam, mu, seed)
             blocks.append(
                 {"lam": list(lam), "mu": list(mu), "expected": expected, "dim": got}
             )

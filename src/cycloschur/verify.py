@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -41,6 +42,7 @@ from .schur import (
     b_element_of,
     basis_element,
     identity_element,
+    module_dimension,
     multiply_basis,
     phi_pair,
     verify_commutative,
@@ -54,7 +56,7 @@ from .typeb import (
     verify_single_row_coset_basis,
     verify_worked_example,
 )
-from .wreath import colored_col_sums, colored_count, group_by_row_sums
+from .wreath import colored_col_sums, colored_count, colored_row_sums, group_by_row_sums
 
 
 @dataclass
@@ -320,7 +322,13 @@ def suite_rank(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
 
     def ranked():
         ctx = _schur(p, contexts)
-        if not p.exact:
+        if p.exact:
+            # Bareiss on a block of k rows and C = dim x_lam H columns: k C min(k, C).
+            sizes = Counter((colored_row_sums(A), colored_col_sums(A)) for A in ctx.basis())
+            cost = sum(k * (c := module_dimension(ctx, lam)) * min(k, c)
+                       for (lam, _), k in sizes.items())
+            check_guard(cost, p.guard, "exact elimination of the rank blocks")
+        else:
             _trials(p, 1, len(ctx.weights()) ** 2, "modular ranks of the blocks")
         rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
         return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}

@@ -13,12 +13,29 @@ algebra the same way: each term's coefficient is straightened through
 L_1^{a_1} ... L_r^{a_r} one letter at a time, coefficient first, as
 ``cycloschur.affine.epsilon_u`` did before it multiplied coefficients in
 last.
+
+``sigma_nu`` and ``tail`` form sigma(A) and tail(A) = T_d sigma(A) (sum of
+T_v) as ``cycloschur.hecke``/``cycloschur.schur`` did before sigma was
+multiplied out on exponent vectors: one engine product per elementary
+factor e_t(L's of a block), each factor a sum of monomials built one by
+one (``elementary``), and T_d multiplied in as a product of its own.
 """
 
 from __future__ import annotations
 
-from cycloschur.permutations import Permutation, identity, reduced_word
+import itertools
+
+from cycloschur.permutations import (
+    Permutation,
+    blocks,
+    coset_reps_within,
+    identity,
+    nu_of,
+    reduced_word,
+    theta_inverse,
+)
 from cycloschur.ring import RingElem
+from cycloschur.wreath import a_ddot, colored_col_sums, colored_size
 
 
 def _add(out: dict, key, c: RingElem) -> None:
@@ -151,3 +168,34 @@ def epsilon(alg, terms: dict, em_inverse: RingElem | None = None) -> dict:
         for key, v in cur.items():
             _add(out, key, v)
     return out
+
+
+def elementary(alg, k: int, positions):
+    """e_k of the L_j (X_j) for j in positions, one monomial at a time."""
+    total = alg.zero()
+    for subset in itertools.combinations(positions, k):
+        exps = [0] * alg.r
+        for j in subset:
+            exps[j - 1] += 1
+        total = total + alg.monomial(exps)
+    return total
+
+
+def sigma_nu(alg, nu, exps, start=None):
+    """start (default 1) times prod_t e_t(L's of each block of nu)^exps,
+    one engine product per factor."""
+    result = alg.one() if start is None else start
+    for blk, ex in zip(blocks(nu), exps):
+        for t, e in enumerate(ex, start=1):
+            for _ in range(e):
+                result = result * elementary(alg, t, blk)
+    return result
+
+
+def tail(alg, A):
+    """T_d * sigma(A) * (sum of T_v over the representatives closing it)."""
+    size = colored_size(A)
+    reps = coset_reps_within(colored_col_sums(A), nu_of(size))
+    seq = alg.elem({(v, (0,) * alg.r): alg.one_c for v in reps})
+    sigma = sigma_nu(alg, nu_of(size), nu_of(a_ddot(A)))
+    return alg.from_perm(theta_inverse(size)) * sigma * seq

@@ -545,6 +545,17 @@ def test_verify_checks_epsilon_trials_against_the_guard():
     assert status["epsilon.multiplicative"] == "skipped(guard)", status
 
 
+def test_verify_charges_exact_rank_its_elimination():
+    # Bareiss on the blocks of S(3; 3, 3) is estimated at 20,789,865 units
+    # (rows x columns x min of the two, per block); it passed the default
+    # guard and ran 79 s.  (3, 3, 2) is estimated at 75,087 and still runs.
+    report = verify_in_subprocess("rank", "--m", "3", "--n", "3", "--r", "3", "--exact")
+    status = {c["check"]: c["status"] for c in report["checks"]}
+    assert status["rank.blocks"] == "skipped(guard)", status
+    report = run_suite("rank", SuiteParams(m=3, n=3, r=2, exact=True))
+    assert [c["status"] for c in report["checks"]] == ["pass"]
+
+
 TRIAL_LOOPS = [
     ("pbw", ("pbw.roundtrip", "pbw.assoc", "pbw.tau-anti")),
     ("straighten", ("straighten.jm-commute",)),

@@ -5,20 +5,27 @@ reduced-word and exponent prefixes within a product, and accumulates
 coefficients in place; the oracle does none of that.  Each example also
 multiplies again on the same algebra, so columns built by one product are
 read back by the next.  ``epsilon_u`` is checked the same way against
-the oracle's term-by-term, coefficient-first evaluation.
+the oracle's term-by-term, coefficient-first evaluation, and sigma(A) and
+tail(A), multiplied out on exponent vectors, against the oracle's chain of
+engine products.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
-from product_oracle import epsilon, product, rmul_L, rmul_T
+from product_oracle import elementary, epsilon, product, rmul_L, rmul_T, tail
+from product_oracle import sigma_nu as sigma_chain
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
-from cycloschur.hecke import HeckeAlgebra
-from cycloschur.permutations import all_perms
+from cycloschur.hecke import HeckeAlgebra, sigma_ddot, sigma_elementary, sigma_nu
+from cycloschur.permutations import all_perms, nu_of, theta_inverse
 from cycloschur.ring import ElementaryExpansion, RingElem
+from cycloschur.schur import tail_of
+from cycloschur.typeb import typeb_algebra
+from cycloschur.wreath import a_ddot, colored_size, enumerate_colored
 
 
 def coefficients(nvars: int):
@@ -177,3 +184,68 @@ def test_epsilon_of_negative_x1_powers_matches_oracle(data):
     x = data.draw(st.dictionaries(keys, coefficients(0), min_size=1, max_size=3), label="x")
     got = epsilon_u(aff.elem(x), target, em_inverse=minus_one)
     assert got.terms == epsilon(target, x, minus_one)
+
+
+# The generic cyclotomic engine (private e-coordinates), the type-B
+# specialisation, and the affine engine, each at r = 3.
+SIGMA_ALGEBRAS = {
+    "generic-m2": HeckeAlgebra(2, 3),
+    "generic-m3": HeckeAlgebra(3, 3),
+    "typeb": typeb_algebra(3),
+    "affine": AffineAlgebra(3, nvars=2),
+}
+SIGMA_CASES = [
+    ((3,), [(2, 1, 1)]),  # exponents up to 4: overflows at m = 2 and 3
+    ((1, 2), [(3,), (2, 2)]),  # L_1^3 and (L_2 + L_3)^2 (L_2 L_3)^2
+    ((2, 1), [(1, 1), (2,)]),
+    ((1, 1, 1), [(1,), (0,), (1,)]),
+    ((3,), [(0, 0, 0)]),
+    ((0, 3, 0), [(), (0, 1, 0), ()]),
+]
+
+
+@pytest.mark.parametrize("name", SIGMA_ALGEBRAS)
+@pytest.mark.parametrize("nu,exps", SIGMA_CASES)
+def test_sigma_nu_matches_the_product_chain(name, nu, exps):
+    alg = SIGMA_ALGEBRAS[name]
+    # A start other than 1, with T- and L- (X-) parts of its own.
+    start = alg.monomial((1, 0, 1)) * alg.gen_T(2) + alg.gen_T(1).scale(alg.q)
+    assert sigma_nu(alg, nu, exps)._terms == sigma_chain(alg, nu, exps)._terms
+    got = sigma_nu(alg, nu, exps, start)._terms
+    assert got == sigma_chain(alg, nu, exps, start)._terms
+
+
+@pytest.mark.parametrize("name", SIGMA_ALGEBRAS)
+def test_sigma_elementary_matches_the_monomial_sum(name):
+    # (2, 2) repeats a position: e_2 is then L_2^2, which overflows at m = 2.
+    alg = SIGMA_ALGEBRAS[name]
+    for positions in ((1, 2, 3), (3, 1), (2, 2)):
+        for k in range(len(positions) + 1):
+            got = sigma_elementary(alg, k, positions)._terms
+            assert got == elementary(alg, k, positions)._terms
+
+
+@pytest.mark.parametrize(
+    "alg,n,m",
+    [
+        (HeckeAlgebra(3, 2), 3, 3),
+        (HeckeAlgebra(2, 3), 2, 2),
+        (typeb_algebra(3), 2, 2),
+        (AffineAlgebra(3, nvars=2), 2, 2),
+        (AffineAlgebra(2, nvars=3), 2, 3),
+    ],
+    ids=["generic-332", "generic-223", "typeb-23", "affine-223", "affine-232"],
+)
+def test_sigma_ddot_and_tail_match_the_product_chain(alg, n, m):
+    for A in enumerate_colored(n, alg.r, m):
+        size = colored_size(A)
+        d = alg.from_perm(theta_inverse(size))
+        chain = sigma_chain(alg, nu_of(size), nu_of(a_ddot(A)))
+        assert sigma_ddot(alg, A)._terms == chain._terms
+        assert sigma_ddot(alg, A, d)._terms == (d * chain)._terms
+        assert tail_of(alg, A)._terms == tail(alg, A)._terms
+
+
+def test_sigma_nu_rejects_a_start_from_another_algebra():
+    with pytest.raises(ValueError):
+        sigma_nu(HeckeAlgebra(2, 3), (3,), [(1, 0, 0)], HeckeAlgebra(3, 3).one())

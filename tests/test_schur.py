@@ -15,8 +15,9 @@ import random
 import pytest
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
+from cycloschur import hecke
 from cycloschur.guards import GuardError
-from cycloschur.hecke import HeckeAlgebra, eigen_test
+from cycloschur.hecke import ElementBase, HeckeAlgebra, HeckeElement, eigen_test
 from cycloschur.permutations import (
     coset_reps_within,
     left_coset_factor,
@@ -436,6 +437,47 @@ def test_hom_space_nullity_matches_block():
     lam, mu = (2, 1), (1, 2)
     expected = len(ctx.basis_block(lam, mu))
     assert hom_space_nullity(alg, lam, mu, seed=9) == expected
+
+
+def test_hom_dims_build_the_eigen_equations_once(monkeypatch):
+    # H(3, 2) has 18 normal-form monomials, each moved by T_1 on each side:
+    # 36 products for all 36 blocks (648 when each block built its own).
+    calls = []
+    for cls, name in ((HeckeElement, "lmul_gen_T"), (ElementBase, "rmul_gen_T")):
+        def counted(self, i, _original=getattr(cls, name)):
+            calls.append(i)
+            return _original(self, i)
+
+        monkeypatch.setattr(cls, name, counted)
+    rep = verify_hom_space_dims(SchurContext(3, 3, 2), seed=0)
+    assert rep["ok"] and len(rep["blocks"]) == 36
+    assert len(calls) == 36
+
+
+def test_coset_representatives_are_memoised_per_algebra(monkeypatch):
+    calls = []
+
+    def counted(mu, nu):
+        calls.append((mu, nu))
+        return coset_reps_within(mu, nu)
+
+    monkeypatch.setattr(hecke, "coset_reps_within", counted)
+    ctx = SchurContext(2, 2, 3)
+    basis = ctx.basis()
+    for A in basis:
+        ctx.tail(A)
+    for A, B in zip(basis, reversed(basis)):
+        multiply_basis(ctx, A, B)  # recovers leading terms through the memo
+    memo = ctx.hecke._reps_within
+    assert memo and len(calls) == len(memo)
+    for (mu, nu), reps in memo.items():
+        assert reps == coset_reps_within(mu, nu)
+    # An equal algebra keeps a memo of its own.
+    other = HeckeAlgebra(2, 3)
+    assert other == ctx.hecke and other._reps_within == {}
+    tail_of(other, basis[-1])
+    assert len(other._reps_within) == 1 and other._reps_within is not memo
+    assert len(calls) == len(memo) + 1
 
 
 def test_eigen_certificate():
