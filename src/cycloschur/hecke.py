@@ -151,7 +151,7 @@ class AlgebraBase:
         expand = self._expansion
         if expand is None:
             return terms
-        return {key: image for key, c in terms.items() if (image := expand(c)).terms}
+        return {key: image for key, c in terms.items() if not (image := expand(c)).is_zero()}
 
     def coset_reps_within(self, mu: tuple[int, ...], nu: tuple[int, ...]) -> list[Permutation]:
         """``permutations.coset_reps_within(mu, nu)``, memoised on the algebra."""
@@ -506,7 +506,7 @@ def _collect(acc: Mapping[TermKey, RingAccumulator]) -> dict[TermKey, RingElem]:
     out: dict[TermKey, RingElem] = {}
     for key, slot in acc.items():
         total = slot.value()
-        if total.terms:
+        if not total.is_zero():
             out[key] = total
     return out
 

@@ -2,12 +2,13 @@
 
 Every coefficient in this package is an element of R: a Laurent polynomial
 in the invertible variable q whose coefficients are ordinary (non-Laurent)
-polynomials in the parameters u_1, ..., u_m with integer coefficients.
-Elements are stored sparsely as a map from monomials to nonzero integer
-coefficients.  A monomial is the pair ``(q_exponent, u_exponents)`` with
-``q_exponent`` any integer and ``u_exponents`` a tuple of ``nvars``
-naturals; internally it is packed into one integer (see ``RingElem``), and
-callers read monomials back through ``sorted_terms`` and ``leading``.
+polynomials in the parameters u_1, ..., u_m with integer coefficients.  A
+monomial is the pair ``(q_exponent, u_exponents)`` with ``q_exponent`` any
+integer and ``u_exponents`` a tuple of ``nvars`` naturals.  An element
+keeps one integer per u-monomial and packs the q-polynomial over it into
+another (Kronecker substitution q -> 2^64, see ``RingElem``), so two
+q-polynomials multiply in one bigint multiply.  Callers read monomials
+back through ``sorted_terms`` and ``leading``.
 
 The same representation holds the mixed ring Z[q, q^-1][e_1..e_m][u_1..u_n],
 with e_k in m extra fields, over which a generic cyclotomic Hecke algebra
@@ -27,8 +28,10 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 # The prime of every modular specialization: 2^31 - 1 (Mersenne), > 2^30.
@@ -36,15 +39,18 @@ MODULAR_PRIME = 2**31 - 1
 
 Monomial = tuple[int, tuple[int, ...]]
 
-# Packed monomials: q^e u_1^f_1 ... u_n^f_n is the integer
-#     e * 2^(W n) + sum_i f_i * 2^(W (n - i)),
-# one W-bit field per u-exponent below the q exponent, which Python's
-# unbounded signed ints hold as is.  Integer order is the (q, u) lex order,
-# and while every field stays below 2^(W-1) the product of two monomials is
-# the sum of their keys.
+# Packed u-monomials: u_1^f_1 ... u_n^f_n is the key sum_i f_i 2^(W (n - i)),
+# one W-bit field per exponent.  Key order is the u lex order, and while
+# every field stays below 2^(W-1) the product of two monomials is the sum
+# of their keys.  q^e u^f reads out as e 2^(W n) + key(u^f), in (q, u) order.
 _W = 32
 _FIELD = (1 << _W) - 1
 U_EXP_MAX = (1 << (_W - 1)) - 1
+
+# Packed q-parts: sum_i c_i q^(lo + i) is (lo, sum_i c_i 2^(S i)), one S-bit
+# signed slot per coefficient; S = _S unless the coefficients need more.
+_S = 64
+_LIMIT = 1 << (_S - 1)
 
 
 class RingError(ValueError):
@@ -63,25 +69,92 @@ def _unpack(key: int, nvars: int) -> Monomial:
     return key, tuple(ue)
 
 
-class RingElem:
-    """An element of Z[q, q^-1, u_1, ..., u_nvars] in canonical sparse form.
+def _slot_for(bound: int) -> int:
+    """The narrowest multiple of _S whose signed slots hold |c| <= bound."""
+    return _S * (bound.bit_length() // _S + 1)
 
-    ``terms`` maps packed monomial keys to nonzero integers; the keys are
-    private to this module.  ``_ubound`` is an upper bound on every
-    u-exponent of the element: exact at construction, the larger bound
-    under + and -, the sum of the bounds under *.  A product whose bound
-    passes ``U_EXP_MAX`` raises ``RingError``, so no field ever carries
-    into the next.  Two elements are equal iff they have the same ``nvars``
-    and identical term maps.  Instances are immutable by convention: no
-    method mutates ``terms`` after construction.
+
+def _digits(packed: int, slot: int) -> list[int]:
+    """The signed slot values of a packed q-part, lowest first."""
+    half, out = 1 << (slot - 1), []
+    while packed:
+        out.append(((packed + half) & (2 * half - 1)) - half)
+        packed = (packed - out[-1]) >> slot
+    return out
+
+
+def _repacked(groups: Mapping, old: int, new: int) -> dict:
+    """groups with every q-part moved from old-bit to new-bit slots."""
+    return {
+        k: (lo, sum(d << new * i for i, d in enumerate(_digits(p, old))))
+        for k, (lo, p) in groups.items()
+    }
+
+
+def _operands(x: "RingElem", y: "RingElem", bound: int) -> tuple[dict, dict, int]:
+    """x's and y's groups at the slot width holding bound, and that width."""
+    if bound < _LIMIT:
+        return x._groups, y._groups, _S
+    slot = _slot_for(bound)
+    return _repacked(x._groups, x._slot, slot), _repacked(y._groups, y._slot, slot), slot
+
+
+def _add_products(out: dict, a: Mapping, b: Mapping, slot: int) -> None:
+    """Add the product of the group maps a and b into out, in place, at a
+    slot width that holds the result.  A q-part meeting one already there
+    is aligned to the lower exponent by a shift, and each entry is kept
+    canonical: a cancelled lowest slot is shifted out, a zero sum deleted."""
+    mask = (1 << slot) - 1
+    get = out.get
+    for ka, (la, pa) in a.items():
+        for kb, (lb, pb) in b.items():
+            key = ka + kb
+            lo = la + lb
+            p = pa * pb
+            old = get(key)
+            if old is not None:
+                lo0, p0 = old
+                if lo0 < lo:
+                    p = p0 + (p << slot * (lo - lo0))
+                    lo = lo0
+                elif lo < lo0:
+                    p += p0 << slot * (lo0 - lo)
+                else:
+                    p += p0
+                    if not p & mask:
+                        if not p:
+                            del out[key]
+                            continue
+                        zeros = ((p & -p).bit_length() - 1) // slot
+                        p >>= slot * zeros
+                        lo += zeros
+            out[key] = (lo, p)
+
+
+class RingElem:
+    """An element of Z[q, q^-1, u_1, ..., u_nvars] in canonical packed form.
+
+    ``_groups`` maps each packed u-monomial key to ``(lo, packed)``, the
+    q-polynomial sum_i c_i q^(lo+i) over it, c_i in the i-th ``_slot``-bit
+    signed slot of ``packed`` = sum_i c_i 2^(slot i).  Canonical form:
+    c_0 != 0, no zero group, and ``_slot`` the narrowest multiple of 64 bits
+    holding every c_i; elements are equal iff nvars, slot and groups are.
+
+    Two bounds, exact at construction, keep the packing exact.  ``_ubound``
+    bounds the u-exponents: the larger bound under + and -, the sum under *,
+    and a product past ``U_EXP_MAX`` raises ``RingError``.  ``_cbound``
+    bounds the sum of the coefficients' sizes: summed under + and -,
+    multiplied under *.  Below 2^63 an operation works at 64-bit slots, past
+    it at slots that hold the bound, narrowing its result with an exact
+    bound; no field or slot wraps.  ``terms`` is a read-only view.
     """
 
-    __slots__ = ("nvars", "terms", "_ubound", "_hash")
+    __slots__ = ("nvars", "_groups", "_ubound", "_cbound", "_slot", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         if nvars < 0:
             raise RingError("nvars must be nonnegative")
-        clean: dict[int, int] = {}
+        rows: dict[int, dict[int, int]] = {}
         top = 0
         if terms:
             for (qe, ue), c in terms.items():
@@ -92,7 +165,7 @@ class RingElem:
                     raise RingError(
                         f"u-exponent tuple {ue} has length {len(ue)}, expected {nvars}"
                     )
-                key = qe
+                key = 0
                 for e in ue:
                     if e < 0:
                         raise RingError(f"negative u-exponent in {ue}")
@@ -103,10 +176,16 @@ class RingElem:
                             )
                         top = e
                     key = (key << _W) + e
-                clean[key] = c
+                rows.setdefault(key, {})[qe] = c
+        sizes = [abs(c) for row in rows.values() for c in row.values()]
+        self._slot = slot = _slot_for(max(sizes, default=0))
+        self._groups = groups = {}
+        for key, row in rows.items():
+            lo = min(row)
+            groups[key] = (lo, sum(c << slot * (qe - lo) for qe, c in row.items()))
         self.nvars = nvars
-        self.terms = clean
         self._ubound = top
+        self._cbound = sum(sizes)
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -139,7 +218,17 @@ class RingElem:
     # -- basic predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._groups
+
+    @property
+    def terms(self) -> Mapping[int, int]:
+        """Read-only {packed (q, u) key: coefficient}, one entry per
+        monomial, built on each access; keys sort in the (q, u) lex order."""
+        shift, groups = _W * self.nvars, self._groups.items()
+        return MappingProxyType({
+            (qe << shift) + key: c
+            for key, (lo, p) in groups for qe, c in enumerate(_digits(p, self._slot), lo) if c
+        })
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,49 +242,34 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return _make(self.nvars, out, max(self._ubound, other._ubound))
-
-    def __neg__(self) -> "RingElem":
-        return _make(
-            self.nvars, {key: -c for key, c in self.terms.items()}, self._ubound
-        )
+        bound = self._cbound + other._cbound
+        a, b, slot = _operands(self, other, bound)
+        out = dict(a)
+        _add_products(out, b, {0: (0, 1)}, slot)  # b times the group map of 1
+        return _make(self.nvars, out, max(self._ubound, other._ubound), bound, slot)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
+    def __neg__(self) -> "RingElem":
+        groups = {k: (lo, -p) for k, (lo, p) in self._groups.items()}
+        return _make(self.nvars, groups, self._ubound, self._cbound, self._slot)
+
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        bound = self._ubound + other._ubound
-        if bound > U_EXP_MAX:
+        ubound = self._ubound + other._ubound
+        if ubound > U_EXP_MAX:
             raise RingError(
-                f"u-exponents of a product may reach {bound}, past the limit {U_EXP_MAX}"
+                f"u-exponents of a product may reach {ubound}, past the limit {U_EXP_MAX}"
             )
-        out: dict[int, int] = {}
-        get = out.get
-        other_terms = other.terms.items()
-        for ka, ca in self.terms.items():
-            for kb, cb in other_terms:
-                key = ka + kb
-                new = get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return _make(self.nvars, out, bound)
+        bound = self._cbound * other._cbound
+        a, b, slot = _operands(self, other, bound)
+        out: dict = {}
+        _add_products(out, a, b, slot)
+        return _make(self.nvars, out, ubound, bound, slot)
 
     def scale(self, c: int) -> "RingElem":
-        if c == 0:
-            return RingElem.zero(self.nvars)
-        return _make(
-            self.nvars, {key: c * v for key, v in self.terms.items()}, self._ubound
-        )
+        return self * RingElem.const(c, self.nvars)
 
     def __pow__(self, k: int) -> "RingElem":
         if k < 0:
@@ -215,11 +289,12 @@ class RingElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        same = self.nvars == other.nvars and self._slot == other._slot
+        return same and self._groups == other._groups
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self._slot, frozenset(self._groups.items())))
         return self._hash
 
     # -- canonical order and leading term ---------------------------------
@@ -231,34 +306,39 @@ class RingElem:
 
     def leading(self) -> tuple[Monomial, int]:
         """The lex-largest monomial and its coefficient (error on zero)."""
-        if not self.terms:
+        if not self._groups:
             raise RingError("zero element has no leading term")
-        key = max(self.terms)
-        return _unpack(key, self.nvars), self.terms[key]
+        qe, key, c = self._lead()
+        return (qe, _unpack(key, self.nvars)[1]), c
+
+    def _lead(self) -> tuple[int, int, int]:
+        """(q-exponent, u-key, coefficient) of the leading term, from each
+        group's top q-exponent, read off the bit length of its q-part."""
+        slot = self._slot
+        qe, key, p = max(
+            (lo + abs(p).bit_length() // slot, key, p) for key, (lo, p) in self._groups.items()
+        )
+        shift = slot * (abs(p).bit_length() // slot)
+        return qe, key, (p + (1 << shift >> 1)) >> shift
 
     # -- specialization ----------------------------------------------------
 
     def specialize(self, q_val, u_vals: Sequence) -> Fraction:
-        """Evaluate at rational q = q_val and u_i = u_vals[i-1], exactly.
-
-        Raises ``ZeroDivisionError`` when q_val = 0 meets a negative
-        q-exponent.
-        """
+        """Evaluate at rational q = q_val and u_i = u_vals[i-1], exactly;
+        ``ZeroDivisionError`` when q_val = 0 meets a negative q-exponent."""
         if len(u_vals) != self.nvars:
             raise RingError(f"expected {self.nvars} u-values, got {len(u_vals)}")
         q_val = Fraction(q_val)
         u_vals = [Fraction(v) for v in u_vals]
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            qe, ue = _unpack(key, self.nvars)
-            if q_val == 0 and qe < 0:
-                raise ZeroDivisionError("q = 0 specialization with negative exponent")
-            val = Fraction(c)
-            val *= q_val**qe
-            for u, e in zip(u_vals, ue):
-                if e:
-                    val *= u**e
-            total += val
+        x, y, total = q_val.numerator, q_val.denominator, Fraction(0)
+        for key, (lo, p) in self._groups.items():
+            h, ypow = 0, 1  # h = y^k P(x/y), P the group's q-polynomial of degree k
+            for d in reversed(_digits(p, self._slot)):
+                h, ypow = h * x + d * ypow, ypow * y
+            ue = _unpack(key, self.nvars)[1]
+            h *= math.prod(u.numerator**e for u, e in zip(u_vals, ue))
+            ypow *= math.prod(u.denominator**e for u, e in zip(u_vals, ue))
+            total += Fraction(h * y, ypow) * q_val**lo
         return total
 
     def specialize_mod(self, p: int, q_val: int, u_vals: Sequence[int]) -> int:
@@ -270,13 +350,17 @@ class RingElem:
             raise ZeroDivisionError("q specialization must be invertible mod p")
         last_first = u_vals[::-1]
         total = 0
-        for key, c in self.terms.items():
+        for key, (lo, packed) in self._groups.items():
+            c = pow(q_val, lo, p)
             for u in last_first:
                 e = key & _FIELD
                 if e:
                     c = c * pow(u, e, p) % p
                 key >>= _W
-            total += c * pow(q_val, key, p)
+            horner = 0
+            for d in reversed(_digits(packed, self._slot)):
+                horner = (horner * q_val + d) % p
+            total += c * horner
         return total % p
 
     # -- serialization -----------------------------------------------------
@@ -338,34 +422,44 @@ def _text_of(terms: Sequence[tuple[Monomial, int]]) -> str:
     return text
 
 
-def _make(nvars: int, terms: dict[int, int], ubound: int) -> RingElem:
-    """An element straight from packed terms, skipping the constructor's checks."""
+def _make(nvars: int, groups: dict, ubound: int, cbound: int, slot: int = _S) -> RingElem:
+    """An element from canonical groups at ``slot``, unchecked; groups wider
+    than 64 bits are narrowed to the slot they need, with an exact bound."""
+    if slot != _S:
+        sizes = [abs(d) for _, p in groups.values() for d in _digits(p, slot)]
+        cbound, new = sum(sizes), _slot_for(max(sizes, default=0))
+        groups, slot = _repacked(groups, slot, new), new
     res = object.__new__(RingElem)
     res.nvars = nvars
-    res.terms = terms
+    res._groups = groups
     res._ubound = ubound
+    res._cbound = cbound
+    res._slot = slot
     res._hash = None
     return res
 
 
 class RingAccumulator:
-    """A running sum of ring products, formed in place in one packed dict.
+    """A running sum of ring products, formed in place in one group map.
 
     ``add_product(a, b)`` adds a*b to the sum without building a*b or a new
-    partial sum, deleting monomials that cancel as it goes; ``value`` hands
-    the total out as one ``RingElem``, after which the accumulator is done
-    with.  The total's u-exponent bound is the largest bound of its
-    products, checked against ``U_EXP_MAX`` as ``RingElem.__mul__`` checks
-    it.  Every operand must have the accumulator's ``nvars``; callers are
-    the straightening loops, whose coefficients all live in one ring.
+    partial sum: each product of two groups goes into the entry of its
+    u-monomial by one aligned bigint addition (see ``_add_products``).
+    ``value`` hands the map out as one ``RingElem``, after which the
+    accumulator is done with.  The bounds are a sum of products' bounds,
+    the u-exponent one checked as ``RingElem.__mul__`` checks it; past 2^63
+    the coefficient bound sends products through ``RingElem``'s wide + and
+    *.  Operands must have the accumulator's ``nvars``.
     """
 
-    __slots__ = ("nvars", "_terms", "_ubound")
+    __slots__ = ("nvars", "_groups", "_ubound", "_cbound", "_slot")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self._terms: dict[int, int] = {}
+        self._groups: dict = {}
         self._ubound = 0
+        self._cbound = 0
+        self._slot = _S
 
     def add_product(self, a: RingElem, b: RingElem) -> None:
         bound = a._ubound + b._ubound
@@ -375,20 +469,15 @@ class RingAccumulator:
                     f"u-exponents of a product may reach {bound}, past the limit {U_EXP_MAX}"
                 )
             self._ubound = bound
-        out = self._terms
-        get = out.get
-        b_terms = b.terms.items()
-        for ka, ca in a.terms.items():
-            for kb, cb in b_terms:
-                key = ka + kb
-                new = get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+        self._cbound += a._cbound * b._cbound
+        if self._cbound < _LIMIT:
+            _add_products(self._groups, a._groups, b._groups, _S)
+        else:  # past 64-bit slots: exact through RingElem's wide arithmetic
+            total = self.value() + a * b
+            self._groups, self._cbound, self._slot = total._groups, total._cbound, total._slot
 
     def value(self) -> RingElem:
-        return _make(self.nvars, self._terms, self._ubound)
+        return _make(self.nvars, self._groups, self._ubound, self._cbound, self._slot)
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -407,9 +496,10 @@ def elementary_symmetric_params(k: int, m: int) -> RingElem:
 class ElementaryExpansion:
     """The ring homomorphism Z[q^±1][e_1..e_m][u_1..u_nvars] -> Z[q^±1][u_1..u_N],
     N = max(m, nvars), fixing q and each u_i and sending e_k to
-    e_k(u_1, ..., u_m).  The e-fields of a key sit after q, the u-fields
-    after them; ``lift`` pads a u-ring element with zero e-fields.  The map
-    is injective on the elements free of u (u_1 + ... + u_m - e_1 goes to 0).
+    e_k(u_1, ..., u_m).  The e-fields of a key sit above its u-fields, so
+    ``lift`` (zero e-fields) keeps a u-ring element's groups as they are.
+    The map is injective on the elements free of u (u_1 + ... + u_m - e_1
+    goes to 0).
 
     Images of e-monomials and of elements are memoised; equal inputs share
     one output.  A term whose u-exponent plus e-degree passes ``U_EXP_MAX``
@@ -431,9 +521,7 @@ class ElementaryExpansion:
         """c in Z[q^±1][u_1..u_nvars], as an element of the domain."""
         if c.nvars != self.nvars:
             raise RingError(f"expected {self.nvars} variables, got {c.nvars}")
-        umask, ebits = (1 << (_W * self.nvars)) - 1, _W * self.m
-        terms = {((key & ~umask) << ebits) + (key & umask): v for key, v in c.terms.items()}
-        return _make(self.nvars + self.m, terms, c._ubound)
+        return _make(self.nvars + self.m, c._groups, c._ubound, c._cbound, c._slot)
 
     def _monomial(self, epart: int, top: int) -> RingElem:
         exps = _unpack(epart, self.m)[1]
@@ -452,20 +540,16 @@ class ElementaryExpansion:
             n, width = self.nvars, self.width
             if c.nvars != self.m + n:
                 raise RingError(f"expected {self.m + n} variables, got {c.nvars}")
-            ubits, ebits = _W * n, _W * self.m
-            umask, emask = (1 << ubits) - 1, (1 << ebits) - 1
-            pad, qbits = _W * (width - n), _W * width
+            ubits, pad = _W * n, _W * (width - n)
             acc = RingAccumulator(width)
-            for key, coeff in c.terms.items():
-                upart = key & umask
-                rest = key >> ubits
-                epart = rest & emask
+            for key, group in c._groups.items():
+                epart, upart = divmod(key, 1 << ubits)
                 top = max(_unpack(upart, n)[1], default=0)
                 mono = self._monomials.get(epart)
                 if mono is None:
                     mono = self._monomials[epart] = self._monomial(epart, top)
-                base = ((rest >> ebits) << qbits) + (upart << pad)
-                acc.add_product(mono, _make(width, {base: coeff}, top))
+                term = _make(width, {upart << pad: group}, top, c._cbound, c._slot)
+                acc.add_product(mono, term)
             image = self._images[c] = acc.value()
         return image
 
@@ -515,22 +599,19 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     a._check(b)
     if b.is_zero():
         raise ExactDivisionError("division by zero")
-    nvars = a.nvars
-    (qb, ub), cb = b.leading()
-    quotient: dict[Monomial, int] = {}
-    rem = a
+    n, high = a.nvars, ((1 << _W * a.nvars) - 1) // _FIELD << (_W - 1)  # u-fields' top bits
+    qb, kb, cb = b._lead()
+    quotient, rem = _make(n, {}, 0, 0), a
     while not rem.is_zero():
-        (qa, ua), ca = rem.leading()
-        if ca % cb != 0:
-            raise ExactDivisionError("leading coefficient does not divide")
-        diff = tuple(x - y for x, y in zip(ua, ub))
-        if any(d < 0 for d in diff):
-            raise ExactDivisionError("leading monomial does not divide")
-        mon = (qa - qb, diff)
-        coeff = ca // cb
-        quotient[mon] = coeff
-        rem = rem - RingElem(nvars, {mon: coeff}) * b
-    return RingElem(nvars, quotient)
+        qa, ka, ca = rem._lead()
+        diff = ka + high - kb  # fields < 2^31: a top bit clears iff b's exponent is larger
+        if ca % cb or diff & high != high:
+            raise ExactDivisionError("leading term does not divide")
+        c, key = ca // cb, diff - high
+        top = max(_unpack(key, n)[1], default=0)
+        mon = _make(n, {key: (qa - qb, c)}, top, abs(c), _slot_for(abs(c)))
+        quotient, rem = quotient + mon, rem - mon * b
+    return quotient
 
 
 def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:

@@ -107,8 +107,8 @@ _UNGUARDED = object()  # basis() called without a guard
 class SchurContext:
     """The slim Schur algebra for (m, n, r) over ``hecke`` = H_u(r), with
     per-basis memos in ``hecke``'s private coordinates.  Keyed by a basis
-    matrix A: tail(A), b_A, b_A's module coordinates, and ``_actions[A]``:
-    (w, a) -> the module coordinates of b_A T_w L^a."""
+    matrix A: tail(A), b_A, b_A's module coordinates, ``_actions[A]``:
+    (w, a) -> the module coordinates of b_A T_w L^a, and A's margins."""
 
     def __init__(self, m: int, n: int, r: int):
         if n < 1:
@@ -131,6 +131,7 @@ class SchurContext:
         # equal keys and coefficients being one object, through _pool.
         self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
         self._pool: dict = {}
+        self._margins: dict[ColoredMatrix, tuple[Composition, Composition]] = {}
 
     def __eq__(self, other):
         return isinstance(other, SchurContext) and (self.m, self.n, self.r) == (
@@ -183,6 +184,13 @@ class SchurContext:
         lam, mu = self.weight(lam), self.weight(mu)
         return list(enumerate_colored_with_margins(lam, mu, self.m, guard))
 
+    def margins(self, A: ColoredMatrix) -> tuple[Composition, Composition]:
+        """(row sums, column sums) of A, from one ``colored_size``, memoised."""
+        if A not in self._margins:
+            size = colored_size(A)
+            self._margins[A] = (tuple(map(sum, size)), tuple(map(sum, zip(*size))))
+        return self._margins[A]
+
     # -- the basis homomorphisms, memoised ----------------------------------
 
     def tail(self, A: ColoredMatrix) -> HeckeElement:
@@ -195,7 +203,7 @@ class SchurContext:
     def b_element(self, A: ColoredMatrix) -> HeckeElement:
         elem = self._bs.get(A)
         if elem is None:
-            elem = self._bs[A] = self.hecke.x_lambda(colored_row_sums(A)) * self.tail(A)
+            elem = self._bs[A] = self.hecke.x_lambda(self.margins(A)[0]) * self.tail(A)
         return elem
 
     def _b_coords(self, A: ColoredMatrix) -> dict:
@@ -203,7 +211,7 @@ class SchurContext:
         coords = self._coords.get(A)
         if coords is None:
             coords = self._coords[A] = _module_coords(
-                self.hecke, self.b_element(A)._terms, colored_row_sums(A)
+                self.hecke, self.b_element(A)._terms, self.margins(A)[0]
             )
         return coords
 
@@ -216,7 +224,7 @@ class SchurContext:
         row = self._actions.setdefault(A, {})
         missing = [key for key in keys if key not in row]
         if missing:
-            lam = colored_row_sums(A)
+            lam = self.margins(A)[0]
             intern = self._pool.setdefault
             for key, terms in self.b_element(A)._rmul_monomials(missing):
                 coords = _module_coords(self.hecke, terms, lam)
@@ -379,7 +387,7 @@ def _eliminate(
         C = recovered.get(lead)
         if C is None:
             C, _ = _recover_matrix(ctx, lam, mu, d2, c)
-            if colored_row_sums(C) != lam or colored_col_sums(C) != mu:
+            if ctx.margins(C) != (lam, mu):
                 raise NotInSpanError("recovered matrix has wrong margins")
             recovered[lead] = C
         _add_term(out, C, f)
@@ -423,14 +431,14 @@ def multiply_basis(
     ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix
 ) -> dict[ColoredMatrix, RingElem]:
     """Structure constants of Phi_A o Phi_B (apply B's map first)."""
-    if colored_col_sums(A) != colored_row_sums(B):
+    (lam, mid), (mid_b, mu) = ctx.margins(A), ctx.margins(B)
+    if mid != mid_b:
         return {}
     tail = ctx.tail(B)._terms
     row = ctx._action_row(A, tail)
     acc: dict = {}
     for key, c2 in tail.items():
         _add_products(acc, ctx.hecke._cvars, row[key], c2)
-    lam, mu = colored_row_sums(A), colored_col_sums(B)
     # The e-coordinates are free of u, so their expansion is injective.
     return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords))
 

@@ -3,8 +3,9 @@
 A monomial is the pair ``(q_exponent, u_exponents)`` and an element is a
 dict from monomials to nonzero integers, multiplied term pair by term pair
 with a fresh tuple key each time.  This is the straightforward
-representation ``cycloschur.ring`` used before it packed monomials into
-integers; the ring tests compare the packed arithmetic against it.
+representation ``cycloschur.ring`` used before it packed monomials and
+q-polynomials into integers; the ring tests compare the packed arithmetic
+against it.
 """
 
 from __future__ import annotations

@@ -346,7 +346,8 @@ def oracle_terms(nvars: int):
 
 def assert_same(x: RingElem, ox: OracleElem) -> None:
     assert x.sorted_terms() == ox.sorted_terms()
-    assert len(x.terms) == len(ox.terms)
+    # the read-only view: one entry per monomial
+    assert len(x.terms) == len(x.sorted_terms()) == len(ox.terms)
     assert x.to_json() == ox.to_json()
     assert str(x) == str(ox)
     if ox.terms:
@@ -462,6 +463,137 @@ def test_accumulator_u_exponent_limit():
     # bounds, before any term is formed
     with pytest.raises(RingError):
         top * u1
+
+
+# -- coefficients past the 64-bit slot ---------------------------------------
+
+WIDE = 2**63  # the first size a 64-bit signed slot does not hold
+
+
+def wide_terms(nvars: int):
+    """Few u-monomials with many q-exponents, so q-parts share packed
+    integers, and coefficients from small to +-2^80, the slot's edges too."""
+    mons = st.tuples(
+        st.integers(min_value=-4, max_value=4),
+        st.tuples(*([st.integers(min_value=0, max_value=2)] * nvars)),
+    )
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.sampled_from([WIDE - 1, 1 - WIDE, WIDE, -WIDE, 2**62, -(2**62), 2**64]),
+    )
+    return st.dictionaries(mons, coeffs, max_size=7)
+
+
+def assert_same_value(x: RingElem, y: RingElem) -> None:
+    assert x == y and y == x and hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wide_coefficients_match_oracle(data):
+    n = data.draw(st.integers(min_value=0, max_value=2), label="nvars")
+    da, db, dc = (data.draw(wide_terms(n), label=name) for name in "abc")
+    a, b, c = RingElem(n, da), RingElem(n, db), RingElem(n, dc)
+    oa, ob, oc = OracleElem(n, da), OracleElem(n, db), OracleElem(n, dc)
+    assert_same(a, oa)
+    assert_same(a * b, oa * ob)
+    assert_same(a * b * c, oa * ob * oc)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b + c, oa - ob + oc)
+    assert_same(-a, -oa)
+    k = data.draw(st.integers(min_value=-(2**70), max_value=2**70), label="k")
+    assert_same(a.scale(k), oa.scale(k))
+    assert_same(a**2, oa**2)
+    acc = RingAccumulator(n)
+    for x, y in ((a, b), (c, a), (-a, b)):
+        acc.add_product(x, y)
+    assert_same(acc.value(), oc * oa)
+    # Equal values are equal and hash-equal whichever path made them.
+    assert_same_value((a + b) - b, a)
+    assert_same_value(a * b, RingElem(n, (oa * ob).terms))
+    assert_same_value(acc.value(), c * a)
+    assert_same_value(a * b - a * b, RingElem.zero(n))
+    assert RingElem.from_json((a * b).to_json(), n) == a * b
+    q_val = data.draw(st.integers(min_value=1, max_value=MODULAR_PRIME - 1), label="q")
+    u_vals = data.draw(
+        st.lists(st.integers(min_value=0, max_value=MODULAR_PRIME - 1),
+                 min_size=n, max_size=n), label="u"
+    )
+    assert (a * b).specialize_mod(MODULAR_PRIME, q_val, u_vals) == (oa * ob).specialize_mod(
+        MODULAR_PRIME, q_val, u_vals
+    )
+    if ob.terms:
+        assert_same_value(exact_div(a * b, b), a)
+
+
+def test_bounds_past_the_slot_give_exact_results():
+    big = RingElem(1, {(0, (0,)): 2**62, (1, (0,)): 2**62, (1, (1,)): -(2**62)})
+    # sums: the bound 2^64 passes 2^63, the values do not
+    assert_same(big + big - big, OracleElem(1, {(0, (0,)): 2**62, (1, (0,)): 2**62,
+                                                (1, (1,)): -(2**62)}))
+    # products: bounds near 2^126; coefficients 2^124 and a cancellation
+    ob = OracleElem(1, {(0, (0,)): 2**62, (1, (0,)): 2**62, (1, (1,)): -(2**62)})
+    assert_same(big * big, ob * ob)
+    assert_same(big * big * big, ob * ob * ob)
+    # a long sum of small products whose bound passes 2^63 on the way
+    acc, total = RingAccumulator(1), OracleElem(1)
+    step = RingElem(1, {(0, (0,)): 2**40, (2, (1,)): -(2**40)})
+    ostep = OracleElem(1, {(0, (0,)): 2**40, (2, (1,)): -(2**40)})
+    for _ in range(3):
+        acc.add_product(step, step)
+        total = total + ostep * ostep
+    assert_same(acc.value(), total)
+    # 1 + q and the constant 2^64 + 1 pack to one integer, at different slots
+    assert RingElem(0, {(0, ()): 1, (1, ()): 1}) != RingElem.const(2**64 + 1, 0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_convolution_sum_on_the_slot_edge(sign):
+    q1, one = RingElem.q_power(1, 0), RingElem.one(0)
+    half = RingElem(0, {(0, ()): sign * 2**62, (1, ()): sign * 2**62})
+    # (2^62 + 2^62 q)(1 + q): the middle coefficient is 2^63 exactly
+    edge = {(0, ()): sign * 2**62, (1, ()): sign * WIDE, (2, ()): sign * 2**62}
+    got = half * (one + q1)
+    assert got.sorted_terms() == sorted(edge.items())
+    assert_same_value(got, RingElem(0, edge))
+    assert got.leading() == ((2, ()), sign * 2**62)
+    assert got.specialize(1, []) == sign * 2**64
+    # one below the edge stays on 64-bit slots; one more goes past it
+    below = RingElem.const(sign * (WIDE - 2), 0) + RingElem.const(sign, 0)
+    assert below.sorted_terms() == [((0, ()), sign * (WIDE - 1))]
+    assert_same_value(below + RingElem.const(sign, 0), RingElem.const(sign * WIDE, 0))
+    # a wide product whose value fits narrows back to the 64-bit form
+    narrow = half * (one - q1)
+    assert_same_value(narrow, RingElem(0, {(0, ()): sign * 2**62, (2, ()): -sign * 2**62}))
+    assert narrow.leading() == ((2, ()), -sign * 2**62)
+
+
+@pytest.mark.parametrize("c", [1, -3, 2**70])
+def test_accumulator_lowest_slot_cancels(c):
+    q = lambda k: RingElem.q_power(k, 1)  # noqa: E731
+    u1 = RingElem.u_var(1, 1).scale(c)
+    acc = RingAccumulator(1)
+    acc.add_product(RingElem.one(1) + q(1) + q(3), u1)
+    acc.add_product(RingElem.one(1) + q(1), -u1)  # the two lowest slots cancel
+    value = acc.value()
+    assert_same_value(value, q(3) * u1)
+    assert value.sorted_terms() == [((3, (1,)), c)]
+    assert value.leading() == ((3, (1,)), c)
+    # below and above the shrunk range again
+    acc = RingAccumulator(1)
+    for x in (q(2) - q(1), q(1), q(-2), -q(2)):
+        acc.add_product(x, u1)
+    assert_same_value(acc.value(), q(-2) * u1)
+
+
+def test_terms_is_a_read_only_view():
+    x = RingElem(2, {(-1, (1, 0)): 3, (2, (1, 0)): -1, (0, (0, 2)): 5})
+    assert len(x.terms) == 3
+    assert sorted(x.terms.values()) == [-1, 3, 5]
+    with pytest.raises(TypeError):
+        x.terms[0] = 1
+    assert RingElem.zero(2).terms == {}
 
 
 # -- the expansion e_k -> e_k(u) against direct substitution ----------------

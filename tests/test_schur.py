@@ -555,6 +555,18 @@ def test_phi_pair_margins():
     assert colored_col_sums(A) == (1, 1)
 
 
+@pytest.mark.parametrize("mnr", [(1, 2, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2), (1, 3, 3)])
+def test_margins_memo_matches_wreath(mnr):
+    ctx = SchurContext(*mnr)
+    for A in ctx.basis():
+        sums = ctx.margins(A)
+        assert sums == (colored_row_sums(A), colored_col_sums(A))
+        assert ctx.margins(A) is sums
+    assert len(ctx._margins) == len(ctx.basis())
+    # memoised per context, not shared between contexts
+    assert SchurContext(*mnr)._margins == {}
+
+
 def test_context_weights_and_rank():
     assert CTX222.rank() == 36
     assert len(CTX222.weights()) == 3
