@@ -595,17 +595,22 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
 
     Works by repeated cancellation of lex-leading terms, which is valid
     because the (q, u) lex order is multiplicative over an integral domain.
+    The lowest q-exponent is additive too, so no quotient term lies below
+    low(a) - low(b); a step that would is inexact, which ends the loop.
     """
     a._check(b)
     if b.is_zero():
         raise ExactDivisionError("division by zero")
     n, high = a.nvars, ((1 << _W * a.nvars) - 1) // _FIELD << (_W - 1)  # u-fields' top bits
     qb, kb, cb = b._lead()
+    floor = min((lo for lo, _ in a._groups.values()), default=0) - min(
+        lo for lo, _ in b._groups.values()
+    )
     quotient, rem = _make(n, {}, 0, 0), a
     while not rem.is_zero():
         qa, ka, ca = rem._lead()
         diff = ka + high - kb  # fields < 2^31: a top bit clears iff b's exponent is larger
-        if ca % cb or diff & high != high:
+        if ca % cb or diff & high != high or qa - qb < floor:
             raise ExactDivisionError("leading term does not divide")
         c, key = ca // cb, diff - high
         top = max(_unpack(key, n)[1], default=0)

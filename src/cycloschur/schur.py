@@ -16,7 +16,9 @@ the slim Schur algebra, of rank C(m n^2 + r - 1, r) over R.
 
 Structure constants are computed by a division-free triangular elimination
 against the leading terms of the b_A (the longest representative times the
-lex-greatest monomial of sigma, which always has coefficient 1).
+lex-greatest monomial of sigma, which always has coefficient 1), read off
+A alone (``_leading_term``): one sweep over each block's leads, sorted once
+per context (``_sweep``), subtracts the rest of each b_C in turn.
 Composition is right factor first: (x * y) acts by y then x.
 
 ``multiply_basis`` sums the x_lam H coordinates of b_A T_w L^a, memoised
@@ -77,6 +79,7 @@ from .permutations import (
 from .ring import RingElem, exact_rank, modular_rank
 from .wreath import (
     ColoredMatrix,
+    a_ddot,
     colored_col_sums,
     colored_count,
     colored_row_sums,
@@ -108,7 +111,8 @@ class SchurContext:
     """The slim Schur algebra for (m, n, r) over ``hecke`` = H_u(r), with
     per-basis memos in ``hecke``'s private coordinates.  Keyed by a basis
     matrix A: tail(A), b_A, b_A's module coordinates, ``_actions[A]``:
-    (w, a) -> the module coordinates of b_A T_w L^a, and A's margins."""
+    (w, a) -> the module coordinates of b_A T_w L^a, A's margins, and the
+    rest of b_A below its lead; keyed by a block: its elimination sweep."""
 
     def __init__(self, m: int, n: int, r: int):
         if n < 1:
@@ -121,12 +125,12 @@ class SchurContext:
         self._tails: dict[ColoredMatrix, HeckeElement] = {}
         self._bs: dict[ColoredMatrix, HeckeElement] = {}
         self._coords: dict[ColoredMatrix, dict] = {}
-        # Memos of _eliminate: the order key of a module term (d2, c) under
-        # column margins mu, and the colored matrix recovered from a
-        # leading term.  Only recoveries that pass the margin check are
-        # stored, so a term outside the span raises on every call.
-        self._order_keys: dict[tuple, tuple] = {}
-        self._recovered: dict[tuple, ColoredMatrix] = {}
+        # Memos of _eliminate: _sweeps[(lam, mu)] holds the block's
+        # (leading term, C) pairs, greatest first; _rests_e[C]/_rests_u[C]
+        # the other coordinates of b_C, negated, private or over u.
+        self._sweeps: dict[tuple[Composition, Composition], tuple] = {}
+        self._rests_e: dict[ColoredMatrix, tuple] = {}
+        self._rests_u: dict[ColoredMatrix, tuple] = {}
         # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
         # equal keys and coefficients being one object, through _pool.
         self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
@@ -254,76 +258,31 @@ class NotInSpanError(ValueError):
     """The element does not lie in the span of the hom-space basis."""
 
 
-def _suffix_diffs(ahat: Sequence[int]) -> tuple[int, ...] | None:
-    """Invert per-block suffix sums; None if not nonincreasing/nonnegative."""
-    k = len(ahat)
-    if any(x < 0 for x in ahat):
-        return None
-    for t in range(k - 1):
-        if ahat[t] < ahat[t + 1]:
-            return None
-    return tuple(
-        (ahat[t] - (ahat[t + 1] if t + 1 < k else 0)) for t in range(k)
-    )
-
-
-def _recover_matrix(
-    ctx: SchurContext,
-    lam: Composition,
-    mu: Composition,
-    d2: Permutation,
-    c: tuple[int, ...],
-) -> tuple[ColoredMatrix, Permutation]:
-    """Rebuild the colored matrix whose leading module term is (d2, c).
-
-    Raises NotInSpanError when the term cannot be a leading term: wrong
-    representative, non-monotone exponent block, or color overflow.
-    """
-    from .permutations import ddot_inverse
-
-    m = ctx.m
-    d, v = left_coset_factor(d2, mu)
-    size = theta(lam, d, mu)
-    nu = nu_of(size)
-    vs = ctx.hecke.coset_reps_within(mu, nu)
-    max_len = max(x.length() for x in vs)
-    longest = [x for x in vs if x.length() == max_len]
-    if len(longest) != 1:
-        raise AssertionError("longest coset representative is not unique")
-    if v != longest[0]:
-        raise NotInSpanError(
-            f"term at {d2.im} pairs with {v.im}, not the longest representative"
-        )
-    e = v.inv().apply_to_tuple(c)
-    n_rows, n_cols = len(size), len(size[0]) if size else 0
-    entries: dict[tuple[int, int], tuple[int, ...]] = {}
-    offset = 0
-    for j in range(n_cols):
-        for i in range(n_rows):
-            k = size[i][j]
-            ahat = e[offset : offset + k]
-            offset += k
-            diffs = _suffix_diffs(ahat)
-            if diffs is None or sum(diffs) > m - 1:
-                raise NotInSpanError(
-                    f"exponent block {ahat} at cell ({i + 1},{j + 1}) is not a "
-                    "leading pattern"
-                )
-            entries[(i, j)] = ddot_inverse(diffs, m)
-    C = tuple(
-        tuple(entries[(i, j)] for j in range(n_cols)) for i in range(n_rows)
-    )
-    return C, v
-
-
 def _term_order_key(mu: Composition):
+    """The order of module terms (d2, c): length of d2, then c pulled back
+    by the S_mu part of d2, then d2 and c themselves (so no ties)."""
+
     def key(item: tuple[Permutation, tuple[int, ...]]):
         d2, c = item
-        d, v = left_coset_factor(d2, mu)
-        e = v.inv().apply_to_tuple(c)
-        return (d2.length(), e, d2.im, c)
+        v = left_coset_factor(d2, mu)[1]
+        return (d2.length(), v.inv().apply_to_tuple(c), d2.im, c)
 
     return key
+
+
+def _leading_term(ctx: SchurContext, A: ColoredMatrix) -> tuple[Permutation, tuple[int, ...]]:
+    """The greatest module term (d2, c) of b_A, whose coefficient is 1.
+
+    d2 = theta^-1(|A|) v0 and c = the blockwise suffix sums of a_ddot(A),
+    entries taken column by column, placed by v0: v0 is the longest of the
+    coset representatives attached to the refinement nu of mu.
+    """
+    size = colored_size(A)
+    v0 = ctx.hecke.coset_reps_within(ctx.margins(A)[1], nu_of(size))[-1]  # sorted by length
+    ahat = tuple(
+        sum(block[t:]) for col in zip(*a_ddot(A)) for block in col for t in range(len(block))
+    )
+    return theta_inverse(size) * v0, v0.apply_to_tuple(ahat)
 
 
 def module_dimension(ctx: SchurContext, lam: Sequence[int]) -> int:
@@ -331,6 +290,34 @@ def module_dimension(ctx: SchurContext, lam: Sequence[int]) -> int:
     return (
         math.factorial(ctx.r) // young_subgroup_size(check_composition(lam))
     ) * ctx.m**ctx.r
+
+
+def _sweep(ctx: SchurContext, lam: Composition, mu: Composition) -> tuple:
+    """((leading term of b_C, C), ...) over the (lam, mu) block, greatest
+    lead first, memoised per block.  The block is at most the module
+    dimension: its b_C are independent in x_lam H."""
+    sweep = ctx._sweeps.get((lam, mu))
+    if sweep is None:
+        key = _term_order_key(mu)
+        block = enumerate_colored_with_margins(lam, mu, ctx.m, module_dimension(ctx, lam))
+        leads = [(_leading_term(ctx, C), C) for C in block]
+        leads.sort(key=lambda item: key(item[0]), reverse=True)
+        sweep = ctx._sweeps[lam, mu] = tuple(leads)
+    return sweep
+
+
+def _rest(coords: dict, lead: tuple, mu: Composition) -> tuple:
+    """The coordinates of b_C other than its lead, negated, after checking
+    that the lead has coefficient 1 and every other term lies below it."""
+    c = coords.get(lead)
+    if c is None or c != RingElem.one(c.nvars):
+        raise AssertionError(f"leading coefficient at {lead[0].im} is not 1")
+    key = _term_order_key(mu)
+    top = key(lead)
+    rest = tuple((k, -v) for k, v in coords.items() if k != lead)
+    if any(key(k) >= top for k, _ in rest):
+        raise AssertionError(f"a term of the basis vector leading at {lead[0].im} lies above it")
+    return rest
 
 
 def express_in_hom_basis(
@@ -341,10 +328,11 @@ def express_in_hom_basis(
 ) -> dict[ColoredMatrix, RingElem]:
     """Coordinates of z in the basis {b_A : row sums lam, column sums mu}.
 
-    Division-free: repeatedly match the greatest module term of z under
-    (representative length, pulled-back exponent) against the unique basis
-    vector leading there, and subtract.  Raises NotInSpanError when z is
-    outside the span.
+    Division-free: each b_C has coefficient 1 at its leading module term
+    and lies below it elsewhere, under (representative length, pulled-back
+    exponent), so one descending sweep over the leads of the block reads
+    off each coordinate and subtracts the rest of its b_C.  Raises
+    NotInSpanError when z is outside the span.
     """
     lam = check_composition(lam)
     mu = check_composition(mu)
@@ -353,46 +341,33 @@ def express_in_hom_basis(
     # Eliminate in u, against the expanded coordinates of the b_C: z's
     # private coefficients may differ from the u-free ones of the b_C by
     # terms that expand to zero.
-    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords)
+    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords, ctx._rests_u)
 
 
 def _eliminate(
-    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords
+    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords, rests: dict
 ) -> dict[ColoredMatrix, RingElem]:
     """The elimination of express_in_hom_basis on x_lam H coordinates
     (consumed), against the basis coordinates ``b_coords(C)`` of the same
-    ring."""
-    order_keys = ctx._order_keys
-    recovered = ctx._recovered
-    cold_key = _term_order_key(mu)
+    ring, whose non-leading parts are memoised, negated, in ``rests``.
 
-    def keyfun(item: tuple[Permutation, tuple[int, ...]]):
-        memo_key = (mu, item)
-        k = order_keys.get(memo_key)
-        if k is None:
-            k = order_keys[memo_key] = cold_key(item)
-        return k
-
+    The system is unitriangular, so the sweep accepts exactly the
+    elements of the span; a coordinate left over after it is outside."""
     out: dict[ColoredMatrix, RingElem] = {}
-    # Each pass strictly lowers the greatest term, so the module dimension
-    # bounds the number of passes.
-    budget = module_dimension(ctx, lam) + 1
-    while coords:
-        budget -= 1
-        if budget < 0:
-            raise NotInSpanError("triangular elimination failed to terminate")
-        d2, c = max(coords, key=keyfun)
-        f = coords[(d2, c)]
-        lead = (lam, mu, d2, c)
-        C = recovered.get(lead)
-        if C is None:
-            C, _ = _recover_matrix(ctx, lam, mu, d2, c)
-            if ctx.margins(C) != (lam, mu):
-                raise NotInSpanError("recovered matrix has wrong margins")
-            recovered[lead] = C
-        _add_term(out, C, f)
-        for key, coeff in b_coords(C).items():
-            _add_term(coords, key, -(coeff * f))
+    for lead, C in _sweep(ctx, lam, mu):
+        if not coords:
+            break
+        f = coords.pop(lead, None)
+        if f is None:
+            continue
+        out[C] = f
+        rest = rests.get(C)
+        if rest is None:
+            rest = rests[C] = _rest(b_coords(C), lead, mu)
+        for key, coeff in rest:
+            _add_term(coords, key, coeff * f)
+    if coords:
+        raise NotInSpanError(f"{len(coords)} module terms lie outside the span of the basis")
     return out
 
 
@@ -440,7 +415,7 @@ def multiply_basis(
     for key, c2 in tail.items():
         _add_products(acc, ctx.hecke._cvars, row[key], c2)
     # The e-coordinates are free of u, so their expansion is injective.
-    return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords))
+    return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._rests_e))
 
 
 def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from ring_oracle import OracleElem, elementary, substitute
 
+import cycloschur
 from cycloschur.ring import (
     MODULAR_PRIME,
     ElementaryExpansion,
@@ -211,6 +216,49 @@ def test_exact_div_failure():
         exact_div(RingElem.u_var(1, 1), RingElem.u_var(1, 1) + RingElem.one(1))
 
 
+_NON_DIVISORS = {
+    # 1 / (1 + q^-1): every remainder's leading term is divisible by 1, and
+    # the quotient 1 - q^-1 + q^-2 - ... never ends.
+    "q": "exact_div(RingElem.one(0), RingElem.one(0) + RingElem.q_power(-1, 0))",
+    # 1 / (1 + q^-1 u_1): the same descent, the u-exponent growing as q falls.
+    "u": "exact_div(one, one + q(-1) * u)",
+    # A product with one factor changed: the quotient would have to pass
+    # below low(a) - low(b) = -3.
+    "product": "exact_div(q(-3) * (one + u) * (q(2) - u), q(2) + u)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_DIVISORS))
+def test_exact_div_by_a_non_divisor_terminates(case):
+    # In a separate process, so that a hang fails the test at the 10 s bound.
+    src = str(Path(cycloschur.__file__).resolve().parents[1])
+    script = (
+        "from cycloschur.ring import ExactDivisionError, RingElem, exact_div\n"
+        "one, u = RingElem.one(1), RingElem.u_var(1, 1)\n"
+        "q = lambda k: RingElem.q_power(k, 1)\n"
+        "try:\n"
+        f"    {_NON_DIVISORS[case]}\n"
+        "except ExactDivisionError:\n"
+        "    print('inexact')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "inexact\n"
+
+
+def test_exact_div_reaches_the_lowest_q_bound():
+    # q^-3 (1 + u_1) (q^2 - u_1) divided by each factor and by itself: the
+    # quotient's lowest q-exponent is low(a) - low(b), reached but not passed.
+    u1 = RingElem.u_var(1, 1)
+    a = q(-3, 1) * (one(1) + u1) * (q(2, 1) - u1)
+    assert exact_div(a, q(-3, 1) * (one(1) + u1)) == q(2, 1) - u1
+    assert exact_div(a, q(2, 1) - u1) == q(-3, 1) * (one(1) + u1)
+    assert exact_div(a, a) == one(1)
+
+
 # -- matrix ranks ----------------------------------------------------------
 
 
@@ -327,10 +375,10 @@ def test_exact_and_modular_rank_agree_on_grid():
         [[q(1, m), u1, z], [z, z, o]],
         [[u1 * u1, u1], [u1, o]],
     ]
-    for rows in cases:
+    for rows, rank in zip(cases, [2, 1, 2, 1]):
         M = from_rows(rows)
         got = exact_rank(M, len(rows[0]), m)
-        assert got == modular_rank(M, m, trials=3, seed=9), f"case {rows}"
+        assert got == rank == modular_rank(M, m, trials=3, seed=9), f"case {rows}"
 
 
 # -- packed monomials against the tuple-keyed oracle -----------------------

@@ -203,7 +203,7 @@ def _composable_pairs(ctx: SchurContext):
 @pytest.mark.parametrize("mnr", [(2, 2, 2), (3, 1, 3)])
 def test_memoised_elimination_matches_fresh_context(mnr):
     # One context expands every product twice, forwards then backwards, so
-    # the second sweep runs on warm order-key and recovery memos; each
+    # the second pass runs on warm sweep and rest memos; each
     # result must equal the expansion on a context built for it alone.
     # Each Hecke product b_A * tail_B (most of the time here) is formed
     # once and expanded three times, as multiply_basis would expand it.
@@ -217,11 +217,11 @@ def test_memoised_elimination_matches_fresh_context(mnr):
         pair: express_in_hom_basis(SchurContext(*mnr), *args)
         for pair, args in products.items()
     }
-    assert not shared._order_keys and not shared._recovered
+    assert not shared._sweeps and not shared._rests_u
     pairs = list(products)
     for pair in pairs + pairs[::-1]:
         assert express_in_hom_basis(shared, *products[pair]) == fresh[pair]
-    assert shared._order_keys and shared._recovered
+    assert shared._sweeps and shared._rests_u
     A, B = pairs[0]
     assert multiply_basis(shared, A, B) == fresh[(A, B)]
 
@@ -230,13 +230,14 @@ def test_express_rejects_outside_span_on_warm_context():
     ctx = SchurContext(2, 2, 2)
     for A, B in _composable_pairs(ctx):
         multiply_basis(ctx, A, B)
-    assert ctx._order_keys and ctx._recovered
+    assert ctx._sweeps and ctx._rests_e
     z = ctx.hecke.x_lambda((2, 0)) * ctx.hecke.gen_L(1)
     for _ in range(2):
         with pytest.raises(NotInSpanError):
             express_in_hom_basis(ctx, z, (2, 0), (2, 0))
-    for (lam, mu, _, _), C in ctx._recovered.items():
-        assert (colored_row_sums(C), colored_col_sums(C)) == (lam, mu)
+    for (lam, mu), sweep in ctx._sweeps.items():
+        for _, C in sweep:
+            assert (colored_row_sums(C), colored_col_sums(C)) == (lam, mu)
 
 
 def test_express_accepts_free_column_margin():
@@ -402,6 +403,16 @@ def test_embedded_q_schur_matches_classical():
 def test_verify_rank_exact_small():
     rep = verify_rank(CTX122, exact=True)
     assert rep["ok"] and rep["expected"] == 10 and rep["certified"] == 10
+
+
+@pytest.mark.parametrize("mnr", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (1, 2, 3), (3, 1, 3)])
+def test_verify_rank_exact_matches_modular_per_block(mnr):
+    # exact_rank (Bareiss, through exact_div) certifies every block in full,
+    # block by block equal to the modular certificate.
+    ctx = SchurContext(*mnr)
+    exact, modular = verify_rank(ctx, exact=True), verify_rank(ctx, trials=2, seed=3)
+    assert exact["ok"] and exact["certified"] == ctx.rank()
+    assert exact["blocks"] == modular["blocks"]
 
 
 def test_verify_rank_modular():
