@@ -47,6 +47,16 @@ def _composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
+    return trials
+
+
 def _matrix_arg(text: str) -> tuple:
     try:
         return matrix_from_json(json.loads(text))
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=_composition, default=None)
     sp.add_argument("--mu", type=_composition, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--trials", type=_trials, default=3)
     sp.add_argument("--exact", action="store_true",
                     help="certify ranks over the exact ring instead of modularly")
     return parser

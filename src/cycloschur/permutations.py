@@ -26,6 +26,9 @@ Conventions, fixed once for the whole package:
   cosets S_lam d; these satisfy d^{-1}(i) < d^{-1}(i+1) for i in j_set(lam)
   and make lengths additive: length(u * d) = length(u) + length(d) for
   every u in S_lam.
+- Every minimal representative is the placement of a label word: given
+  lam_k copies of each block index k, it puts block k's values, in
+  increasing order, at the positions labelled k.
 - Double cosets S_lam w S_mu correspond bijectively to nonnegative integer
   matrices with row sums lam and column sums mu, via
   theta(lam, w, mu)[i][j] = |R_i^lam  intersect  w(R_j^mu)|; theta_inverse
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from functools import reduce, total_ordering
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 Composition = tuple[int, ...]
@@ -171,12 +174,7 @@ def check_composition(lam: Sequence[int]) -> Composition:
 
 def partial_sums(lam: Sequence[int]) -> tuple[int, ...]:
     """All prefix sums lam_1, lam_1+lam_2, ..., up to and including the total."""
-    out = []
-    total = 0
-    for part in lam:
-        total += part
-        out.append(total)
-    return tuple(out)
+    return tuple(itertools.accumulate(lam))
 
 
 def blocks(lam: Sequence[int]) -> list[range]:
@@ -210,16 +208,8 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
 def young_subgroup(lam: Sequence[int]) -> Iterator[Permutation]:
     """All elements of S_lam, as permutations of {1..sum(lam)}."""
     lam = check_composition(lam)
-    r = sum(lam)
-    blks = blocks(lam)
-    for pieces in itertools.product(
-        *[itertools.permutations(list(b)) for b in blks]
-    ):
-        im = [0] * r
-        for blk, piece in zip(blks, pieces):
-            for pos, val in zip(blk, piece):
-                im[pos - 1] = val
-        yield Permutation(tuple(im))
+    for pieces in itertools.product(*map(itertools.permutations, blocks(lam))):
+        yield Permutation(itertools.chain(*pieces))
 
 
 def young_subgroup_size(lam: Sequence[int]) -> int:
@@ -234,66 +224,67 @@ def young_subgroup_size(lam: Sequence[int]) -> int:
 # -- coset representatives -------------------------------------------------
 
 
+def _label_word(lam: Sequence[int]) -> tuple[int, ...]:
+    """(0^lam_1, 1^lam_2, ...): the entry of value v is the index of its block."""
+    return tuple(k for k, part in enumerate(lam) for _ in range(part))
+
+
+def _placed(labels: Iterable[int], lam: Sequence[int]) -> Permutation:
+    """The permutation that puts the values of block k of lam, in increasing
+    order, at the positions labelled k; labels holds lam_k copies of k."""
+    nxt = list(itertools.accumulate(lam, initial=1))
+    im = []
+    for k in labels:
+        im.append(nxt[k])
+        nxt[k] += 1
+    if len(im) != sum(lam):
+        raise ValueError("size mismatch between composition and permutation")
+    return Permutation(im)
+
+
+def _arrangements(labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct rearrangement of labels once, in lexicographic order."""
+    if not labels:
+        yield ()
+    for k in sorted(set(labels)):
+        rest = list(labels)
+        rest.remove(k)
+        for tail in _arrangements(rest):
+            yield (k, *tail)
+
+
 def coset_reps(lam: Sequence[int]) -> list[Permutation]:
     """Minimal-length representatives of the right cosets S_lam d.
 
-    Built constructively: choose which positions receive the values of each
-    block, then fill each block's values in increasing position order.
-    Sorted by (length, one-line word).
+    The placements of every arrangement of lam's label word, sorted by
+    (length, one-line word).
     """
     lam = check_composition(lam)
-    r = sum(lam)
-    blks = blocks(lam)
-    reps: list[Permutation] = []
-
-    def rec(avail: tuple[int, ...], bi: int, im: dict[int, int]):
-        if bi == len(blks):
-            reps.append(Permutation(tuple(im[p] for p in range(1, r + 1))))
-            return
-        blk = list(blks[bi])
-        for chosen in itertools.combinations(avail, len(blk)):
-            new_im = dict(im)
-            for pos, val in zip(chosen, blk):
-                new_im[pos] = val
-            rest = tuple(p for p in avail if p not in set(chosen))
-            rec(rest, bi + 1, new_im)
-
-    rec(tuple(range(1, r + 1)), 0, {})
-    reps.sort(key=lambda d: (d.length(), d.im))
-    return reps
+    return coset_reps_within((sum(lam),), lam)
 
 
 def right_coset_factor(
     w: Permutation, lam: Sequence[int]
 ) -> tuple[Permutation, Permutation]:
-    """Factor w = u * d with u in S_lam and d the minimal rep of S_lam w."""
+    """Factor w = u * d with u in S_lam and d the minimal rep of S_lam w.
+
+    d places each block of lam at the positions p whose w(p) lies in it.
+    """
     lam = check_composition(lam)
-    winv = w.inv()
-    im = [0] * w.size
-    for blk in blocks(lam):
-        vals = list(blk)
-        positions = sorted(winv(v) for v in vals)
-        for pos, val in zip(positions, vals):
-            im[pos - 1] = val
-    d = Permutation(tuple(im))
-    u = w * d.inv()
-    return u, d
+    d = _placed(w.apply_to_tuple(_label_word(lam)), lam)
+    return w * d.inv(), d
 
 
 def left_coset_factor(
     w: Permutation, mu: Sequence[int]
 ) -> tuple[Permutation, Permutation]:
-    """Factor w = d * v with v in S_mu and d the minimal rep of w S_mu."""
+    """Factor w = d * v with v in S_mu and d the minimal rep of w S_mu.
+
+    d is the inverse of the minimal rep of S_mu w^{-1}.
+    """
     mu = check_composition(mu)
-    im = [0] * w.size
-    for blk in blocks(mu):
-        positions = list(blk)
-        vals = sorted(w(p) for p in positions)
-        for pos, val in zip(positions, vals):
-            im[pos - 1] = val
-    d = Permutation(tuple(im))
-    v = d.inv() * w
-    return d, v
+    d_inv = _placed(w.inv().apply_to_tuple(_label_word(mu)), mu)
+    return d_inv.inv(), d_inv * w
 
 
 def double_coset_factor(
@@ -351,27 +342,12 @@ def col_sums(A: IntMatrix) -> Composition:
 def theta_inverse(A: IntMatrix) -> Permutation:
     """The minimal-length representative of the double coset encoded by A.
 
-    For each column block (positions) taken in increasing order, assign the
-    values of row block 1, then row block 2, ..., each in increasing order;
-    each row block hands out its values column by column.
+    The placement, for the row sums of A, of the word that labels the
+    positions column block by column block: a_1j positions with row block
+    1, then a_2j with row block 2, and so on.
     """
-    lam = row_sums(A)
-    mu = col_sums(A)
-    r = sum(lam)
-    lam_blocks = blocks(lam)
-    mu_blocks = blocks(mu)
-    # next value to hand out from each row block
-    next_val = [b.start for b in lam_blocks]
-    im = [0] * r
-    for j, cb in enumerate(mu_blocks):
-        positions = list(cb)
-        pos_idx = 0
-        for i in range(len(A)):
-            for _ in range(A[i][j]):
-                im[positions[pos_idx] - 1] = next_val[i]
-                next_val[i] += 1
-                pos_idx += 1
-    return Permutation(tuple(im))
+    labels = (i for col in zip(*A) for i, a in enumerate(col) for _ in range(a))
+    return _placed(labels, row_sums(A))
 
 
 def nu_of(A: IntMatrix) -> Composition:
@@ -422,55 +398,20 @@ def coset_reps_within(
 ) -> list[Permutation]:
     """Minimal right-coset representatives of S_nu inside S_mu.
 
-    Requires nu to refine mu (consecutive groups of nu parts sum to the mu
-    parts).  Built blockwise and multiplied together; lengths add across
-    blocks since supports are disjoint.
+    Requires nu to refine mu: equal totals, and every partial sum of mu is
+    0 or a partial sum of nu.  The placements of nu's label word with the
+    labels inside each block of mu arranged in every way, sorted by
+    (length, one-line word).
     """
     mu = check_composition(mu)
     nu = check_composition(nu)
-    r = sum(mu)
-    # split nu into groups matching mu
-    groups: list[tuple[int, ...]] = []
-    idx = 0
-    for part in mu:
-        grp: list[int] = []
-        total = 0
-        while total < part:
-            if idx >= len(nu):
-                raise ValueError(f"{nu} does not refine {mu}")
-            grp.append(nu[idx])
-            total += nu[idx]
-            idx += 1
-        if total != part:
-            raise ValueError(f"{nu} does not refine {mu}")
-        # absorb zero parts that follow, to keep alignment canonical
-        while idx < len(nu) and nu[idx] == 0:
-            grp.append(0)
-            idx += 1
-        groups.append(tuple(grp))
-    while idx < len(nu) and nu[idx] == 0:
-        idx += 1
-    if idx != len(nu):
+    if sum(mu) != sum(nu) or not set(partial_sums(mu)) <= {0, *partial_sums(nu)}:
         raise ValueError(f"{nu} does not refine {mu}")
-
-    per_block: list[list[Permutation]] = []
-    offset = 0
-    for part, grp in zip(mu, groups):
-        local = coset_reps(grp)
-        lifted = []
-        for d in local:
-            im = list(range(1, r + 1))
-            for k, v in enumerate(d.im):
-                im[offset + k] = offset + v
-            lifted.append(Permutation(tuple(im)))
-        per_block.append(lifted)
-        offset += part
-    out = []
-    for combo in itertools.product(*per_block):
-        prod = reduce(lambda a, b: a * b, combo, identity(r))
-        out.append(prod)
-    out.sort(key=lambda d: (d.length(), d.im))
-    return out
+    word = _label_word(nu)
+    per_block = [_arrangements(word[b.start - 1 : b.stop - 1]) for b in blocks(mu)]
+    reps = [_placed(itertools.chain(*pieces), nu) for pieces in itertools.product(*per_block)]
+    reps.sort(key=lambda d: (d.length(), d.im))
+    return reps
 
 
 # -- composition reindexing ------------------------------------------------

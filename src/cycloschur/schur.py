@@ -599,4 +599,7 @@ def matrix_to_json(A: ColoredMatrix) -> list:
 
 
 def matrix_from_json(data) -> ColoredMatrix:
-    return tuple(tuple(tuple(int(x) for x in entry) for entry in row) for row in data)
+    A = tuple(tuple(tuple(entry) for entry in row) for row in data)
+    if any(type(x) is not int for row in A for entry in row for x in entry):  # no bool
+        raise TypeError(f"not a matrix of JSON integers: {data!r}")
+    return A

@@ -335,6 +335,16 @@ def test_mult_malformed_matrix_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("matrix", ["[[[true]]]", '[[["1"]]]', "[[[1.5]]]", "[[[-0.5]]]"])
+def test_mult_takes_only_json_integers(capsys, matrix):
+    # Each entry used to pass through int(): the first three ran as [[[1]]]
+    # and exited 0, and -0.5 was reported as [[[0]]].
+    argv = ("mult", "--m", "1", "--n", "1", "--r", "1", "--A", matrix, "--B", "[[[1]]]")
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err)
+    assert "not a colored-matrix JSON literal" in err
+
+
 # -- tables and cache ------------------------------------------------------
 
 
@@ -585,6 +595,17 @@ def test_trial_cost_has_a_floor(suite, checks):
     )
     status = {c["check"]: c["status"] for c in report["checks"]}
     assert all(status[check] == "skipped(guard)" for check in checks), status
+
+
+@pytest.mark.parametrize("suite", ["pbw", "rank", "all"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    # --trials 0 exited 2 from inside rank.blocks on --suite all, 0 on pbw,
+    # and --suite epsilon reported "trials": -5.
+    argv = ("verify", "--suite", suite, "--m", "1", "--n", "1", "--r", "1")
+    code, out, err = run_cli(capsys, *argv, "--trials", trials)
+    _assert_one_line_error(code, out, err)
+    assert "--trials" in err
 
 
 # S(3; 3, 2) has 378 basis matrices.  Every check that enumerates them skips
