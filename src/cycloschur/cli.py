@@ -47,14 +47,14 @@ def _composition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _trials(text: str) -> int:
+def _positive(text: str) -> int:
     try:
-        trials = int(text)
+        value = int(text)
     except ValueError:
-        trials = 0
-    if trials < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
-    return trials
+    return value
 
 
 def _matrix_arg(text: str) -> tuple:
@@ -64,11 +64,12 @@ def _matrix_arg(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a colored-matrix JSON literal: {text!r}")
 
 
-def _add_grid_flags(sp: argparse.ArgumentParser, *, with_n: bool = True) -> None:
-    sp.add_argument("--m", type=int, default=2, help="number of colors / parameters")
+def _add_grid_flags(sp: argparse.ArgumentParser, *, with_n: bool = True, size=int) -> None:
+    """--m, --n, --r (of type ``size``), --guard and --format."""
+    sp.add_argument("--m", type=size, default=2, help="number of colors / parameters")
     if with_n:
-        sp.add_argument("--n", type=int, default=2, help="matrix side of the basis grid")
-    sp.add_argument("--r", type=int, default=2, help="rank (number of strands)")
+        sp.add_argument("--n", type=size, default=2, help="matrix side of the basis grid")
+    sp.add_argument("--r", type=size, default=2, help="rank (number of strands)")
     sp.add_argument("--guard", type=int, default=None, help="enumeration size cap")
     sp.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
@@ -117,11 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named check suite")
     sp.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    _add_grid_flags(sp)
+    # A suite on an empty grid would pass its checks on nothing.
+    _add_grid_flags(sp, size=_positive)
     sp.add_argument("--lambda", dest="lam", type=_composition, default=None)
     sp.add_argument("--mu", type=_composition, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=_trials, default=3)
+    sp.add_argument("--trials", type=_positive, default=3)
     sp.add_argument("--exact", action="store_true",
                     help="certify ranks over the exact ring instead of modularly")
     return parser

@@ -24,6 +24,11 @@ Composition is right factor first: (x * y) acts by y then x.
 ``multiply_basis`` sums the x_lam H coordinates of b_A T_w L^a, memoised
 per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
 tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
+The memo is filled on module coordinates, letter by letter from b_A's and
+resumed at the longest prefix of the word already stored, through step
+tables of x_lam H: the column of a module key (d, c) under T_i or L_j is
+x_lam T_d L^c T_i (or L_j) straightened in H and read in module
+coordinates, built once per (lam without zeros, generator).
 
 ``tail_of``/``b_element_of`` evaluate b_A in any algebra: H_u(r), its
 type-B specialisation, or the affine lift, with T_d sigma straightened in
@@ -56,8 +61,12 @@ from .hecke import (
     TermKey,
     _add_products,
     _add_term,
+    _apply_steps,
     _collect,
     _module_coords,
+    _rmul_L,
+    _rmul_T,
+    _swap_positions,
     eigen_test,
     module_coords,
     sigma_ddot,
@@ -74,6 +83,7 @@ from .permutations import (
     nu_of,
     theta,
     theta_inverse,
+    young_subgroup,
     young_subgroup_size,
 )
 from .ring import RingElem, exact_rank, modular_rank
@@ -132,9 +142,13 @@ class SchurContext:
         self._rests_e: dict[ColoredMatrix, tuple] = {}
         self._rests_u: dict[ColoredMatrix, tuple] = {}
         # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
-        # equal keys and coefficients being one object, through _pool.
+        # equal keys and coefficients being one object, through _pool;
+        # filled on module coordinates through _msteps[(lam, _rmul_T, i)]
+        # (or _rmul_L, j): module key -> the column of T_i (L_j) on it, lam
+        # without its zero parts (the same x_lam).
         self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
         self._pool: dict = {}
+        self._msteps: dict[tuple, dict[TermKey, tuple]] = {}
         self._margins: dict[ColoredMatrix, tuple[Composition, Composition]] = {}
 
     def __eq__(self, other):
@@ -224,16 +238,54 @@ class SchurContext:
         return self.hecke._public(self._b_coords(A))
 
     def _action_row(self, A: ColoredMatrix, keys: Iterable[TermKey]) -> dict[TermKey, tuple]:
-        """_actions[A], with an entry for every monomial (w, a) in keys."""
+        """_actions[A], with an entry for every monomial (w, a) in keys.
+
+        b_A T_w L^a is reached from b_A by the letters of ``_rmul_monomials``:
+        the reduced word of w, then L_r^{a_r} ... L_1^{a_1}.  Each prefix is
+        a key (w', 0) or (w, a') itself, so a fill resumes at the longest
+        prefix in the row, applies the rest on module coordinates through
+        the step tables ``_msteps`` and stores every node it passes."""
         row = self._actions.setdefault(A, {})
-        missing = [key for key in keys if key not in row]
-        if missing:
-            lam = self.margins(A)[0]
-            intern = self._pool.setdefault
-            for key, terms in self.b_element(A)._rmul_monomials(missing):
-                coords = _module_coords(self.hecke, terms, lam)
-                row[key] = tuple((intern(k, k), intern(c, c)) for k, c in coords.items())
+        lam = tuple(p for p in self.margins(A)[0] if p)  # the same x_lam
+        zero = (0,) * self.r
+        if not row:
+            row[identity(self.r), zero] = self._interned(self._b_coords(A))
+        for w, a in keys:
+            if (w, a) in row:
+                continue
+            v, b = identity(self.r), list(zero)
+            path = [((v, zero), None)]  # (node, the letter that reaches it)
+            for i in w.word():
+                v = _swap_positions(v, i)
+                path.append(((v, zero), (lam, _rmul_T, i)))
+            for j in range(self.r, 0, -1):
+                for _ in range(a[j - 1]):
+                    b[j - 1] += 1
+                    path.append(((w, tuple(b)), (lam, _rmul_L, j)))
+            k = len(path) - 1
+            while path[k][0] not in row:
+                k -= 1
+            cur = dict(row[path[k][0]])
+            for node, g in path[k + 1 :]:
+                table = self._msteps.setdefault(g, {})
+                cur = _apply_steps(self.hecke, cur, table, _module_column, g)
+                row[node] = self._interned(cur)
         return row
+
+    def _interned(self, coords: dict) -> tuple:
+        """coords as ((key, coefficient), ...), each an object of _pool."""
+        intern = self._pool.setdefault
+        return tuple((intern(x, x), intern(c, c)) for x, c in coords.items())
+
+
+def _module_column(alg: HeckeAlgebra, key: TermKey, g: tuple) -> dict:
+    """x_lam T_d L^c g on the module basis of x_lam H, for key = (d, c) and
+    g = (lam, _rmul_T, i) or (lam, _rmul_L, j): x_lam T_d L^c g straightened
+    in H and read in module coordinates."""
+    lam, rmul, i = g
+    d, c = key
+    moved = rmul(alg, {(u * d, c): alg._one for u in young_subgroup(lam)}, i)
+    return _module_coords(alg, moved, lam)
 
 
 def tail_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
@@ -553,25 +605,6 @@ def _nullity(alg: HeckeAlgebra, eigen_rows: tuple[int, dict], lam, mu, seed: int
     gens = [("L", i) for i in j_set(lam)] + [("R", j) for j in j_set(mu)]
     picked = [row for gen in gens for row in rows.get(gen, {}).values()]
     return size - modular_rank(picked, alg.nvars, trials=1, seed=seed)
-
-
-def hom_space_nullity(
-    alg: HeckeAlgebra,
-    lam: Sequence[int],
-    mu: Sequence[int],
-    seed: int = 0,
-    guard: int | None = None,
-) -> int:
-    """Dimension of {h : T_i h = q h (i in J_lam), h T_j = q h (j in J_mu)}
-    at one random point mod 2^31 - 1, an upper bound on the generic dimension.
-
-    Each equation is a sparse row over R on the normal-form coordinates of
-    h: the coefficient of one monomial in T_i h - q h (or h T_j - q h).
-    The result is the basis size minus the ``modular_rank`` of these rows
-    at the single trial that `seed` draws.
-    """
-    lam, mu = check_composition(lam), check_composition(mu)
-    return _nullity(alg, _eigen_rows(alg, guard), lam, mu, seed)
 
 
 def verify_hom_space_dims(ctx: SchurContext, seed: int = 0, guard: int | None = None) -> dict:

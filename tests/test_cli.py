@@ -608,6 +608,21 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+@pytest.mark.parametrize("flag", ["--m", "--n", "--r"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_rejects_an_empty_grid(capsys, suite, flag, value):
+    # --suite typeb --n 0 --r 2 and --suite pbw --n 0 exited 0 with checks
+    # passed on nothing; --suite typeb --n 1 --r 0 and --suite poincare
+    # --m 1 --r 0 exited 2 with a message about another parameter.
+    argv = ["verify", "--suite", suite]
+    for name in ("--m", "--n", "--r"):
+        argv += [name, value if name == flag else "1"]
+    code, out, err = run_cli(capsys, *argv)
+    _assert_one_line_error(code, out, err)
+    assert f"argument {flag}:" in err
+
+
 # S(3; 3, 2) has 378 basis matrices.  Every check that enumerates them skips
 # at guard 377; at 378 only the associativity bound, 3,790 products, is over.
 SCHUR_332_CHECKS = (

@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in-process and compares its stdout with
 ``tests/golden/<name>.txt`` and its exit code and stderr with
 ``tests/golden/exits.json``.  The verify report carries wall-clock
 ``seconds`` fields; they are removed before the comparison and nothing
-else is touched.
+else is touched.  Two larger tables, on grids with several weights, are
+pinned by the SHA-256 of their output (``TABLE_DIGESTS``).
 
 Re-record after an intended change of output with
 
@@ -16,6 +17,7 @@ and review the diff of ``tests/golden/`` like any other change.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -93,6 +95,24 @@ def test_golden_output(name):
     exits = json.loads((GOLDEN_DIR / "exits.json").read_text(encoding="utf-8"))
     assert {"exit": code, "stderr": stderr} == exits[name]
     assert stdout == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# sha256 of `cyclo tables --format json` on grids of several weights, whose
+# products cross blocks; the `tables_*` cases above have a single weight.
+TABLE_DIGESTS = {
+    (2, 2, 3): "7b6b7b8829e8ecac4487cd2cd382a2dbf28c81df327b154a17b84f222183a29f",
+    (3, 2, 2): "c091c87fbdb7370a85571da6f9739adec3952142d8f5c8037d88a6b57a1a9805",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(TABLE_DIGESTS))
+def test_tables_json_digest(grid):
+    m, n, r = map(str, grid)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["tables", "--m", m, "--n", n, "--r", r, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TABLE_DIGESTS[grid]
 
 
 def record() -> None:

@@ -19,6 +19,7 @@ from cycloschur import hecke
 from cycloschur.guards import GuardError
 from cycloschur.hecke import ElementBase, HeckeAlgebra, HeckeElement, eigen_test
 from cycloschur.permutations import (
+    check_composition,
     coset_reps_within,
     left_coset_factor,
     nu_of,
@@ -29,6 +30,8 @@ from cycloschur.schur import (
     NotInSpanError,
     SchurContext,
     SchurElement,
+    _eigen_rows,
+    _nullity,
     b_element_of,
     basis_element,
     diagonal_matrix,
@@ -36,7 +39,6 @@ from cycloschur.schur import (
     embed_q_schur,
     express_in_hom_basis,
     eigen_certificate,
-    hom_space_nullity,
     idempotent,
     identity_element,
     matrix_from_json,
@@ -440,6 +442,19 @@ def test_hom_space_dims_full():
     assert rep["ok"]
     total = sum(b["expected"] for b in rep["blocks"])
     assert total == 36
+
+
+def hom_space_nullity(alg, lam, mu, seed=0, guard=None) -> int:
+    """Dimension of {h : T_i h = q h (i in J_lam), h T_j = q h (j in J_mu)}
+    at one random point mod 2^31 - 1, an upper bound on the generic dimension.
+
+    Each equation is a sparse row over R on the normal-form coordinates of
+    h: the coefficient of one monomial in T_i h - q h (or h T_j - q h).
+    The result is the basis size minus the ``modular_rank`` of these rows
+    at the single trial that `seed` draws.
+    """
+    lam, mu = check_composition(lam), check_composition(mu)
+    return _nullity(alg, _eigen_rows(alg, guard), lam, mu, seed)
 
 
 def test_hom_space_nullity_matches_block():
