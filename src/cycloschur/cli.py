@@ -178,11 +178,14 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _product_entries(ctx: SchurContext, A, B) -> list[dict]:
+def _product_entries(ctx: SchurContext, A, B, polys: dict, mats: dict) -> list[dict]:
+    """The product's terms; ``polys`` and ``mats`` keep the rendering of
+    each distinct constant and matrix for the whole command."""
     entries = []
     for C, c in sorted(multiply_basis(ctx, A, B).items()):
-        poly, text = c.json_and_text()
-        entries.append({"C": matrix_to_json(C), "poly": poly, "text": text})
+        poly, text = polys.get(c) or polys.setdefault(c, c.json_and_text())
+        C_json = mats.get(C) or mats.setdefault(C, matrix_to_json(C))
+        entries.append({"C": C_json, "poly": poly, "text": text})
     return entries
 
 
@@ -193,7 +196,7 @@ def _cmd_mult(args) -> int:
     lam = colored_row_sums(args.A)
     what = f"module x_lambda H at lambda {list(lam)}"
     check_guard(module_dimension(ctx, lam), args.guard, what)
-    entries = _product_entries(ctx, args.A, args.B)
+    entries = _product_entries(ctx, args.A, args.B, {}, {})
     if args.format == "json":
         print(json.dumps({"terms": entries}, sort_keys=True))
     else:
@@ -214,10 +217,10 @@ def _cmd_tables(args) -> int:
         by_ro = group_by_row_sums(basis)
         pairs = sum(len(by_ro.get(colored_col_sums(A), ())) for A in basis)
         check_guard(pairs, args.guard, "composable pairs of the multiplication table")
-        products = []
+        products, polys, mats = [], {}, {}
         for i, A in enumerate(basis):
             for j in by_ro.get(colored_col_sums(A), ()):
-                entries = _product_entries(ctx, A, basis[j])
+                entries = _product_entries(ctx, A, basis[j], polys, mats)
                 products.append({"A": i, "B": j, "terms": entries})
         payload = {
             "basis": [matrix_to_json(A) for A in basis],

@@ -21,14 +21,18 @@ A alone (``_leading_term``): one sweep over each block's leads, sorted once
 per context (``_sweep``), subtracts the rest of each b_C in turn.
 Composition is right factor first: (x * y) acts by y then x.
 
-``multiply_basis`` sums the x_lam H coordinates of b_A T_w L^a, memoised
+A zero part of a weight adds no position to S_lam, so b_A = b_{A*}, A*
+being A with its zero rows and columns moved to the end (``squeezed``).
+The memos of b_A key on A*, and ``multiply_basis`` computes A* B* once per
+context, then puts the zero rows and columns back by interned maps.
+A squeezed product sums the x_lam H coordinates of b_A T_w L^a, memoised
 per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
 tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
 The memo is filled on module coordinates, letter by letter from b_A's and
 resumed at the longest prefix of the word already stored, through step
 tables of x_lam H: the column of a module key (d, c) under T_i or L_j is
 x_lam T_d L^c T_i (or L_j) straightened in H and read in module
-coordinates, built once per (lam without zeros, generator).
+coordinates, built once per (squeezed lam, generator).
 
 ``tail_of``/``b_element_of`` evaluate b_A in any algebra: H_u(r), its
 type-B specialisation, or the affine lift, with T_d sigma straightened in
@@ -119,10 +123,10 @@ _UNGUARDED = object()  # basis() called without a guard
 
 class SchurContext:
     """The slim Schur algebra for (m, n, r) over ``hecke`` = H_u(r), with
-    per-basis memos in ``hecke``'s private coordinates.  Keyed by a basis
-    matrix A: tail(A), b_A, b_A's module coordinates, ``_actions[A]``:
-    (w, a) -> the module coordinates of b_A T_w L^a, A's margins, and the
-    rest of b_A below its lead; keyed by a block: its elimination sweep."""
+    per-basis memos in ``hecke``'s private coordinates.  Keyed by A*:
+    tail(A), b_A, b_A's module coordinates, ``_actions[A*]``: (w, a) -> the
+    module coordinates of b_A T_w L^a; keyed by A: A's margins and squeeze,
+    and the rest of b_A below its lead; keyed by a block: its sweep."""
 
     def __init__(self, m: int, n: int, r: int):
         if n < 1:
@@ -144,12 +148,15 @@ class SchurContext:
         # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
         # equal keys and coefficients being one object, through _pool;
         # filled on module coordinates through _msteps[(lam, _rmul_T, i)]
-        # (or _rmul_L, j): module key -> the column of T_i (L_j) on it, lam
-        # without its zero parts (the same x_lam).
+        # (or _rmul_L, j): module key -> the column of T_i (L_j) on it.
         self._actions: dict[ColoredMatrix, dict[TermKey, tuple]] = {}
         self._pool: dict = {}
         self._msteps: dict[tuple, dict[TermKey, tuple]] = {}
         self._margins: dict[ColoredMatrix, tuple[Composition, Composition]] = {}
+        # _products[(A*, B*)]: structure constants; _backs[(lam, mu)][C*]: C.
+        self._squeezed: dict[ColoredMatrix, ColoredMatrix] = {}
+        self._products: dict[tuple, dict[ColoredMatrix, RingElem]] = {}
+        self._backs: dict[tuple, dict[ColoredMatrix, ColoredMatrix]] = {}
 
     def __eq__(self, other):
         return isinstance(other, SchurContext) and (self.m, self.n, self.r) == (
@@ -209,16 +216,28 @@ class SchurContext:
             self._margins[A] = (tuple(map(sum, size)), tuple(map(sum, zip(*size))))
         return self._margins[A]
 
+    def squeezed(self, A: ColoredMatrix) -> ColoredMatrix:
+        """A*: A with its zero rows and columns moved to the end, one object
+        per value, memoised (A*'s own entry is A*)."""
+        S = self._squeezed.get(A)
+        if S is None:
+            rows, cols = (sorted(range(len(w)), key=lambda i: not w[i]) for w in self.margins(A))
+            S = tuple(tuple(A[i][j] for j in cols) for i in rows)
+            S = self._squeezed[A] = self._squeezed.setdefault(S, S)
+        return S
+
     # -- the basis homomorphisms, memoised ----------------------------------
 
     def tail(self, A: ColoredMatrix) -> HeckeElement:
         """T_d * sigma * (coset sum): b_A without the leading symmetrizer."""
+        A = self.squeezed(A)
         elem = self._tails.get(A)
         if elem is None:
             elem = self._tails[A] = tail_of(self.hecke, A)
         return elem
 
     def b_element(self, A: ColoredMatrix) -> HeckeElement:
+        A = self.squeezed(A)
         elem = self._bs.get(A)
         if elem is None:
             elem = self._bs[A] = self.hecke.x_lambda(self.margins(A)[0]) * self.tail(A)
@@ -226,6 +245,7 @@ class SchurContext:
 
     def _b_coords(self, A: ColoredMatrix) -> dict:
         """b_coords(A) in private coordinates, free of u."""
+        A = self.squeezed(A)
         coords = self._coords.get(A)
         if coords is None:
             coords = self._coords[A] = _module_coords(
@@ -246,7 +266,7 @@ class SchurContext:
         prefix in the row, applies the rest on module coordinates through
         the step tables ``_msteps`` and stores every node it passes."""
         row = self._actions.setdefault(A, {})
-        lam = tuple(p for p in self.margins(A)[0] if p)  # the same x_lam
+        lam = self.margins(A)[0]
         zero = (0,) * self.r
         if not row:
             row[identity(self.r), zero] = self._interned(self._b_coords(A))
@@ -457,10 +477,25 @@ class SchurElement(LinearCombination):
 def multiply_basis(
     ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix
 ) -> dict[ColoredMatrix, RingElem]:
-    """Structure constants of Phi_A o Phi_B (apply B's map first)."""
+    """Structure constants of Phi_A o Phi_B (apply B's map first): those of
+    A* B* with the zero rows and columns of lam and mu put back."""
     (lam, mid), (mid_b, mu) = ctx.margins(A), ctx.margins(B)
     if mid != mid_b:
         return {}
+    pair = ctx.squeezed(A), ctx.squeezed(B)
+    product = ctx._products.get(pair)
+    if product is None:
+        product = ctx._products[pair] = _multiply_squeezed(ctx, *pair)
+    back = ctx._backs.get((lam, mu))
+    if back is None:
+        block = enumerate_colored_with_margins(lam, mu, ctx.m)
+        back = ctx._backs[lam, mu] = {ctx.squeezed(C): C for C in block}
+    return {back[C]: c for C, c in product.items()}  # a fresh dict: callers may edit it
+
+
+def _multiply_squeezed(ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix) -> dict:
+    """The body of multiply_basis, on squeezed composable A and B."""
+    lam, mu = ctx.margins(A)[0], ctx.margins(B)[1]
     tail = ctx.tail(B)._terms
     row = ctx._action_row(A, tail)
     acc: dict = {}

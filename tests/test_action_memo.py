@@ -50,8 +50,9 @@ def assert_memo_matches(make_ctx, seed: int, fresh_sample: int = FRESH_SAMPLE) -
     ctx = make_ctx()
     for A, B in pairs:
         assert multiply_basis(ctx, A, B) == expected[(A, B)], (A, B)
-    # The memo holds one row per left factor, and reads back what it stored.
-    assert set(ctx._actions) == {A for A, _ in pairs}
+    # The memo holds one row per squeezed left factor, and reads back what
+    # it stored.
+    assert set(ctx._actions) == {ctx.squeezed(A) for A, _ in pairs}
     for A, B in pairs[:fresh_sample]:
         assert multiply_basis(ctx, A, B) == expected[(A, B)]
         assert multiply_basis(make_ctx(), A, B) == expected[(A, B)]
