@@ -120,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     # A suite on an empty grid would pass its checks on nothing.
     _add_grid_flags(sp, size=_positive)
-    sp.add_argument("--lambda", dest="lam", type=_composition, default=None)
-    sp.add_argument("--mu", type=_composition, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_composition, default=None,
+                    help="echoed in the report's params; no check reads it")
+    sp.add_argument("--mu", type=_composition, default=None,
+                    help="echoed in the report's params; no check reads it")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=_positive, default=3)
     sp.add_argument("--exact", action="store_true",

@@ -194,15 +194,22 @@ def j_set(lam: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i in range(1, r) if i not in sums)
 
 
+def _capped(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All tuples x with 0 <= x_j <= caps[j] summing to total, lexicographically."""
+    if total == 0 or len(caps) <= 1:
+        # Nothing is left to place, or the last part takes all that is left.
+        if total == 0 or caps and 0 < total <= caps[0]:
+            yield (total,) * len(caps)
+        return
+    later = caps[1:]
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _capped(total - first, later):
+            yield (first,) + rest
+
+
 def compositions(r: int, n: int) -> Iterator[Composition]:
     """All weak compositions of r into exactly n parts, lexicographically."""
-    if n == 0:
-        if r == 0:
-            yield ()
-        return
-    for first in range(r + 1):
-        for rest in compositions(r - first, n - 1):
-            yield (first,) + rest
+    return _capped(r, (r,) * n)
 
 
 def young_subgroup(lam: Sequence[int]) -> Iterator[Permutation]:
@@ -374,18 +381,7 @@ def matrices_with_margins(
             if all(c == 0 for c in cols_left):
                 yield ()
             return
-        target = rows_left[0]
-        n = len(cols_left)
-
-        def fill(j: int, remaining: int, row: tuple[int, ...]):
-            if j == n:
-                if remaining == 0:
-                    yield row
-                return
-            for v in range(min(remaining, cols_left[j]) + 1):
-                yield from fill(j + 1, remaining - v, row + (v,))
-
-        for row in fill(0, target, ()):
+        for row in _capped(rows_left[0], cols_left):
             new_cols = tuple(c - v for c, v in zip(cols_left, row))
             for rest in rec(rows_left[1:], new_cols):
                 yield (row,) + rest

@@ -1,18 +1,24 @@
 """Named verification suites with timed, order-stable reports.
 
-Each suite is a list of independent checks over a small parameter grid;
-a check returns a boolean plus a witness (counts, offending inputs, or
-sub-reports).  Guard violations surface as status "skipped(guard)" so a
-too-large request degrades into an explicit skip instead of an open-ended
+Every check is one row of ``CHECKS``: its id, the ``SuiteParams`` fields
+its report carries, and a function ``(p, run)`` that returns a boolean
+plus a witness (counts, offending inputs, or sub-reports).  A suite is the
+rows whose ids share a prefix ("pbw" for "pbw.count", ...), and
+``SUITE_NAMES`` lists the prefixes in table order, the order in which
+"all" runs them.  Adding a check means adding one function and one row.
+Guard violations surface as status "skipped(guard)" so a too-large
+request degrades into an explicit skip instead of an open-ended
 computation.  Reports are deterministic for a fixed seed: entries are
 sorted by check id and the wall-clock field is informational only.
 
 The checks of one ``run_suite`` call share its Schur contexts, one per
-(m, n, r), reached only through ``_schur``: the first check on a grid
+(m, n, r), reached only through ``_Run.schur``: the first check on a grid
 builds the context and the later ones reuse its basis, b_A and memos.
-``run_suite`` creates that dict and passes it to each suite, so no
-context outlives one report.  ``_schur`` checks the guard against the
-basis size on every call, cached or not.
+``run_suite`` creates that dict, so no context outlives one report, and
+``_Run.schur`` checks the guard against the basis size on every call,
+cached or not.  Each suite has its own random stream, ``Random(seed)``,
+which its checks draw from in table order, and its own ``HeckeAlgebra``
+and ``AffineAlgebra``; none of these is shared across suites.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .affine import AffineAlgebra, coefficient_symmetry_check, epsilon_u
@@ -41,6 +48,7 @@ from .schur import (
     SchurContext,
     b_element_of,
     basis_element,
+    eigen_certificate,
     identity_element,
     module_dimension,
     multiply_basis,
@@ -64,6 +72,7 @@ class SuiteParams:
     m: int = 2
     n: int = 2
     r: int = 2
+    # Echoed in the report's params; no check reads them.
     lam: tuple[int, ...] | None = None
     mu: tuple[int, ...] | None = None
     seed: int = 0
@@ -75,49 +84,41 @@ class SuiteParams:
         return asdict(self)
 
 
-@dataclass
-class CheckOutcome:
-    check: str
-    params: dict
-    status: str  # "pass" | "fail" | "skipped(guard)"
-    witness: object
-    seconds: float
+class _Run:
+    """What the checks of one suite share: the Schur contexts of the whole
+    ``run_suite`` call, and the suite's own random stream and algebras,
+    each built on first use."""
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-            "seconds": round(self.seconds, 4),
-        }
+    def __init__(self, p: SuiteParams, contexts: dict[tuple[int, int, int], SchurContext]):
+        self.p = p
+        self._contexts = contexts
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.p.seed)
+
+    @cached_property
+    def hecke(self) -> HeckeAlgebra:
+        return HeckeAlgebra(self.p.m, self.p.r)
+
+    @cached_property
+    def affine(self) -> AffineAlgebra:
+        return AffineAlgebra(self.p.r, nvars=self.p.m)
+
+    def schur(self, n: int | None = None) -> SchurContext:
+        """The run's Schur context for (m, n, r), once its basis size has
+        passed the guard; built on first use."""
+        p = self.p
+        key = (p.m, p.n if n is None else n, p.r)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            ctx = self._contexts[key] = SchurContext(*key)
+        ctx.basis(p.guard)
+        return ctx
 
 
-def _run_check(
-    check_id: str, params: dict, fn: Callable[[], tuple[bool, object]]
-) -> CheckOutcome:
-    start = time.perf_counter()
-    try:
-        ok, witness = fn()
-        status = "pass" if ok else "fail"
-    except GuardError as exc:
-        status, witness = "skipped(guard)", str(exc)
-    return CheckOutcome(check_id, params, status, witness, time.perf_counter() - start)
-
-
-# The Schur contexts of one run_suite call, by (m, n, r).
-Contexts = dict[tuple[int, int, int], SchurContext]
-
-
-def _schur(p: SuiteParams, contexts: Contexts, n: int | None = None) -> SchurContext:
-    """The run's Schur context for (m, n, r), once its basis size has passed
-    the guard; built on first use."""
-    key = (p.m, p.n if n is None else n, p.r)
-    ctx = contexts.get(key)
-    if ctx is None:
-        ctx = contexts[key] = SchurContext(*key)
-    ctx.basis(p.guard)
-    return ctx
+# A check's function: (ok, witness) from the suite's parameters and run.
+Check = Callable[[SuiteParams, _Run], tuple[bool, object]]
 
 
 # The least work charged for one trial: drawing and checking a trial costs
@@ -166,434 +167,389 @@ def _x_degree(x) -> int:
     return max((sum(map(abs, a)) for _, a in x.terms), default=0)
 
 
-# -- suites ----------------------------------------------------------------
+# -- checks ----------------------------------------------------------------
 
 
-def suite_pbw(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "r": p.r}
-    out: list[CheckOutcome] = []
-    alg = HeckeAlgebra(p.m, p.r)
-    rng = random.Random(p.seed)
-
-    def keys():
-        return list(alg.pbw_basis(p.guard))
-
-    def count():
-        got = len(keys())
-        want = (p.m**p.r) * math.factorial(p.r)
-        return got == want, {"count": got, "expected": want}
-
-    out.append(_run_check("pbw.count", base, count))
-
-    def quadratic():
-        q, one = alg.q, alg.one_c
-        for i in range(1, p.r):
-            t = alg.gen_T(i)
-            if (t - alg.scalar(q)) * (t + alg.one()) != alg.zero():
-                return False, {"i": i}
-        return True, {"generators": p.r - 1}
-
-    out.append(_run_check("pbw.quadratic", base, quadratic))
-
-    def braid():
-        for i in range(1, p.r - 1):
-            a, b = alg.gen_T(i), alg.gen_T(i + 1)
-            if a * b * a != b * a * b:
-                return False, {"i": i}
-        for i in range(1, p.r):
-            for j in range(i + 2, p.r):
-                a, b = alg.gen_T(i), alg.gen_T(j)
-                if a * b != b * a:
-                    return False, {"i": i, "j": j}
-        return True, {}
-
-    out.append(_run_check("pbw.braid", base, braid))
-
-    def cyclotomic():
-        prod = alg.one()
-        for t in range(p.m):
-            prod = prod * (alg.gen_L(1) - alg.scalar(alg.u_params[t]))
-        return prod.is_zero(), {"degree": p.m}
-
-    out.append(_run_check("pbw.cyclotomic", base, cyclotomic))
-
-    def law(check_id: str, arity: int, holds: Callable[..., bool]) -> None:
-        """A check that ``holds`` on random elements, --trials times (at least 3)."""
-
-        def trials_hold():
-            ks = keys()
-            trials = _trials(p, 3, len(ks), f"normal-form monomials of {check_id}")
-            for t in range(trials):
-                if not holds(*(_random_hecke(alg, rng, ks) for _ in range(arity))):
-                    return False, {"trial": t}
-            return True, {"trials": trials}
-
-        out.append(_run_check(check_id, base, trials_hold))
-
-    law("pbw.roundtrip", 1, lambda x: from_left_form(to_left_form(x)) == x)
-    law("pbw.assoc", 3, lambda x, y, z: (x * y) * z == x * (y * z))
-    law("pbw.tau-anti", 2, lambda x, y: tau(x * y) == tau(y) * tau(x))
-    return out
+def _pbw_count(p: SuiteParams, run: _Run):
+    got = len(list(run.hecke.pbw_basis(p.guard)))
+    want = (p.m**p.r) * math.factorial(p.r)
+    return got == want, {"count": got, "expected": want}
 
 
-def suite_straighten(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "r": p.r}
-    out: list[CheckOutcome] = []
-    alg = HeckeAlgebra(p.m, p.r)
-    rng = random.Random(p.seed)
+def _pbw_quadratic(p: SuiteParams, run: _Run):
+    alg = run.hecke
+    for i in range(1, p.r):
+        t = alg.gen_T(i)
+        if (t - alg.scalar(alg.q)) * (t + alg.one()) != alg.zero():
+            return False, {"i": i}
+    return True, {"generators": p.r - 1}
 
-    def closed_form():
-        keys = list(alg.pbw_basis(p.guard))
-        sample = keys if len(keys) <= 60 else rng.sample(keys, k=60)
-        for key in sample:
-            x = alg.elem({key: alg.one_c})
-            for i in range(1, p.r):
-                if x.lmul_gen_T(i) != alg.gen_T(i) * x:
-                    return False, {"key": repr(key), "i": i}
-        return True, {"keys": len(sample)}
 
-    out.append(_run_check("straighten.closed-form", base, closed_form))
+def _pbw_braid(p: SuiteParams, run: _Run):
+    alg = run.hecke
+    for i in range(1, p.r - 1):
+        a, b = alg.gen_T(i), alg.gen_T(i + 1)
+        if a * b * a != b * a * b:
+            return False, {"i": i}
+    for i in range(1, p.r):
+        for j in range(i + 2, p.r):
+            a, b = alg.gen_T(i), alg.gen_T(j)
+            if a * b != b * a:
+                return False, {"i": i, "j": j}
+    return True, {}
 
-    def exchange():
-        alg.check_dim(p.guard)
-        q = alg.q
-        for i in range(1, p.r):
-            lhs = alg.gen_T(i) * alg.gen_L(i) * alg.gen_T(i)
-            if lhs != alg.gen_L(i + 1).scale(q):
-                return False, {"i": i, "case": "TLT"}
-            for j in range(1, p.r + 1):
-                if j in (i, i + 1):
-                    continue
-                if alg.gen_L(j) * alg.gen_T(i) != alg.gen_T(i) * alg.gen_L(j):
-                    return False, {"i": i, "j": j, "case": "commute"}
-        return True, {}
 
-    out.append(_run_check("straighten.exchange", base, exchange))
+def _pbw_cyclotomic(p: SuiteParams, run: _Run):
+    alg = run.hecke
+    prod = alg.one()
+    for t in range(p.m):
+        prod = prod * (alg.gen_L(1) - alg.scalar(alg.u_params[t]))
+    return prod.is_zero(), {"degree": p.m}
 
-    def jm_commute():
-        alg.check_dim(p.guard)
-        trials = _trials(p, 3, alg.dim(), "normal-form monomials of the JM products")
+
+def _law(check_id: str, arity: int, holds: Callable[..., bool]):
+    """The row of a check that ``holds`` on random elements, --trials times
+    (at least 3)."""
+
+    def trials_hold(p: SuiteParams, run: _Run):
+        ks = list(run.hecke.pbw_basis(p.guard))
+        trials = _trials(p, 3, len(ks), f"normal-form monomials of {check_id}")
         for t in range(trials):
-            a = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
-            b = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
-            x, y = alg.jm_monomial(a), alg.jm_monomial(b)
-            if x * y != y * x:
-                return False, {"a": a, "b": b}
-        return True, {"trials": trials}
-
-    out.append(_run_check("straighten.jm-commute", base, jm_commute))
-    return out
-
-
-def suite_basis(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "n": p.n, "r": p.r}
-    out: list[CheckOutcome] = []
-
-    def counted():
-        ctx = _schur(p, contexts)
-        got = len(ctx.basis())
-        return got == ctx.rank(), {"count": got, "closed_form": ctx.rank()}
-
-    out.append(_run_check("basis.count", base, counted))
-
-    def eigen():
-        ctx = _schur(p, contexts)
-        from .schur import eigen_certificate
-
-        for lam in ctx.weights():
-            for mu in ctx.weights():
-                if not eigen_certificate(ctx, lam, mu):
-                    return False, {"lam": lam, "mu": mu}
-        return True, {"blocks": len(ctx.weights()) ** 2}
-
-    out.append(_run_check("basis.eigen", base, eigen))
-
-    def dims():
-        ctx = _schur(p, contexts)
-        rep = verify_hom_space_dims(ctx, seed=p.seed, guard=p.guard)
-        return rep["ok"], {"blocks": len(rep["blocks"])}
-
-    out.append(_run_check("basis.hom-dims", base, dims))
-    return out
-
-
-def suite_rank(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "n": p.n, "r": p.r, "trials": p.trials, "exact": p.exact}
-
-    def ranked():
-        ctx = _schur(p, contexts)
-        if p.exact:
-            # Bareiss on a block of k rows and C = dim x_lam H columns: k C min(k, C).
-            sizes = Counter((colored_row_sums(A), colored_col_sums(A)) for A in ctx.basis())
-            cost = sum(k * (c := module_dimension(ctx, lam)) * min(k, c)
-                       for (lam, _), k in sizes.items())
-            check_guard(cost, p.guard, "exact elimination of the rank blocks")
-        else:
-            _trials(p, 1, len(ctx.weights()) ** 2, "modular ranks of the blocks")
-        rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
-        return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}
-
-    return [_run_check("rank.blocks", base, ranked)]
-
-
-def suite_commutative(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "r": p.r}
-
-    def commuting():
-        ctx = _schur(p, contexts, 1)
-        check_guard(len(ctx.basis()) ** 2, p.guard, "ordered pairs of the commutativity check")
-        rep = verify_commutative(ctx)
-        return rep["ok"], {"size": rep["size"]}
-
-    return [_run_check("commutative.pairs", base, commuting)]
-
-
-def suite_schur_mult(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"m": p.m, "n": p.n, "r": p.r}
-    out: list[CheckOutcome] = []
-    rng = random.Random(p.seed)
-
-    def unit():
-        ctx = _schur(p, contexts)
-        one = identity_element(ctx)
-        basis = ctx.basis()
-        sample = basis if len(basis) <= 40 else rng.sample(basis, k=40)
-        check_guard(2 * len(sample), p.guard, "basis products of the unit check")
-        for A in sample:
-            phi = basis_element(ctx, A)
-            if one * phi != phi or phi * one != phi:
-                return False, {"A": A}
-        return True, {"sampled": len(sample)}
-
-    out.append(_run_check("schur-mult.unit", base, unit))
-
-    def reconstruct():
-        ctx = _schur(p, contexts)
-        basis = ctx.basis()
-        by_ro = group_by_row_sums(basis)
-        pairs = [
-            (A, basis[j]) for A in basis for j in by_ro.get(colored_col_sums(A), ())
-        ]
-        sample = pairs if len(pairs) <= 30 else rng.sample(pairs, k=30)
-        check_guard(len(sample), p.guard, "basis products of the reconstruction check")
-        for A, B in sample:
-            prod = ctx.b_element(A) * ctx.tail(B)
-            coeffs = multiply_basis(ctx, A, B)
-            total = ctx.hecke.zero()
-            for C, c in coeffs.items():
-                total = total + ctx.b_element(C).scale(c)
-            if total != prod:
-                return False, {"A": A, "B": B}
-        return True, {"sampled": len(sample)}
-
-    out.append(_run_check("schur-mult.reconstruct", base, reconstruct))
-
-    def assoc():
-        ctx = _schur(p, contexts)
-        basis = ctx.basis()
-        by_ro = group_by_row_sums(basis)
-        # per triple: 2 (1 + |basis|) basis products
-        trials = _trials(p, 5, 2 * (1 + len(basis)), "basis products of the associativity check")
-        done = 0
-        for _ in range(200):
-            if done >= trials:
-                break
-            A = rng.choice(basis)
-            bs = by_ro.get(colored_col_sums(A))
-            if not bs:
-                continue
-            B = basis[rng.choice(bs)]
-            cs = by_ro.get(colored_col_sums(B))
-            if not cs:
-                continue
-            C = basis[rng.choice(cs)]
-            fa, fb, fc = (basis_element(ctx, M) for M in (A, B, C))
-            if (fa * fb) * fc != fa * (fb * fc):
-                return False, {"A": A, "B": B, "C": C}
-            done += 1
-        return True, {"triples": done}
-
-    out.append(_run_check("schur-mult.assoc", base, assoc))
-    return out
-
-
-def suite_typeb(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    out: list[CheckOutcome] = []
-    base = {"r": p.r, "n": p.n}
-
-    def coset_basis():
-        rep = verify_single_row_coset_basis(p.r, guard=p.guard)
-        return rep["ok"], {"cases": len(rep["cases"])}
-
-    out.append(_run_check("typeb.coset-basis", base, coset_basis))
-
-    def shifted():
-        check_guard(2**p.r * math.factorial(p.r), p.guard, f"signed permutations of rank {p.r}")
-        checked = 0
-        for total in range(2, min(p.r, 4) + 1):
-            for b in range(1, total + 1):
-                rep = verify_shifted_coset_identity(total - b, b, p.r)
-                if not rep["ok"]:
-                    return False, rep
-                checked += len(rep["cases"])
-        return True, {"cases": checked}
-
-    out.append(_run_check("typeb.shifted", base, shifted))
-
-    def example():
-        rep = verify_worked_example()
-        return rep["ok"], rep["checks"]
-
-    out.append(_run_check("typeb.example", base, example))
-
-    def routes():
-        count = colored_count(p.n, p.r, 2)
-        check_guard(count, p.guard, "two-color route comparison")
-        sample = None if count <= 150 else 60
-        rep = verify_route_agreement(p.n, p.r, sample=sample, seed=p.seed)
-        return rep["ok"], {"checked": rep["checked"]}
-
-    out.append(_run_check("typeb.routes", base, routes))
-
-    def group_algebra():
-        check_guard(colored_count(p.n, p.r, 2), p.guard, "group algebra degeneration")
-        rep = verify_group_algebra_basis(p.n, p.r)
-        return rep["ok"], {"checked": rep["checked"]}
-
-    out.append(_run_check("typeb.group-algebra", base, group_algebra))
-    return out
-
-
-def suite_poincare(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    out: list[CheckOutcome] = []
-    base = {"m": p.m, "r": p.r}
-
-    def length_sum():
-        comps = list(compositions(p.r, min(p.r, 3)))
-        for lam in comps:
-            check_guard(young_subgroup_size(lam), p.guard, f"Young subgroup of {lam}")
-        for lam in comps:
-            total = RingElem.zero(0)
-            for w in young_subgroup(lam):
-                total = total + RingElem.q_power(w.length(), 0)
-            if total != poincare_polynomial(lam, 0):
-                return False, {"lam": lam}
-        return True, {"compositions": len(comps)}
-
-    out.append(_run_check("poincare.length-sum", base, length_sum))
-
-    def morita():
-        ctx = _schur(p, contexts, p.r)
-        omega = (1,) * p.r
-        checked = 0
-        for lam in ctx.weights():
-            left = phi_pair(ctx, lam, omega) * phi_pair(ctx, omega, lam)
-            scaled = phi_pair(ctx, lam, lam).scale(
-                poincare_polynomial(lam, ctx.m)
-            )
-            if left != scaled:
-                return False, {"lam": lam}
-            checked += 1
-        return True, {"weights": checked}
-
-    out.append(_run_check("poincare.morita", base, morita))
-    return out
-
-
-def suite_epsilon(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    out: list[CheckOutcome] = []
-    base = {"m": p.m, "r": p.r}
-    target = HeckeAlgebra(p.m, p.r)
-    aff = AffineAlgebra(p.r, nvars=p.m)
-    rng = random.Random(p.seed)
-
-    def multiplicative():
-        target.check_dim(p.guard)
-        trials = _trials(p, 5, target.dim(), "normal-form monomials of the multiplicativity trials")
-        for t in range(trials):
-            x = _random_affine(aff, rng)
-            y = _random_affine(aff, rng)
-            # The longest L-word the trial straightens, in epsilon_u(x * y), has
-            # deg x + deg y letters, each acting on up to target.dim() monomials.
-            work = (_x_degree(x) + _x_degree(y)) * target.dim()
-            check_guard(work, p.guard, f"straightening of multiplicativity trial {t}")
-            if epsilon_u(x * y, target) != epsilon_u(x, target) * epsilon_u(y, target):
+            if not holds(*(_random_hecke(run.hecke, run.rng, ks) for _ in range(arity))):
                 return False, {"trial": t}
         return True, {"trials": trials}
 
-    out.append(_run_check("epsilon.multiplicative", base, multiplicative))
-
-    def basis_map():
-        target.check_dim(p.guard)
-        ctx = _schur(p, contexts)
-        basis = ctx.basis()
-        sample = basis if len(basis) <= 150 else rng.sample(basis, k=60)
-        for A in sample:
-            lifted = b_element_of(aff, A)
-            if epsilon_u(lifted, ctx.hecke) != ctx.b_element(A):
-                return False, {"A": A}
-        return True, {"checked": len(sample)}
-
-    out.append(_run_check("epsilon.basis-map", {**base, "n": p.n}, basis_map))
-    return out
+    return check_id, ("m", "r"), trials_hold
 
 
-def suite_affine_sym(p: SuiteParams, contexts: Contexts) -> list[CheckOutcome]:
-    base = {"r": p.r}
+def _straighten_closed_form(p: SuiteParams, run: _Run):
+    alg = run.hecke
+    keys = list(alg.pbw_basis(p.guard))
+    sample = keys if len(keys) <= 60 else run.rng.sample(keys, k=60)
+    for key in sample:
+        x = alg.elem({key: alg.one_c})
+        for i in range(1, p.r):
+            if x.lmul_gen_T(i) != alg.gen_T(i) * x:
+                return False, {"key": repr(key), "i": i}
+    return True, {"keys": len(sample)}
 
-    def symmetrizer():
-        alg = AffineAlgebra(p.r)
-        x_full = alg.x_lambda((p.r,), p.guard)
-        checked = 0
-        for exps in itertools.product(range(2), repeat=p.r):
-            if sum(exps) > 2:
+
+def _straighten_exchange(p: SuiteParams, run: _Run):
+    alg = run.hecke
+    alg.check_dim(p.guard)
+    for i in range(1, p.r):
+        lhs = alg.gen_T(i) * alg.gen_L(i) * alg.gen_T(i)
+        if lhs != alg.gen_L(i + 1).scale(alg.q):
+            return False, {"i": i, "case": "TLT"}
+        for j in range(1, p.r + 1):
+            if j in (i, i + 1):
                 continue
-            z = x_full * sigma_nu(alg, (p.r,), [exps])
-            if not coefficient_symmetry_check(z):
-                return False, {"exps": exps}
-            checked += 1
-        return True, {"elements": checked}
-
-    return [_run_check("affine-sym.symmetrizer", base, symmetrizer)]
+            if alg.gen_L(j) * alg.gen_T(i) != alg.gen_T(i) * alg.gen_L(j):
+                return False, {"i": i, "j": j, "case": "commute"}
+    return True, {}
 
 
-SUITES: dict[str, Callable[[SuiteParams, Contexts], list[CheckOutcome]]] = {
-    "pbw": suite_pbw,
-    "straighten": suite_straighten,
-    "basis": suite_basis,
-    "rank": suite_rank,
-    "commutative": suite_commutative,
-    "schur-mult": suite_schur_mult,
-    "typeb": suite_typeb,
-    "poincare": suite_poincare,
-    "epsilon": suite_epsilon,
-    "affine-sym": suite_affine_sym,
-}
-SUITE_NAMES = tuple(SUITES)
+def _straighten_jm_commute(p: SuiteParams, run: _Run):
+    alg, rng = run.hecke, run.rng
+    alg.check_dim(p.guard)
+    trials = _trials(p, 3, alg.dim(), "normal-form monomials of the JM products")
+    for t in range(trials):
+        a = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
+        b = tuple(rng.randrange(0, p.m + 1) for _ in range(p.r))
+        x, y = alg.jm_monomial(a), alg.jm_monomial(b)
+        if x * y != y * x:
+            return False, {"a": a, "b": b}
+    return True, {"trials": trials}
+
+
+def _basis_count(p: SuiteParams, run: _Run):
+    ctx = run.schur()
+    got = len(ctx.basis())
+    return got == ctx.rank(), {"count": got, "closed_form": ctx.rank()}
+
+
+def _basis_eigen(p: SuiteParams, run: _Run):
+    ctx = run.schur()
+    for lam in ctx.weights():
+        for mu in ctx.weights():
+            if not eigen_certificate(ctx, lam, mu):
+                return False, {"lam": lam, "mu": mu}
+    return True, {"blocks": len(ctx.weights()) ** 2}
+
+
+def _basis_hom_dims(p: SuiteParams, run: _Run):
+    rep = verify_hom_space_dims(run.schur(), seed=p.seed, guard=p.guard)
+    return rep["ok"], {"blocks": len(rep["blocks"])}
+
+
+def _rank_blocks(p: SuiteParams, run: _Run):
+    ctx = run.schur()
+    if p.exact:
+        # Bareiss on a block of k rows and C = dim x_lam H columns: k C min(k, C).
+        sizes = Counter((colored_row_sums(A), colored_col_sums(A)) for A in ctx.basis())
+        cost = sum(k * (c := module_dimension(ctx, lam)) * min(k, c)
+                   for (lam, _), k in sizes.items())
+        check_guard(cost, p.guard, "exact elimination of the rank blocks")
+    else:
+        _trials(p, 1, len(ctx.weights()) ** 2, "modular ranks of the blocks")
+    rep = verify_rank(ctx, trials=p.trials, seed=p.seed, exact=p.exact)
+    return rep["ok"], {"expected": rep["expected"], "certified": rep["certified"]}
+
+
+def _commutative_pairs(p: SuiteParams, run: _Run):
+    ctx = run.schur(1)
+    check_guard(len(ctx.basis()) ** 2, p.guard, "ordered pairs of the commutativity check")
+    rep = verify_commutative(ctx)
+    return rep["ok"], {"size": rep["size"]}
+
+
+def _schur_mult_unit(p: SuiteParams, run: _Run):
+    ctx = run.schur()
+    one = identity_element(ctx)
+    basis = ctx.basis()
+    sample = basis if len(basis) <= 40 else run.rng.sample(basis, k=40)
+    check_guard(2 * len(sample), p.guard, "basis products of the unit check")
+    for A in sample:
+        phi = basis_element(ctx, A)
+        if one * phi != phi or phi * one != phi:
+            return False, {"A": A}
+    return True, {"sampled": len(sample)}
+
+
+def _schur_mult_reconstruct(p: SuiteParams, run: _Run):
+    ctx = run.schur()
+    basis = ctx.basis()
+    by_ro = group_by_row_sums(basis)
+    pairs = [
+        (A, basis[j]) for A in basis for j in by_ro.get(colored_col_sums(A), ())
+    ]
+    sample = pairs if len(pairs) <= 30 else run.rng.sample(pairs, k=30)
+    check_guard(len(sample), p.guard, "basis products of the reconstruction check")
+    for A, B in sample:
+        prod = ctx.b_element(A) * ctx.tail(B)
+        coeffs = multiply_basis(ctx, A, B)
+        total = ctx.hecke.zero()
+        for C, c in coeffs.items():
+            total = total + ctx.b_element(C).scale(c)
+        if total != prod:
+            return False, {"A": A, "B": B}
+    return True, {"sampled": len(sample)}
+
+
+def _schur_mult_assoc(p: SuiteParams, run: _Run):
+    ctx, rng = run.schur(), run.rng
+    basis = ctx.basis()
+    by_ro = group_by_row_sums(basis)
+    # per triple: 2 (1 + |basis|) basis products
+    trials = _trials(p, 5, 2 * (1 + len(basis)), "basis products of the associativity check")
+    done = 0
+    for _ in range(200):
+        if done >= trials:
+            break
+        A = rng.choice(basis)
+        bs = by_ro.get(colored_col_sums(A))
+        if not bs:
+            continue
+        B = basis[rng.choice(bs)]
+        cs = by_ro.get(colored_col_sums(B))
+        if not cs:
+            continue
+        C = basis[rng.choice(cs)]
+        fa, fb, fc = (basis_element(ctx, M) for M in (A, B, C))
+        if (fa * fb) * fc != fa * (fb * fc):
+            return False, {"A": A, "B": B, "C": C}
+        done += 1
+    return True, {"triples": done}
+
+
+def _typeb_coset_basis(p: SuiteParams, run: _Run):
+    rep = verify_single_row_coset_basis(p.r, guard=p.guard)
+    return rep["ok"], {"cases": len(rep["cases"])}
+
+
+def _typeb_shifted(p: SuiteParams, run: _Run):
+    check_guard(2**p.r * math.factorial(p.r), p.guard, f"signed permutations of rank {p.r}")
+    checked = 0
+    for total in range(2, min(p.r, 4) + 1):
+        for b in range(1, total + 1):
+            rep = verify_shifted_coset_identity(total - b, b, p.r)
+            if not rep["ok"]:
+                return False, rep
+            checked += len(rep["cases"])
+    return True, {"cases": checked}
+
+
+def _typeb_example(p: SuiteParams, run: _Run):
+    rep = verify_worked_example()
+    return rep["ok"], rep["checks"]
+
+
+def _typeb_routes(p: SuiteParams, run: _Run):
+    count = colored_count(p.n, p.r, 2)
+    check_guard(count, p.guard, "two-color route comparison")
+    sample = None if count <= 150 else 60
+    rep = verify_route_agreement(p.n, p.r, sample=sample, seed=p.seed)
+    return rep["ok"], {"checked": rep["checked"]}
+
+
+def _typeb_group_algebra(p: SuiteParams, run: _Run):
+    check_guard(colored_count(p.n, p.r, 2), p.guard, "group algebra degeneration")
+    rep = verify_group_algebra_basis(p.n, p.r)
+    return rep["ok"], {"checked": rep["checked"]}
+
+
+def _poincare_length_sum(p: SuiteParams, run: _Run):
+    comps = list(compositions(p.r, min(p.r, 3)))
+    for lam in comps:
+        check_guard(young_subgroup_size(lam), p.guard, f"Young subgroup of {lam}")
+    for lam in comps:
+        total = RingElem.zero(0)
+        for w in young_subgroup(lam):
+            total = total + RingElem.q_power(w.length(), 0)
+        if total != poincare_polynomial(lam, 0):
+            return False, {"lam": lam}
+    return True, {"compositions": len(comps)}
+
+
+def _poincare_morita(p: SuiteParams, run: _Run):
+    ctx = run.schur(p.r)
+    omega = (1,) * p.r
+    checked = 0
+    for lam in ctx.weights():
+        left = phi_pair(ctx, lam, omega) * phi_pair(ctx, omega, lam)
+        scaled = phi_pair(ctx, lam, lam).scale(poincare_polynomial(lam, ctx.m))
+        if left != scaled:
+            return False, {"lam": lam}
+        checked += 1
+    return True, {"weights": checked}
+
+
+def _epsilon_multiplicative(p: SuiteParams, run: _Run):
+    target = run.hecke
+    target.check_dim(p.guard)
+    trials = _trials(p, 5, target.dim(), "normal-form monomials of the multiplicativity trials")
+    for t in range(trials):
+        x = _random_affine(run.affine, run.rng)
+        y = _random_affine(run.affine, run.rng)
+        # The longest L-word the trial straightens, in epsilon_u(x * y), has
+        # deg x + deg y letters, each acting on up to target.dim() monomials.
+        work = (_x_degree(x) + _x_degree(y)) * target.dim()
+        check_guard(work, p.guard, f"straightening of multiplicativity trial {t}")
+        if epsilon_u(x * y, target) != epsilon_u(x, target) * epsilon_u(y, target):
+            return False, {"trial": t}
+    return True, {"trials": trials}
+
+
+def _epsilon_basis_map(p: SuiteParams, run: _Run):
+    run.hecke.check_dim(p.guard)
+    ctx = run.schur()
+    basis = ctx.basis()
+    sample = basis if len(basis) <= 150 else run.rng.sample(basis, k=60)
+    for A in sample:
+        lifted = b_element_of(run.affine, A)
+        if epsilon_u(lifted, ctx.hecke) != ctx.b_element(A):
+            return False, {"A": A}
+    return True, {"checked": len(sample)}
+
+
+def _affine_sym_symmetrizer(p: SuiteParams, run: _Run):
+    # Its own algebra, without the u parameters (nvars = 0).
+    alg = AffineAlgebra(p.r)
+    x_full = alg.x_lambda((p.r,), p.guard)
+    checked = 0
+    for exps in itertools.product(range(2), repeat=p.r):
+        if sum(exps) > 2:
+            continue
+        z = x_full * sigma_nu(alg, (p.r,), [exps])
+        if not coefficient_symmetry_check(z):
+            return False, {"exps": exps}
+        checked += 1
+    return True, {"elements": checked}
+
+
+# -- the table -------------------------------------------------------------
+
+_MR, _MNR, _RN = ("m", "r"), ("m", "n", "r"), ("r", "n")
+
+# (check id, the SuiteParams fields in its report, function), in run order.
+CHECKS: tuple[tuple[str, tuple[str, ...], Check], ...] = (
+    ("pbw.count", _MR, _pbw_count),
+    ("pbw.quadratic", _MR, _pbw_quadratic),
+    ("pbw.braid", _MR, _pbw_braid),
+    ("pbw.cyclotomic", _MR, _pbw_cyclotomic),
+    _law("pbw.roundtrip", 1, lambda x: from_left_form(to_left_form(x)) == x),
+    _law("pbw.assoc", 3, lambda x, y, z: (x * y) * z == x * (y * z)),
+    _law("pbw.tau-anti", 2, lambda x, y: tau(x * y) == tau(y) * tau(x)),
+    ("straighten.closed-form", _MR, _straighten_closed_form),
+    ("straighten.exchange", _MR, _straighten_exchange),
+    ("straighten.jm-commute", _MR, _straighten_jm_commute),
+    ("basis.count", _MNR, _basis_count),
+    ("basis.eigen", _MNR, _basis_eigen),
+    ("basis.hom-dims", _MNR, _basis_hom_dims),
+    ("rank.blocks", ("m", "n", "r", "trials", "exact"), _rank_blocks),
+    ("commutative.pairs", _MR, _commutative_pairs),
+    ("schur-mult.unit", _MNR, _schur_mult_unit),
+    ("schur-mult.reconstruct", _MNR, _schur_mult_reconstruct),
+    ("schur-mult.assoc", _MNR, _schur_mult_assoc),
+    ("typeb.coset-basis", _RN, _typeb_coset_basis),
+    ("typeb.shifted", _RN, _typeb_shifted),
+    ("typeb.example", _RN, _typeb_example),
+    ("typeb.routes", _RN, _typeb_routes),
+    ("typeb.group-algebra", _RN, _typeb_group_algebra),
+    ("poincare.length-sum", _MR, _poincare_length_sum),
+    ("poincare.morita", _MR, _poincare_morita),
+    ("epsilon.multiplicative", _MR, _epsilon_multiplicative),
+    ("epsilon.basis-map", ("m", "r", "n"), _epsilon_basis_map),
+    ("affine-sym.symmetrizer", ("r",), _affine_sym_symmetrizer),
+)
+
+
+def _suite_of(check_id: str) -> str:
+    return check_id.partition(".")[0]
+
+
+SUITE_NAMES = tuple(dict.fromkeys(_suite_of(check_id) for check_id, _, _ in CHECKS))
+
+
+def _run_check(
+    p: SuiteParams, run: _Run, check_id: str, fields: tuple[str, ...], fn: Check
+) -> dict:
+    start = time.perf_counter()
+    try:
+        ok, witness = fn(p, run)
+        status = "pass" if ok else "fail"
+    except GuardError as exc:
+        status, witness = "skipped(guard)", str(exc)
+    return {
+        "check": check_id,
+        "params": {field: getattr(p, field) for field in fields},
+        "status": status,  # "pass" | "fail" | "skipped(guard)"
+        "witness": witness,
+        "seconds": round(time.perf_counter() - start, 4),
+    }
 
 
 def run_suite(name: str, params: SuiteParams) -> dict:
     """Execute one named suite (or 'all') and assemble a stable report."""
-    if name == "all":
-        suite_fns = list(SUITES.values())
-    elif name in SUITES:
-        suite_fns = [SUITES[name]]
-    else:
+    if name != "all" and name not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
     start = time.perf_counter()
-    checks: list[CheckOutcome] = []
-    contexts: Contexts = {}
-    for fn in suite_fns:
-        checks.extend(fn(params, contexts))
-    checks.sort(key=lambda c: c.check)
-    status = "pass" if all(c.status != "fail" for c in checks) else "fail"
+    checks: list[dict] = []
+    contexts: dict[tuple[int, int, int], SchurContext] = {}
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        run = _Run(params, contexts)  # the suite's own stream and algebras
+        checks.extend(
+            _run_check(params, run, *row) for row in CHECKS if _suite_of(row[0]) == suite
+        )
+    checks.sort(key=lambda c: c["check"])
+    status = "pass" if all(c["status"] != "fail" for c in checks) else "fail"
     return {
         "suite": name,
         "params": params.to_dict(),
         "status": status,
-        "checks": [c.to_dict() for c in checks],
+        "checks": checks,
         "seconds": round(time.perf_counter() - start, 4),
     }
 

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import cycloschur
-from cycloschur import cache
+from cycloschur import cache, verify
 from cycloschur.cli import main
 from cycloschur.schur import SchurContext
-from cycloschur.verify import SUITE_NAMES, SuiteParams, exit_code_for, run_suite
+from cycloschur.verify import CHECKS, SUITE_NAMES, SuiteParams, exit_code_for, run_suite
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -465,10 +465,77 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
 
 
 def test_verify_suite_names_cover_contract():
-    assert set(SUITE_NAMES) == {
+    # In the order `all` runs its suites in, and of the CLI's --suite choices.
+    assert SUITE_NAMES == (
         "pbw", "straighten", "basis", "rank", "commutative",
         "schur-mult", "typeb", "poincare", "epsilon", "affine-sym",
+    )
+
+
+# Every check of the table, in run order, with the SuiteParams fields of
+# its report.
+CHECK_TABLE = [
+    ("pbw.count", ("m", "r")),
+    ("pbw.quadratic", ("m", "r")),
+    ("pbw.braid", ("m", "r")),
+    ("pbw.cyclotomic", ("m", "r")),
+    ("pbw.roundtrip", ("m", "r")),
+    ("pbw.assoc", ("m", "r")),
+    ("pbw.tau-anti", ("m", "r")),
+    ("straighten.closed-form", ("m", "r")),
+    ("straighten.exchange", ("m", "r")),
+    ("straighten.jm-commute", ("m", "r")),
+    ("basis.count", ("m", "n", "r")),
+    ("basis.eigen", ("m", "n", "r")),
+    ("basis.hom-dims", ("m", "n", "r")),
+    ("rank.blocks", ("m", "n", "r", "trials", "exact")),
+    ("commutative.pairs", ("m", "r")),
+    ("schur-mult.unit", ("m", "n", "r")),
+    ("schur-mult.reconstruct", ("m", "n", "r")),
+    ("schur-mult.assoc", ("m", "n", "r")),
+    ("typeb.coset-basis", ("r", "n")),
+    ("typeb.shifted", ("r", "n")),
+    ("typeb.example", ("r", "n")),
+    ("typeb.routes", ("r", "n")),
+    ("typeb.group-algebra", ("r", "n")),
+    ("poincare.length-sum", ("m", "r")),
+    ("poincare.morita", ("m", "r")),
+    ("epsilon.multiplicative", ("m", "r")),
+    ("epsilon.basis-map", ("m", "r", "n")),
+    ("affine-sym.symmetrizer", ("r",)),
+]
+
+
+def test_verify_check_table():
+    assert [(check_id, fields) for check_id, fields, _ in CHECKS] == CHECK_TABLE
+    # Each check's report carries exactly its fields, with their values.
+    p = SuiteParams(m=1, n=1, r=1, seed=3, trials=2)
+    report = run_suite("all", p)
+    got = {c["check"]: c["params"] for c in report["checks"]}
+    assert got == {
+        check_id: {field: getattr(p, field) for field in fields}
+        for check_id, fields in CHECK_TABLE
     }
+
+
+def test_run_suite_builds_each_suites_own_algebras(monkeypatch):
+    built = []
+    for cls in (verify.HeckeAlgebra, verify.AffineAlgebra):
+        def build(*args, cls=cls, **kwargs):
+            built.append((cls.__name__, args, kwargs))
+            return cls(*args, **kwargs)
+
+        monkeypatch.setattr(verify, cls.__name__, build)
+    run_suite("all", SuiteParams(m=2, n=1, r=2))
+    # pbw, straighten and epsilon each build H(2, 2); epsilon's affine
+    # algebra has the u parameters, affine-sym's has none.
+    assert built == [
+        ("HeckeAlgebra", (2, 2), {}),
+        ("HeckeAlgebra", (2, 2), {}),
+        ("HeckeAlgebra", (2, 2), {}),
+        ("AffineAlgebra", (2,), {"nvars": 2}),
+        ("AffineAlgebra", (2,), {}),
+    ]
 
 
 def test_run_suite_unknown_name():

@@ -5,7 +5,9 @@ Each case runs ``cli.main`` in-process and compares its stdout with
 ``tests/golden/exits.json``.  The verify report carries wall-clock
 ``seconds`` fields; they are removed before the comparison and nothing
 else is touched.  Three larger tables, on grids with several weights, are
-pinned by the SHA-256 of their output (``TABLE_DIGESTS``).
+pinned by the SHA-256 of their output (``TABLE_DIGESTS``), as are verify
+reports on larger grids and guards (``VERIFY_DIGESTS``) and the random
+draws of the verify suites (``DRAW_LOG_DIGEST``).
 
 Re-record after an intended change of output with
 
@@ -21,11 +23,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from cycloschur import verify
 from cycloschur.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -115,6 +120,65 @@ def test_tables_json_digest(grid):
         code = main(["tables", "--m", m, "--n", n, "--r", r, "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TABLE_DIGESTS[grid]
+
+
+# sha256 of `cyclo verify --format json` without its `seconds` fields, by
+# (suite, m, n, r, seed, guard); guard None is the default.  Guard 50 skips
+# most checks at (3, 3, 2), so its digest pins the `skipped(guard)` messages.
+VERIFY_DIGESTS = {
+    ("all", 3, 3, 2, 0, 50): "d153c0833bb30c578ccd9af3ead577791b322e6607ff3f0034b6b7581188f113",
+    ("all", 3, 3, 2, 0, 377): "1c6a03845bb47ac2267c7967fadb8a7244c8b6b564eb51832e25969c20570443",
+    ("all", 2, 2, 3, 7, None): "6ac55373057dc2130b4264c89abbed6cfb31df8abbb2a6e0fcc00e6fcc752136",
+    ("all", 3, 2, 2, 5, None): "48964420216eecc98647ddc7438b7e991d83c7fa6eafc80a0c3cd0f14538d179",
+    ("schur-mult", 3, 3, 3, 4, None): "fc09234f2a480eabec8d01ef4afc7eba7b935e3f1365c27ed9bcfda267bb217b",
+    ("epsilon", 2, 2, 3, 3, None): "20c714af8a71d3751168b20bc7a78f78b5f972cd94f5fa8d7d28e9df98b3d07f",
+    ("pbw", 2, 1, 3, 11, None): "c495d9ee570f4ceb4b823db23d1b222915cce446d2750bc4ca1ec4ba3b6477e7",
+}
+
+
+def verify_digest(suite: str, m: int, n: int, r: int, seed: int, guard: int | None) -> str:
+    argv = ["verify", "--suite", suite, "--m", str(m), "--n", str(n), "--r", str(r),
+            "--seed", str(seed), "--format", "json"]
+    if guard is not None:
+        argv += ["--guard", str(guard)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    report = json.dumps(_strip_seconds(json.loads(out.getvalue())), sort_keys=True)
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS, key=str))
+def test_verify_json_digest(case):
+    assert verify_digest(*case) == VERIFY_DIGESTS[case]
+
+
+# sha256 of every getrandbits(k) draw, with its result, of the random
+# streams that `run_suite("all", ...)` makes at these (m, n, r, seed), per
+# stream in creation order; streams that draw nothing are left out.  A
+# report can stay the same when its checks draw from other streams.
+DRAW_LOG_DIGEST = "b7d4812b0af10ecca800dd47042f63862c86bc60475eb0d5a281a9d45e78f174"
+
+
+def test_verify_random_draws(monkeypatch):
+    logs: list[list[tuple[int, int]]] = []
+
+    class Logged(random.Random):
+        def __init__(self, seed):
+            self.log = []
+            logs.append(self.log)
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            bits = super().getrandbits(k)
+            self.log.append((k, bits))
+            return bits
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=Logged))
+    for m, n, r, seed in [(3, 3, 2, 0), (2, 2, 3, 7), (3, 2, 2, 5)]:
+        verify.run_suite("all", verify.SuiteParams(m=m, n=n, r=r, seed=seed))
+    drawn = json.dumps([log for log in logs if log])
+    assert hashlib.sha256(drawn.encode()).hexdigest() == DRAW_LOG_DIGEST
 
 
 def record() -> None:

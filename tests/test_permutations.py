@@ -307,6 +307,23 @@ def test_compositions_golden():
     assert len(list(compositions(4, 3))) == math.comb(4 + 2, 2)
 
 
+def test_capped_enumerations_match_brute_force():
+    # itertools.product lists tuples in lex order, so filtering it is the oracle.
+    for r in range(6):
+        for n in range(5):
+            brute = [x for x in itertools.product(range(r + 1), repeat=n) if sum(x) == r]
+            assert list(compositions(r, n)) == brute, (r, n)
+    for r in range(5):
+        for lam in compositions(r, 3):
+            for mu in compositions(r, 2):
+                rows = [x for x in itertools.product(range(r + 1), repeat=2)]
+                brute = [
+                    A for A in itertools.product(rows, repeat=3)
+                    if tuple(map(sum, A)) == lam and tuple(map(sum, zip(*A))) == mu
+                ]
+                assert list(matrices_with_margins(lam, mu)) == brute, (lam, mu)
+
+
 # -- coset representatives -------------------------------------------------
 
 
