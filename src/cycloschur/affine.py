@@ -45,12 +45,6 @@ class AffineElement(ElementBase):
     def __mul__(self, other: AffineElement) -> AffineElement:
         return self._product(other)
 
-    @staticmethod
-    def _rmul_exponent_group(alg, terms, exps):
-        """(a, terms * X^a) for each a in exps: a shift, one-to-one on keys."""
-        for a in exps:
-            yield a, {(w, tuple(x + y for x, y in zip(b, a))): c for (w, b), c in terms.items()}
-
 
 class AffineAlgebra(AlgebraBase):
     """Context: rank r and the coefficient ring's u-variable count."""
@@ -76,9 +70,18 @@ class AffineAlgebra(AlgebraBase):
 
     monomial = x_monomial
 
+    def _exponent_path(self, w: Permutation, a: tuple[int, ...]) -> list:
+        """One node (w, a), reached by a shift (none if a = 0)."""
+        return [((w, a), (_shift, a))] if any(a) else []
+
+
+def _shift(alg: AffineAlgebra, terms: dict, a: tuple[int, ...]) -> dict:
+    """terms * X^a: a shift, one-to-one on keys."""
+    return {(w, tuple(x + y for x, y in zip(b, a))): c for (w, b), c in terms.items()}
+
 
 # The blockwise elementary symmetric X-polynomials: the cyclotomic builder
-# serves both engines through ``AlgebraBase.monomial``.
+# serves both engines, each straightening through ``_rmul_poly``.
 affine_sigma = sigma_nu
 
 
@@ -135,8 +138,8 @@ def epsilon_u(
     for (w, a), c in x._terms.items():
         a_plus = (max(a[0], 0),) + a[1:]
         groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = lift(c)
-    exps = {a for by_a in groups.values() for a in by_a}
-    powers = dict(HeckeElement._rmul_exponent_group(target, target.one()._terms, exps))
+    exps = dict.fromkeys((identity(alg.r), a) for by_a in groups.values() for a in by_a)
+    powers = {a: p for (_, a), p in target.one()._rmul_monomials(exps)}
     total = target.zero()
     for k, by_a in groups.items():
         acc: dict[TermKey, RingAccumulator] = {}

@@ -234,9 +234,11 @@ def _cmd_tables(args) -> int:
     else:
         print(f"basis size: {len(payload['basis'])}")
         print(f"nonzero products: {len(payload['products'])}")
+        shown: dict[int, str] = {}  # id of a C list -> its text; payload keeps each list alive
         for row in payload["products"]:
             terms = " + ".join(
-                f"({t['text']})*Phi[{t['C']}]" for t in row["terms"]
+                f"({text})*Phi[{shown.get(id(C)) or shown.setdefault(id(C), str(C))}]"
+                for text, C in ((t["text"], t["C"]) for t in row["terms"])
             ) or "0"
             print(f"Phi[{row['A']}] * Phi[{row['B']}] = {terms}")
     return 0

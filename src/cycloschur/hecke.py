@@ -48,7 +48,9 @@ one) run the same code with the identity for both maps.
 ``AlgebraBase`` and ``ElementBase`` hold what the affine engine (``affine``)
 shares with this one: the linear structure (``LinearCombination``, shared
 with ``schur.SchurElement`` too), T-straightening through the step tables,
-the product loop and the JSON term lists; the sigma builders take either.
+the words of monomials, their prefix walk ``_fill`` (which the Schur memo
+also uses), the product loop and the JSON term lists; the sigma builders
+take either.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class AlgebraBase:
     A context of rank r over Z[q, q^-1, u_1..u_nvars]: the ring constants
     (public, and lifted to the private ring of ``_cvars`` fields that the
     straightening rules use), equality by ``_signature``, and the
-    constructors of elements with zero exponent part.  A subclass names its
-    element class in ``element_type`` and its constructor of the commuting
-    monomials (L^a or X^a) in ``monomial``.
+    constructors of elements with zero exponent part, and the word of T_w M^a
+    (``_path``).  A subclass names its element class in ``element_type`` and
+    the exponent part of that word in ``_exponent_path``.
     """
 
     element_type: type[ElementBase]
@@ -152,6 +154,18 @@ class AlgebraBase:
         if expand is None:
             return terms
         return {key: image for key, c in terms.items() if not (image := expand(c)).is_zero()}
+
+    def _path(self, key: TermKey) -> list:
+        """The nodes from (id, 0) to key = (w, a) for ``_fill``, each with the
+        letter reaching it: (v, 0) along the reduced word of w by (_rmul_T, i),
+        then ``_exponent_path(w, a)``; each node's own path ends at it."""
+        w, a = key
+        v, zero = identity(self.r), (0,) * self.r
+        nodes = [((v, zero), None)]
+        for i in w.word():
+            v = _swap_positions(v, i)
+            nodes.append(((v, zero), (_rmul_T, i)))
+        return nodes + self._exponent_path(w, a)
 
     def coset_reps_within(self, mu: tuple[int, ...], nu: tuple[int, ...]) -> list[Permutation]:
         """``permutations.coset_reps_within(mu, nu)``, memoised on the algebra."""
@@ -248,8 +262,8 @@ class ElementBase(LinearCombination):
     """A sparse R-linear combination of monomials T_w M^a.
 
     M is L in the cyclotomic engine and X in the affine one (``symbol``).
-    The engines differ only in how a normal-form dict is multiplied on the
-    right by M^a, which each supplies as ``_rmul_exponent_group``.
+    The engines differ only in the word of M^a, which each algebra supplies
+    as ``_exponent_path``.
     Coefficients enter through the algebra's lift and are read through its
     expansion (see the module docstring).
     """
@@ -268,21 +282,15 @@ class ElementBase(LinearCombination):
 
     # -- multiplication ----------------------------------------------------
 
-    def _rmul_monomials(self, keys: Iterable[TermKey]) -> Iterator[tuple[TermKey, dict]]:
-        """(k, self * T_w2 M^a2) for each monomial k = (w2, a2) of keys.
-
-        The keys are grouped by w2, self is straightened once per prefix of
-        their reduced words, and each group's exponent vectors share
-        prefixes through ``_rmul_exponent_group``.
-        """
+    def _rmul_monomials(self, keys: Iterable[TermKey]) -> list[tuple[TermKey, dict]]:
+        """[(k, self * T_w2 M^a2) for each monomial k = (w2, a2) of keys]:
+        one ``_fill`` of a row that starts at self, so each shared prefix of
+        the words ``alg._path`` is applied once."""
         alg = self.alg
-        groups: dict[tuple[int, ...], tuple[Permutation, list[tuple[int, ...]]]] = {}
-        for w2, a2 in keys:
-            groups.setdefault(w2.word(), (w2, []))[1].append(a2)
-        for word, cur in _walk_words(self._terms, groups, lambda t, i: _rmul_T(alg, t, i)):
-            w2, exps = groups[word]
-            for a2, terms in self._rmul_exponent_group(alg, cur, exps):
-                yield (w2, a2), terms
+        keys = list(keys)
+        row = _fill({(identity(alg.r), (0,) * alg.r): self._terms}, keys, alg._path,
+                    lambda terms, g: g[0](alg, terms, g[1]))
+        return [(key, row[key]) for key in keys]
 
     def _product(self, other: ElementBase) -> ElementBase:
         """self * other: the straightened monomials of other
@@ -347,26 +355,6 @@ class HeckeElement(ElementBase):
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         return self._product(other)
 
-    @staticmethod
-    def _rmul_exponent_group(alg, terms, exps):
-        """(a, terms * L^a) for each a in exps, applying each shared prefix
-        of the words L_r^{a_r} ... L_2^{a_2} L_1^{a_1} once.
-
-        The L_j commute, so any letter order gives the same normal form.
-        Descending order is the cheap one: an overflow of L_j runs through
-        the chain T_{j-1}..T_1 L_1 T_1..T_{j-1}, so the columns of L_j grow
-        with j (at (m, r) = (2, 3), up to 10 terms for L_3 against 2 for
-        L_1).  Applied first, the high L_j meet the element while it is
-        still small.
-        """
-        r = alg.r
-        words = {
-            tuple(j for j in range(r, 0, -1) for _ in range(a[j - 1])): a
-            for a in exps
-        }
-        for word, cur in _walk_words(terms, words, lambda t, j: _rmul_L(alg, t, j)):
-            yield words[word], cur
-
 
 class HeckeAlgebra(AlgebraBase):
     """Context object: degree m, rank r, and the parameter list."""
@@ -430,10 +418,20 @@ class HeckeAlgebra(AlgebraBase):
         a = tuple(int(x) for x in a)
         if len(a) != self.r or any(x < 0 for x in a):
             raise ValueError(f"bad exponent vector {a}")
-        [(_, terms)] = HeckeElement._rmul_exponent_group(self, self.one()._terms, [a])
+        [(_, terms)] = self.one()._rmul_monomials([(identity(self.r), a)])
         return HeckeElement(self, terms)
 
     monomial = jm_monomial
+
+    def _exponent_path(self, w: Permutation, a: tuple[int, ...]) -> list:
+        """The nodes (w, b) along L_r^{a_r} ... L_1^{a_1}, high L_j first (see
+        the module docstring), each reached by (_rmul_L, j)."""
+        b, nodes = [0] * self.r, []
+        for j in range(self.r, 0, -1):
+            for _ in range(a[j - 1]):
+                b[j - 1] += 1
+                nodes.append(((w, tuple(b)), (_rmul_L, j)))
+        return nodes
 
     def check_dim(self, guard: int | None) -> None:
         """Raise GuardError if the normal-form basis is larger than guard."""
@@ -469,26 +467,23 @@ def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:
             out[key] = new
 
 
-def _walk_words(start, words, step):
-    """Yield (word, start . word) for each word, in lexicographic order.
+def _fill(row: dict, keys: Iterable, path, step) -> dict:
+    """row, with a value for every key of keys: the one prefix walk.
 
-    ``step(x, letter)`` applies one letter.  A stack holds start . p for
-    the prefixes p of the current word, so each distinct prefix of the
-    words is applied once.
-    """
-    stack = [start]
-    prev: tuple[int, ...] = ()
-    for word in sorted(words):
-        k = 0
-        for x, y in zip(prev, word):
-            if x != y:
-                break
-            k += 1
-        del stack[k + 1 :]
-        for letter in word[k:]:
-            stack.append(step(stack[-1], letter))
-        prev = word
-        yield word, stack[-1]
+    ``path(key)`` lists (node, letter reaching it) from the start, whose
+    value row holds, to key; ``step(value, letter)`` applies one letter.
+    A missing key resumes at the longest node of its path in row, and
+    every node passed is stored, so no node is stepped to twice."""
+    for key in keys:
+        if key not in row:
+            nodes = path(key)
+            k = len(nodes) - 1
+            while nodes[k][0] not in row:
+                k -= 1
+            value = row[nodes[k][0]]
+            for node, letter in nodes[k + 1 :]:
+                value = row[node] = step(value, letter)
+    return row
 
 
 def _add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
@@ -721,9 +716,10 @@ def sigma_nu(
 
 def _rmul_poly(alg: AlgebraBase, terms: dict, poly: Mapping[tuple[int, ...], int]) -> dict:
     """terms * sum_a poly[a] M^a, each M^a straightened once in one prefix-
-    sharing walk (``_rmul_exponent_group``, which reduces exponents >= m)."""
+    sharing ``_rmul_monomials`` (which reduces exponents >= m)."""
     acc: dict[TermKey, RingAccumulator] = {}
-    for a, moved in alg.element_type._rmul_exponent_group(alg, terms, poly):
+    keys = [(identity(alg.r), a) for a in poly]
+    for (_, a), moved in alg.element_type(alg, terms)._rmul_monomials(keys):
         _add_products(acc, alg._cvars, moved.items(), RingElem.const(poly[a], alg._cvars))
     return _collect(acc)
 
@@ -819,10 +815,7 @@ def appendix_basis_coords(
         cur = coords.get(key)
         coords[key] = c if cur is None else cur + c
         # rebuild T_u T_d L^b T_v and subtract c times it
-        cur_terms: dict[TermKey, RingElem] = {((u * d), (0,) * alg.r): alg._one}
-        for j in range(1, alg.r + 1):
-            for _ in range(b[j - 1]):
-                cur_terms = _rmul_L(alg, cur_terms, j)
+        [(_, cur_terms)] = alg.from_perm(u * d)._rmul_monomials([(identity(alg.r), b)])
         for letter in v.word():
             cur_terms = _rmul_T(alg, cur_terms, letter)
         for key2, v2 in cur_terms.items():

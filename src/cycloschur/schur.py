@@ -28,9 +28,9 @@ context, then puts the zero rows and columns back by interned maps.
 A squeezed product sums the x_lam H coordinates of b_A T_w L^a, memoised
 per (A, (w, a)) in ``SchurContext._actions``, against the coefficients of
 tail(B), and eliminates that sum: it never forms b_A * tail(B) in H.
-The memo is filled on module coordinates, letter by letter from b_A's and
-resumed at the longest prefix of the word already stored, through step
-tables of x_lam H: the column of a module key (d, c) under T_i or L_j is
+The memo is filled on module coordinates by ``hecke._fill`` along the
+words ``hecke._path``, as every product in H is, through step tables of
+x_lam H: the column of a module key (d, c) under T_i or L_j is
 x_lam T_d L^c T_i (or L_j) straightened in H and read in module
 coordinates, built once per (squeezed lam, generator).
 
@@ -67,10 +67,8 @@ from .hecke import (
     _add_term,
     _apply_steps,
     _collect,
+    _fill,
     _module_coords,
-    _rmul_L,
-    _rmul_T,
-    _swap_positions,
     eigen_test,
     module_coords,
     sigma_ddot,
@@ -260,37 +258,22 @@ class SchurContext:
     def _action_row(self, A: ColoredMatrix, keys: Iterable[TermKey]) -> dict[TermKey, tuple]:
         """_actions[A], with an entry for every monomial (w, a) in keys.
 
-        b_A T_w L^a is reached from b_A by the letters of ``_rmul_monomials``:
-        the reduced word of w, then L_r^{a_r} ... L_1^{a_1}.  Each prefix is
-        a key (w', 0) or (w, a') itself, so a fill resumes at the longest
-        prefix in the row, applies the rest on module coordinates through
-        the step tables ``_msteps`` and stores every node it passes."""
+        ``hecke._fill`` walks the row from b_A's module coordinates along
+        the words of ``hecke._path``, as ``_rmul_monomials`` walks H: each
+        letter is one ``_apply_steps`` on module coordinates through the
+        step table ``_msteps[(lam, *letter)]``, and each node is stored
+        interned."""
         row = self._actions.setdefault(A, {})
-        lam = self.margins(A)[0]
-        zero = (0,) * self.r
         if not row:
-            row[identity(self.r), zero] = self._interned(self._b_coords(A))
-        for w, a in keys:
-            if (w, a) in row:
-                continue
-            v, b = identity(self.r), list(zero)
-            path = [((v, zero), None)]  # (node, the letter that reaches it)
-            for i in w.word():
-                v = _swap_positions(v, i)
-                path.append(((v, zero), (lam, _rmul_T, i)))
-            for j in range(self.r, 0, -1):
-                for _ in range(a[j - 1]):
-                    b[j - 1] += 1
-                    path.append(((w, tuple(b)), (lam, _rmul_L, j)))
-            k = len(path) - 1
-            while path[k][0] not in row:
-                k -= 1
-            cur = dict(row[path[k][0]])
-            for node, g in path[k + 1 :]:
-                table = self._msteps.setdefault(g, {})
-                cur = _apply_steps(self.hecke, cur, table, _module_column, g)
-                row[node] = self._interned(cur)
-        return row
+            row[identity(self.r), (0,) * self.r] = self._interned(self._b_coords(A))
+        lam = self.margins(A)[0]
+
+        def step(coords: tuple, letter: tuple) -> tuple:
+            g = (lam, *letter)
+            table = self._msteps.setdefault(g, {})
+            return self._interned(_apply_steps(self.hecke, dict(coords), table, _module_column, g))
+
+        return _fill(row, keys, self.hecke._path, step)
 
     def _interned(self, coords: dict) -> tuple:
         """coords as ((key, coefficient), ...), each an object of _pool."""

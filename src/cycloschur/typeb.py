@@ -96,7 +96,7 @@ def t_element(alg: HeckeAlgebra, word: Sequence[int]) -> HeckeElement:
     """The product of generators along a word; letter 0 multiplies by L_1."""
     out = alg.one()
     for i in word:
-        out = out * (alg.gen_L(1) if i == 0 else alg.gen_T(i))
+        out = out.rmul_gen_L(1) if i == 0 else out.rmul_gen_T(i)
     return out
 
 
