@@ -81,7 +81,7 @@ def _shift(alg: AffineAlgebra, terms: dict, a: tuple[int, ...]) -> dict:
 
 
 # The blockwise elementary symmetric X-polynomials: the cyclotomic builder
-# serves both engines, each straightening through ``_rmul_poly``.
+# serves both engines, each multiplying through its own ``_product``.
 affine_sigma = sigma_nu
 
 

@@ -47,14 +47,17 @@ def _composition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not an integer >= {low}: {text!r}")
+        return value
+    return parse
 
 
 def _matrix_arg(text: str) -> tuple:
@@ -70,7 +73,7 @@ def _add_grid_flags(sp: argparse.ArgumentParser, *, with_n: bool = True, size=in
     if with_n:
         sp.add_argument("--n", type=size, default=2, help="matrix side of the basis grid")
     sp.add_argument("--r", type=size, default=2, help="rank (number of strands)")
-    sp.add_argument("--guard", type=int, default=None, help="enumeration size cap")
+    sp.add_argument("--guard", type=_at_least(0), default=None, help="enumeration size cap")
     sp.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
     )
@@ -119,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named check suite")
     sp.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     # A suite on an empty grid would pass its checks on nothing.
-    _add_grid_flags(sp, size=_positive)
+    _add_grid_flags(sp, size=_at_least(1))
     sp.add_argument("--lambda", dest="lam", type=_composition, default=None,
                     help="echoed in the report's params; no check reads it")
     sp.add_argument("--mu", type=_composition, default=None,
                     help="echoed in the report's params; no check reads it")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=_positive, default=3)
+    sp.add_argument("--trials", type=_at_least(1), default=3)
     sp.add_argument("--exact", action="store_true",
                     help="certify ranks over the exact ring instead of modularly")
     return parser

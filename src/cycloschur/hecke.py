@@ -50,7 +50,9 @@ shares with this one: the linear structure (``LinearCombination``, shared
 with ``schur.SchurElement`` too), T-straightening through the step tables,
 the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
-take either.
+take either.  ``_product`` is the one product: tau, the left form, sigma
+and the appendix rebuild multiply through it, and ``_add_products`` is the
+one keyed sum of coefficient products.
 """
 
 from __future__ import annotations
@@ -514,16 +516,11 @@ def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
     """
     nvars = alg._cvars
     acc: dict[TermKey, RingAccumulator] = {}
-    get = acc.get
     for key, c in terms.items():
         column = table.get(key)
         if column is None:
             column = table[key] = tuple(build(alg, key, g).items())
-        for key2, t in column:
-            slot = get(key2)
-            if slot is None:
-                slot = acc[key2] = RingAccumulator(nvars)
-            slot.add_product(c, t)
+        _add_products(acc, nvars, column, c)
     return _collect(acc)
 
 
@@ -602,16 +599,17 @@ def _from_left_terms(
     alg: HeckeAlgebra, items: Iterable[tuple[tuple[int, ...], Permutation, RingElem]]
 ) -> HeckeElement:
     """Normal form of the sum of c L^a T_w over the triples (a, w, c), c
-    private."""
-    acc: dict[TermKey, RingElem] = {}
-    id_r = identity(alg.r)
+    private: the sum over a of the product L^a * (sum of c T_w)."""
+    id_r, zero = identity(alg.r), (0,) * alg.r
+    by_a: dict[tuple[int, ...], dict[TermKey, RingElem]] = {}
     for a, w, c in items:
-        cur: dict[TermKey, RingElem] = {(id_r, a): c}
-        for letter in w.word():
-            cur = _rmul_T(alg, cur, letter)
-        for key, v in cur.items():
-            _add_term(acc, key, v)
-    return HeckeElement(alg, acc)
+        _add_term(by_a.setdefault(a, {}), (w, zero), c)
+    out: dict[TermKey, RingElem] = {}
+    for a, p in by_a.items():
+        product = HeckeElement(alg, {(id_r, a): alg._one}) * HeckeElement(alg, p)
+        for key, v in product._terms.items():
+            _add_term(out, key, v)
+    return HeckeElement(alg, out)
 
 
 def tau(x: HeckeElement) -> HeckeElement:
@@ -673,7 +671,7 @@ def sigma_elementary(
     poly = Counter(
         tuple(s.count(j) for j in range(1, alg.r + 1)) for s in itertools.combinations(positions, k)
     )
-    return alg.element_type(alg, _rmul_poly(alg, alg.one()._terms, poly))
+    return alg.one() * _poly_element(alg, poly)
 
 
 def sigma_nu(
@@ -683,9 +681,10 @@ def sigma_nu(
     over the blocks c of nu (X's in place of L's in the affine engine).
 
     The L_j commute, so the product is multiplied out on exponent vectors
-    and straightened by ``_rmul_poly``: after every m - 1 factors of a block
-    in the cyclotomic engine, as walks through overflows cost more than the
-    products they replace (a factor raises an exponent by at most 1).
+    and multiplied into the element as one product, which reduces exponents
+    >= m on the way: after every m - 1 factors of a block in the cyclotomic
+    engine, as walks through overflows cost more than the products they
+    replace (a factor raises an exponent by at most 1).
     """
     nu = check_composition(nu)
     if sum(nu) != alg.r:
@@ -695,7 +694,7 @@ def sigma_nu(
     start = alg.one() if start is None else start
     if start.alg != alg:
         raise ValueError("start element belongs to another algebra")
-    m, cur, poly = getattr(alg, "m", None), start._terms, {(0,) * alg.r: 1}
+    m, cur, poly = getattr(alg, "m", None), start, {(0,) * alg.r: 1}
     for blk, ex in zip(blocks(nu), exps):
         if len(ex) != len(blk):
             raise ValueError(f"exponent tuple {tuple(ex)} does not match block size {len(blk)}")
@@ -705,23 +704,19 @@ def sigma_nu(
                      for s in itertools.combinations(blk, t)]
             for _ in range(int(e)):
                 if m is not None and depth and depth >= m - 1:
-                    cur, poly, depth = _rmul_poly(alg, cur, poly), {(0,) * alg.r: 1}, 0
+                    cur, poly, depth = cur * _poly_element(alg, poly), {(0,) * alg.r: 1}, 0
                 product: Counter = Counter()
                 for a, c in poly.items():
                     for step in steps:
                         product[tuple(x + y for x, y in zip(a, step))] += c
                 poly, depth = product, depth + 1
-    return alg.element_type(alg, _rmul_poly(alg, cur, poly))
+    return cur * _poly_element(alg, poly)
 
 
-def _rmul_poly(alg: AlgebraBase, terms: dict, poly: Mapping[tuple[int, ...], int]) -> dict:
-    """terms * sum_a poly[a] M^a, each M^a straightened once in one prefix-
-    sharing ``_rmul_monomials`` (which reduces exponents >= m)."""
-    acc: dict[TermKey, RingAccumulator] = {}
-    keys = [(identity(alg.r), a) for a in poly]
-    for (_, a), moved in alg.element_type(alg, terms)._rmul_monomials(keys):
-        _add_products(acc, alg._cvars, moved.items(), RingElem.const(poly[a], alg._cvars))
-    return _collect(acc)
+def _poly_element(alg: AlgebraBase, poly: Mapping[tuple[int, ...], int]) -> ElementBase:
+    """sum_a poly[a] M^a, its exponents a not yet reduced: a right factor."""
+    id_r, cvars = identity(alg.r), alg._cvars
+    return alg.element_type(alg, {(id_r, a): RingElem.const(c, cvars) for a, c in poly.items()})
 
 
 def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix, start=None) -> ElementBase:
@@ -814,11 +809,9 @@ def appendix_basis_coords(
         key = (u, d, b, v)
         cur = coords.get(key)
         coords[key] = c if cur is None else cur + c
-        # rebuild T_u T_d L^b T_v and subtract c times it
-        [(_, cur_terms)] = alg.from_perm(u * d)._rmul_monomials([(identity(alg.r), b)])
-        for letter in v.word():
-            cur_terms = _rmul_T(alg, cur_terms, letter)
-        for key2, v2 in cur_terms.items():
+        # subtract c T_u T_d L^b T_v, where T_u T_d L^b is the monomial (ud, b)
+        rebuilt = HeckeElement(alg, {(u * d, b): alg._one}) * alg.from_perm(v)
+        for key2, v2 in rebuilt._terms.items():
             _add_term(work, key2, -(v2 * c))
     return alg._public({k: c for k, c in coords.items() if not c.is_zero()})
 

@@ -443,7 +443,12 @@ class SchurElement(LinearCombination):
 
     def __mul__(self, other: "SchurElement") -> "SchurElement":
         self._check(other)
-        return schur_multiply(self, other)
+        acc: dict[ColoredMatrix, RingElem] = {}
+        for A, ca in self.terms.items():
+            for B, cb in other.terms.items():
+                for C, f in multiply_basis(self.ctx, A, B).items():
+                    _add_term(acc, C, f * ca * cb)
+        return SchurElement(self.ctx, acc)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -486,16 +491,6 @@ def _multiply_squeezed(ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix) ->
         _add_products(acc, ctx.hecke._cvars, row[key], c2)
     # The e-coordinates are free of u, so their expansion is injective.
     return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._rests_e))
-
-
-def schur_multiply(x: SchurElement, y: SchurElement) -> SchurElement:
-    ctx = x.ctx
-    acc: dict[ColoredMatrix, RingElem] = {}
-    for A, ca in x.terms.items():
-        for B, cb in y.terms.items():
-            for C, f in multiply_basis(ctx, A, B).items():
-                _add_term(acc, C, f * ca * cb)
-    return SchurElement(ctx, acc)
 
 
 def basis_element(ctx: SchurContext, A: ColoredMatrix) -> SchurElement:

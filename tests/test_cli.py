@@ -690,6 +690,27 @@ def test_verify_rejects_an_empty_grid(capsys, suite, flag, value):
     assert f"argument {flag}:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("element", "T1", "--m", "2", "--r", "2"),
+        ("basis", "--m", "2", "--r", "2"),
+        ("mult", "--A", "[[[1]]]", "--B", "[[[1]]]", "--m", "1", "--n", "1", "--r", "1"),
+        ("tables", "--m", "2", "--r", "2"),
+        ("verify", "--suite", "pbw", "--m", "2", "--r", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_guard_exits_2(capsys, argv):
+    # verify --suite pbw --guard -1 exited 0 with "suite pbw: PASS" and every
+    # check skipped(guard); the other commands took the value as well.
+    code, out, err = run_cli(capsys, *argv, "--guard", "-1")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: argument --guard: not an integer >= 0: '-1'\n"
+    _, _, err = run_cli(capsys, *argv, "--guard", "0")  # drawn by the fuzz tests
+    assert "argument --guard" not in err
+
+
 # S(3; 3, 2) has 378 basis matrices.  Every check that enumerates them skips
 # at guard 377; at 378 only the associativity bound, 3,790 products, is over.
 SCHUR_332_CHECKS = (

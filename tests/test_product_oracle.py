@@ -7,21 +7,34 @@ multiplies again on the same algebra, so columns built by one product are
 read back by the next.  ``epsilon_u`` is checked the same way against
 the oracle's term-by-term, coefficient-first evaluation, and sigma(A) and
 tail(A), multiplied out on exponent vectors, against the oracle's chain of
-engine products.
+engine products.  tau and ``from_left_form``, which group the terms c L^a T_w
+by a and multiply L^a by each group, are checked against the oracle's
+product of L^a and T_w term by term, in the engine's private coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from product_oracle import elementary, epsilon, product, rmul_L, rmul_T, tail
+from product_oracle import _add, elementary, epsilon, product, rmul_L, rmul_T, tail
 from product_oracle import sigma_nu as sigma_chain
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
-from cycloschur.hecke import HeckeAlgebra, sigma_ddot, sigma_elementary, sigma_nu
-from cycloschur.permutations import all_perms, nu_of, theta_inverse
+from cycloschur.hecke import (
+    HeckeAlgebra,
+    HeckeElement,
+    LeftForm,
+    from_left_form,
+    sigma_ddot,
+    sigma_elementary,
+    sigma_nu,
+    tau,
+)
+from cycloschur.permutations import Permutation, all_perms, identity, nu_of, theta_inverse
 from cycloschur.ring import ElementaryExpansion, RingElem
 from cycloschur.schur import tail_of
 from cycloschur.typeb import typeb_algebra
@@ -249,3 +262,56 @@ def test_sigma_ddot_and_tail_match_the_product_chain(alg, n, m):
 def test_sigma_nu_rejects_a_start_from_another_algebra():
     with pytest.raises(ValueError):
         sigma_nu(HeckeAlgebra(2, 3), (3,), [(1, 0, 0)], HeckeAlgebra(3, 3).one())
+
+
+def left_oracle(alg, items) -> dict:
+    """The sum of c L^a T_w over the triples (a, w, c), c private: one oracle
+    product of L^a and T_w per triple, in the algebra's private ring."""
+    private = SimpleNamespace(
+        m=alg.m, nvars=alg._cvars, q=alg._q, one_c=alg._one, overflow=alg._overflow
+    )
+    zero, out = (0,) * alg.r, {}
+    for a, w, c in items:
+        for key, v in product(private, {(identity(alg.r), a): c}, {(w, zero): alg._one}).items():
+            _add(out, key, v)
+    return out
+
+
+TAU_ALGEBRAS = [HeckeAlgebra(2, 3), HeckeAlgebra(3, 2), HeckeAlgebra(1, 4)]
+
+
+@pytest.mark.parametrize("alg", TAU_ALGEBRAS, ids=repr)
+def test_tau_matches_the_oracle_on_every_monomial(alg):
+    # tau(T_w L^a) = L^a T_{w^-1}
+    one = alg._one
+    for w, a in alg.pbw_basis():
+        got = tau(HeckeElement(alg, {(w, a): one}))._terms
+        assert got == left_oracle(alg, [(a, w.inv(), one)])
+
+
+@pytest.mark.parametrize("alg", TAU_ALGEBRAS, ids=repr)
+def test_tau_of_three_term_sums_matches_the_oracle(alg):
+    rng = random.Random(2024)
+    basis = list(alg.pbw_basis())
+    nv = alg.nvars
+    coeffs = [RingElem.const(k, nv) * RingElem.q_power(e, nv)
+              for k in (-2, 1, 3) for e in (-1, 0, 2)]
+    coeffs += [RingElem.u_var(i, nv) for i in range(1, nv + 1)]
+    for _ in range(20):
+        x = alg.elem({key: rng.choice(coeffs) for key in rng.sample(basis, 3)})
+        items = [(a, w.inv(), c) for (w, a), c in x._terms.items()]
+        assert tau(x)._terms == left_oracle(alg, items)
+
+
+def test_from_left_form_groups_by_exponent_and_matches_the_oracle():
+    # Three w under a = (1, 0, 1), two under a = (0, 1, 1), one under a = 0.
+    alg = HeckeAlgebra(2, 3)
+    q, u1 = RingElem.q_power(1, 2), RingElem.u_var(1, 2)
+    w1, w2, w3 = (Permutation(im) for im in ((2, 1, 3), (3, 1, 2), (3, 2, 1)))
+    lf = LeftForm(alg, {
+        ((1, 0, 1), w1): q, ((1, 0, 1), w2): u1, ((1, 0, 1), w3): q * u1,
+        ((0, 1, 1), w1): RingElem.const(-1, 2), ((0, 1, 1), identity(3)): q,
+        ((0, 0, 0), w3): u1 - q,
+    })
+    items = [(a, w, alg._lift(c)) for (a, w), c in lf.coeffs.items()]
+    assert from_left_form(lf)._terms == left_oracle(alg, items)
