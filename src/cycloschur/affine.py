@@ -12,8 +12,8 @@ is a plain exponent shift.  ``epsilon_u`` is the evaluation onto the
 cyclotomic quotient, T_w -> T_w and X_j -> L_j; it is defined here for
 nonnegative exponents, and for negative powers of X_1 only when a verified
 inverse of e_m(u) is supplied (negative powers of X_j, j > 1, are
-rejected).  Like a product, it multiplies coefficients in last: each
-L^a is straightened once per call, with coefficient one.
+rejected).  Like a product, it multiplies coefficients in last, onto each
+L^a as straightened once per target algebra (``HeckeAlgebra._jm_forms``).
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ def epsilon_u(
     verified inverse of e_m(u); negative powers of X_j for j > 1 are
     rejected.  Every exponent is checked before any straightening.
 
-    The terms are grouped by exponent a into P_a = sum_w c_{w,a} T_w.  The
-    coefficient-one L^a of every a is straightened in one prefix-sharing
-    walk, and each P_a * L^a is formed like a product, with the constants
-    of L^a multiplied in last.  A power X_1^{-k} joins the group of
-    k, whose sum is multiplied by L_1^{-k} at the end.
+    The terms are grouped by exponent a into P_a = sum_w c_{w,a} T_w.  Each
+    P_a * L^a is formed like a product onto target's coefficient-one L^a
+    (``_jm_forms``, straightened once per algebra), the constants of L^a
+    multiplied in last.  A power X_1^{-k} joins the group of k, whose sum
+    is multiplied by L_1^{-k} at the end.
     """
     alg = x.alg
     if target.r != alg.r:
@@ -138,8 +138,7 @@ def epsilon_u(
     for (w, a), c in x._terms.items():
         a_plus = (max(a[0], 0),) + a[1:]
         groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = lift(c)
-    exps = dict.fromkeys((identity(alg.r), a) for by_a in groups.values() for a in by_a)
-    powers = {a: p for (_, a), p in target.one()._rmul_monomials(exps)}
+    powers = target._jm_forms(a for by_a in groups.values() for a in by_a)
     total = target.zero()
     for k, by_a in groups.items():
         acc: dict[TermKey, RingAccumulator] = {}

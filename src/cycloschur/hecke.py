@@ -52,7 +52,9 @@ the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
 take either.  ``_product`` is the one product: tau, the left form, sigma
 and the appendix rebuild multiply through it, and ``_add_products`` is the
-one keyed sum of coefficient products.
+one keyed sum of coefficient products.  ``HeckeAlgebra._jm_forms`` keeps
+the normal forms of the L^a asked for (not of T_w L^a, w != id) in one
+``_fill`` row per algebra, read by ``jm_monomial`` and ``epsilon_u``.
 """
 
 from __future__ import annotations
@@ -400,6 +402,10 @@ class HeckeAlgebra(AlgebraBase):
         ) if generic else self.overflow
         self.m = m
         self.u_params = u_params
+        # _jm_row: the forms of L^a at (id, a), filled on request (_jm_forms);
+        # their keys and coefficients are objects of _pool, shared where equal.
+        root = (identity(r), (0,) * r)
+        self._jm_row, self._pool = {root: {root: self._one}}, {root: root, self._one: self._one}
 
     def _signature(self):
         return (self.m, self.r, self.nvars, self.overflow)
@@ -416,12 +422,20 @@ class HeckeAlgebra(AlgebraBase):
         return self.one().rmul_gen_L(j)
 
     def jm_monomial(self, a: Sequence[int]) -> HeckeElement:
-        """The product L_1^{a_1} ... L_r^{a_r}; exponents reduce as needed."""
+        """L_1^{a_1} ... L_r^{a_r}, exponents reduced: a copy of ``_jm_forms``."""
         a = tuple(int(x) for x in a)
         if len(a) != self.r or any(x < 0 for x in a):
             raise ValueError(f"bad exponent vector {a}")
-        [(_, terms)] = self.one()._rmul_monomials([(identity(self.r), a)])
-        return HeckeElement(self, terms)
+        return HeckeElement(self, dict(self._jm_forms([a])[a]))
+
+    def _jm_forms(self, exps: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], dict]:
+        """{a: the private form of L^a in ``_jm_row``, not to be mutated} for a
+        in exps; ``_fill`` walks each missing a, interning the nodes it stores."""
+        intern = self._pool.setdefault
+        keys = {a: (identity(self.r), a) for a in exps}
+        row = _fill(self._jm_row, keys.values(), self._path, lambda terms, g: {
+            intern(k, k): intern(c, c) for k, c in g[0](self, terms, g[1]).items()})
+        return {a: row[key] for a, key in keys.items()}
 
     monomial = jm_monomial
 

@@ -435,7 +435,9 @@ def _epsilon_multiplicative(p: SuiteParams, run: _Run):
         # deg x + deg y letters, each acting on up to target.dim() monomials.
         work = (_x_degree(x) + _x_degree(y)) * target.dim()
         check_guard(work, p.guard, f"straightening of multiplicativity trial {t}")
-        if epsilon_u(x * y, target) != epsilon_u(x, target) * epsilon_u(y, target):
+        ex, ey = epsilon_u(x, target), epsilon_u(y, target)
+        check_guard(len(ex._terms) * len(ey._terms), p.guard, f"product of images in trial {t}")
+        if epsilon_u(x * y, target) != ex * ey:
             return False, {"trial": t}
     return True, {"trials": trials}
 

@@ -622,6 +622,16 @@ def test_verify_checks_epsilon_trials_against_the_guard():
     assert status["epsilon.multiplicative"] == "skipped(guard)", status
 
 
+def test_verify_charges_the_product_of_the_epsilon_images():
+    # At (2, 1, 3) the trials charge 5 x 64 and the straightening of trial 0
+    # 432: both within 1,000.  Its images have 25 and 42 private terms, and
+    # their product, 1,050 term pairs, was not charged.
+    report = verify_in_subprocess("epsilon", "--m", "2", "--n", "1", "--r", "3", "--guard", "1000")
+    [check] = [c for c in report["checks"] if c["check"] == "epsilon.multiplicative"]
+    assert check["status"] == "skipped(guard)", check
+    assert check["witness"] == "product of images in trial 0 has size 1050, exceeding guard 1000"
+
+
 def test_verify_charges_exact_rank_its_elimination():
     # Bareiss on the blocks of S(3; 3, 3) is estimated at 20,789,865 units
     # (rows x columns x min of the two, per block); it passed the default
