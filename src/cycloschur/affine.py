@@ -27,13 +27,12 @@ from .hecke import (
     HeckeAlgebra,
     HeckeElement,
     TermKey,
-    _add_products,
     _collect,
     _terms_to_json,
     sigma_nu,
 )
 from .permutations import Permutation, all_perms, identity
-from .ring import RingAccumulator, RingElem
+from .ring import RingElem, add_products
 
 class AffineElement(ElementBase):
     """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
@@ -141,11 +140,11 @@ def epsilon_u(
     powers = target._jm_forms(a for by_a in groups.values() for a in by_a)
     total = target.zero()
     for k, by_a in groups.items():
-        acc: dict[TermKey, RingAccumulator] = {}
+        acc: dict[TermKey, RingElem] = {}
         for a, p_terms in by_a.items():
             power = powers[a]
             for key, terms in HeckeElement(target, p_terms)._rmul_monomials(power):
-                _add_products(acc, target._cvars, terms.items(), power[key])
+                add_products(acc, target._cvars, terms.items(), power[key])
         part = HeckeElement(target, _collect(acc))
         for _ in range(k):
             part = part * l1_inv

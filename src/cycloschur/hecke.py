@@ -51,10 +51,12 @@ with ``schur.SchurElement`` too), T-straightening through the step tables,
 the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
 take either.  ``_product`` is the one product: tau, the left form, sigma
-and the appendix rebuild multiply through it, and ``_add_products`` is the
-one keyed sum of coefficient products.  ``HeckeAlgebra._jm_forms`` keeps
-the normal forms of the L^a asked for (not of T_w L^a, w != id) in one
-``_fill`` row per algebra, read by ``jm_monomial`` and ``epsilon_u``.
+and the appendix rebuild multiply through it.  Every keyed sum of
+coefficient products is the kernel ``ring.add_products``: its sums are
+filled in place and belong to their dict, unhashed, until ``_collect``
+hands them out.  ``HeckeAlgebra._jm_forms`` keeps the normal forms of the
+L^a asked for (not of T_w L^a, w != id) in one ``_fill`` row per algebra,
+read by ``jm_monomial`` and ``epsilon_u``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import ElementaryExpansion, RingAccumulator, RingElem, RingError, elementary_symmetric_of
+from .ring import ElementaryExpansion, RingElem, RingError, add_products, elementary_symmetric_of
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
@@ -302,9 +304,9 @@ class ElementBase(LinearCombination):
         self._check(other)
         coeffs = other._terms
         nvars = self.alg._cvars
-        acc: dict[TermKey, RingAccumulator] = {}
+        acc: dict[TermKey, RingElem] = {}
         for key2, terms in self._rmul_monomials(coeffs):
-            _add_products(acc, nvars, terms.items(), coeffs[key2])
+            add_products(acc, nvars, terms.items(), coeffs[key2])
         return type(self)(self.alg, _collect(acc))
 
     # -- printing ----------------------------------------------------------
@@ -502,24 +504,9 @@ def _fill(row: dict, keys: Iterable, path, step) -> dict:
     return row
 
 
-def _add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
-    """Add c * c2 into acc[key] (a ``RingAccumulator``) for each (key, c) of items."""
-    get = acc.get
-    for key, c in items:
-        slot = get(key)
-        if slot is None:
-            slot = acc[key] = RingAccumulator(nvars)
-        slot.add_product(c, c2)
-
-
-def _collect(acc: Mapping[TermKey, RingAccumulator]) -> dict[TermKey, RingElem]:
-    """The nonzero totals of a dict of accumulators."""
-    out: dict[TermKey, RingElem] = {}
-    for key, slot in acc.items():
-        total = slot.value()
-        if not total.is_zero():
-            out[key] = total
-    return out
+def _collect(acc: Mapping[TermKey, RingElem]) -> dict[TermKey, RingElem]:
+    """The nonzero sums of a dict that ``ring.add_products`` filled, handed out."""
+    return {key: total for key, total in acc.items() if total._groups}
 
 
 def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
@@ -529,12 +516,12 @@ def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
     on it; a missing column is made by ``build(alg, monomial, g)``.
     """
     nvars = alg._cvars
-    acc: dict[TermKey, RingAccumulator] = {}
+    acc: dict[TermKey, RingElem] = {}
     for key, c in terms.items():
         column = table.get(key)
         if column is None:
             column = table[key] = tuple(build(alg, key, g).items())
-        _add_products(acc, nvars, column, c)
+        add_products(acc, nvars, column, c)
     return _collect(acc)
 
 

@@ -8,7 +8,10 @@ integer and ``u_exponents`` a tuple of ``nvars`` naturals.  An element
 keeps one integer per u-monomial and packs the q-polynomial over it into
 another (Kronecker substitution q -> 2^64, see ``RingElem``), so two
 q-polynomials multiply in one bigint multiply.  Callers read monomials
-back through ``sorted_terms`` and ``leading``.
+back through ``sorted_terms`` and ``leading``.  ``add_products`` is the one
+keyed sum of products: it fills ``RingElem``s in place, each of which
+belongs only to its dict until the caller hands it out, and nothing
+hashes or interns it before then.
 
 The same representation holds the mixed ring Z[q, q^-1][e_1..e_m][u_1..u_n],
 with e_k in m extra fields, over which a generic cyclotomic Hecke algebra
@@ -22,17 +25,17 @@ subgroups, exact specialization at rational points, and rank certification
 for sparse rows over R (probabilistic modular rank plus an exact
 fraction-free escape hatch).
 
-All values are immutable; all operations are pure functions.
+Values handed out are immutable; all public operations are pure functions.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
+import sys
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # The prime of every modular specialization: 2^31 - 1 (Mersenne), > 2^30.
 MODULAR_PRIME = 2**31 - 1
@@ -51,6 +54,9 @@ U_EXP_MAX = (1 << (_W - 1)) - 1
 # signed slot per coefficient; S = _S unless the coefficients need more.
 _S = 64
 _LIMIT = 1 << (_S - 1)
+_MASK = (1 << _S) - 1
+# Past this many slots q-parts go through bytes, in linear time; shift loops win below.
+_BYTES_FROM = 20
 
 
 class RingError(ValueError):
@@ -74,21 +80,42 @@ def _slot_for(bound: int) -> int:
     return _S * (bound.bit_length() // _S + 1)
 
 
+def _offset(n: int, slot: int) -> int:
+    """2^(slot-1) in each of n slots: added, it makes signed slots unsigned."""
+    return int.from_bytes((1 << slot - 1).to_bytes(slot // 8, "little") * n, "little")
+
+
 def _digits(packed: int, slot: int) -> list[int]:
     """The signed slot values of a packed q-part, lowest first."""
     half, out = 1 << (slot - 1), []
-    while packed:
-        out.append(((packed + half) & (2 * half - 1)) - half)
-        packed = (packed - out[-1]) >> slot
+    if packed.bit_length() <= _BYTES_FROM * slot:
+        while packed:
+            out.append(((packed + half) & (2 * half - 1)) - half)
+            packed = (packed - out[-1]) >> slot
+        return out
+    n, w = packed.bit_length() // slot + 2, slot // 8
+    raw = (packed + _offset(n, slot)).to_bytes(n * w, "little")
+    if slot == _S and sys.byteorder == "little":
+        out = [d - half for d in memoryview(raw).cast("Q")]
+    else:
+        out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
+    while not out[-1]:  # n counts up to two slots past the top one
+        out.pop()
     return out
+
+
+def _packed(digits: Sequence[int], slot: int) -> int:
+    """The q-part of signed slot values, lowest first: inverse to _digits."""
+    if len(digits) <= _BYTES_FROM:
+        return sum(d << slot * i for i, d in enumerate(digits))
+    w, half = slot // 8, 1 << (slot - 1)
+    raw = b"".join((d + half).to_bytes(w, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _offset(len(digits), slot)
 
 
 def _repacked(groups: Mapping, old: int, new: int) -> dict:
     """groups with every q-part moved from old-bit to new-bit slots."""
-    return {
-        k: (lo, sum(d << new * i for i, d in enumerate(_digits(p, old))))
-        for k, (lo, p) in groups.items()
-    }
+    return {k: (lo, _packed(_digits(p, old), new)) for k, (lo, p) in groups.items()}
 
 
 def _operands(x: "RingElem", y: "RingElem", bound: int) -> tuple[dict, dict, int]:
@@ -325,43 +352,44 @@ class RingElem:
 
     def specialize(self, q_val, u_vals: Sequence) -> Fraction:
         """Evaluate at rational q = q_val and u_i = u_vals[i-1], exactly;
-        ``ZeroDivisionError`` when q_val = 0 meets a negative q-exponent."""
-        if len(u_vals) != self.nvars:
-            raise RingError(f"expected {self.nvars} u-values, got {len(u_vals)}")
-        q_val = Fraction(q_val)
-        u_vals = [Fraction(v) for v in u_vals]
-        x, y, total = q_val.numerator, q_val.denominator, Fraction(0)
-        for key, (lo, p) in self._groups.items():
-            h, ypow = 0, 1  # h = y^k P(x/y), P the group's q-polynomial of degree k
-            for d in reversed(_digits(p, self._slot)):
-                h, ypow = h * x + d * ypow, ypow * y
-            ue = _unpack(key, self.nvars)[1]
-            h *= math.prod(u.numerator**e for u, e in zip(u_vals, ue))
-            ypow *= math.prod(u.denominator**e for u, e in zip(u_vals, ue))
-            total += Fraction(h * y, ypow) * q_val**lo
-        return total
+        ``ZeroDivisionError`` when q_val = 0 meets a negative q-exponent.  At
+        integer points where every q^lo is an integer (q = +-1, or no lo < 0)
+        the sum stays in int."""
+        x, us = Fraction(q_val), [Fraction(v) for v in u_vals]
+        if all(v.denominator == 1 for v in (x, *us)) and (
+            abs(x) == 1 or all(lo >= 0 for lo, _ in self._groups.values())
+        ):  # then q^lo = q^|lo|
+            x, us = int(x), [int(v) for v in us]
+            return Fraction(sum(h * x ** abs(lo) for lo, h in self._horner(x, us)))
+        return sum((h * x**lo for lo, h in self._horner(x, us)), Fraction(0))
 
     def specialize_mod(self, p: int, q_val: int, u_vals: Sequence[int]) -> int:
         """Evaluate in the prime field F_p; q_val must be nonzero mod p."""
-        n = self.nvars
-        if len(u_vals) != n:
-            raise RingError(f"expected {n} u-values, got {len(u_vals)}")
         if q_val % p == 0:
             raise ZeroDivisionError("q specialization must be invertible mod p")
-        last_first = u_vals[::-1]
         total = 0
+        for lo, h in self._horner(q_val, u_vals, p):
+            total += h * pow(q_val, lo, p)
+        return total % p
+
+    def _horner(self, x, us: Sequence, p: int = 0) -> Iterator[tuple[int, object]]:
+        """(lo, u^f P(x)) for each group u^f q^lo P(q), P(x) by Horner's rule
+        over the digits of the q-part; reduced mod p when p > 0."""
+        if len(us) != self.nvars:
+            raise RingError(f"expected {self.nvars} u-values, got {len(us)}")
+        last_first, slot = us[::-1], self._slot
         for key, (lo, packed) in self._groups.items():
-            c = pow(q_val, lo, p)
+            h = 0
+            for d in reversed(_digits(packed, slot)):
+                h = h * x + d
+                if p:
+                    h %= p
             for u in last_first:
                 e = key & _FIELD
                 if e:
-                    c = c * pow(u, e, p) % p
+                    h = h * pow(u, e, p) % p if p else h * u**e
                 key >>= _W
-            horner = 0
-            for d in reversed(_digits(packed, self._slot)):
-                horner = (horner * q_val + d) % p
-            total += c * horner
-        return total % p
+            yield lo, h
 
     # -- serialization -----------------------------------------------------
 
@@ -439,45 +467,53 @@ def _make(nvars: int, groups: dict, ubound: int, cbound: int, slot: int = _S) ->
     return res
 
 
-class RingAccumulator:
-    """A running sum of ring products, formed in place in one group map.
-
-    ``add_product(a, b)`` adds a*b to the sum without building a*b or a new
-    partial sum: each product of two groups goes into the entry of its
-    u-monomial by one aligned bigint addition (see ``_add_products``).
-    ``value`` hands the map out as one ``RingElem``, after which the
-    accumulator is done with.  The bounds are a sum of products' bounds,
-    the u-exponent one checked as ``RingElem.__mul__`` checks it; past 2^63
-    the coefficient bound sends products through ``RingElem``'s wide + and
-    *.  Operands must have the accumulator's ``nvars``.
-    """
-
-    __slots__ = ("nvars", "_groups", "_ubound", "_cbound", "_slot")
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self._groups: dict = {}
-        self._ubound = 0
-        self._cbound = 0
-        self._slot = _S
-
-    def add_product(self, a: RingElem, b: RingElem) -> None:
-        bound = a._ubound + b._ubound
-        if bound > self._ubound:
-            if bound > U_EXP_MAX:
+def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
+    """Add c * c2 into acc[key] for each (key, c) of items, in place; a missing
+    key starts at zero.  Each product of two groups goes into its u-monomial's
+    entry by one aligned addition, as in ``_add_products``; the bounds are
+    checked as ``*`` checks them, and past 2^63 ``+`` and ``*`` take over."""
+    b, ub2, cb2 = c2._groups.items(), c2._ubound, c2._cbound
+    get = acc.get
+    for key, c in items:
+        total = get(key)
+        if total is None:
+            total = acc[key] = _make(nvars, {}, 0, 0)
+        ubound = c._ubound + ub2
+        if ubound > total._ubound:
+            if ubound > U_EXP_MAX:
                 raise RingError(
-                    f"u-exponents of a product may reach {bound}, past the limit {U_EXP_MAX}"
+                    f"u-exponents of a product may reach {ubound}, past the limit {U_EXP_MAX}"
                 )
-            self._ubound = bound
-        self._cbound += a._cbound * b._cbound
-        if self._cbound < _LIMIT:
-            _add_products(self._groups, a._groups, b._groups, _S)
-        else:  # past 64-bit slots: exact through RingElem's wide arithmetic
-            total = self.value() + a * b
-            self._groups, self._cbound, self._slot = total._groups, total._cbound, total._slot
-
-    def value(self) -> RingElem:
-        return _make(self.nvars, self._groups, self._ubound, self._cbound, self._slot)
+            total._ubound = ubound
+        cbound = total._cbound + c._cbound * cb2
+        if cbound >= _LIMIT:  # past 64-bit slots: exact through RingElem's wide arithmetic
+            wide = total + c * c2
+            total._groups, total._cbound, total._slot = wide._groups, wide._cbound, wide._slot
+            continue
+        total._cbound = cbound
+        out = total._groups
+        oget = out.get
+        for ka, (la, pa) in c._groups.items():
+            for kb, (lb, pb) in b:
+                k, lo, p = ka + kb, la + lb, pa * pb
+                old = oget(k)
+                if old is not None:
+                    lo0, p0 = old
+                    if lo0 < lo:
+                        p = p0 + (p << _S * (lo - lo0))
+                        lo = lo0
+                    elif lo < lo0:
+                        p += p0 << _S * (lo0 - lo)
+                    else:
+                        p += p0
+                        if not p & _MASK:
+                            if not p:
+                                del out[k]
+                                continue
+                            zeros = ((p & -p).bit_length() - 1) // _S
+                            p >>= _S * zeros
+                            lo += zeros
+                out[k] = (lo, p)
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -541,7 +577,7 @@ class ElementaryExpansion:
             if c.nvars != self.m + n:
                 raise RingError(f"expected {self.m + n} variables, got {c.nvars}")
             ubits, pad = _W * n, _W * (width - n)
-            acc = RingAccumulator(width)
+            acc = {0: _make(width, {}, 0, 0)}
             for key, group in c._groups.items():
                 epart, upart = divmod(key, 1 << ubits)
                 top = max(_unpack(upart, n)[1], default=0)
@@ -549,8 +585,8 @@ class ElementaryExpansion:
                 if mono is None:
                     mono = self._monomials[epart] = self._monomial(epart, top)
                 term = _make(width, {upart << pad: group}, top, c._cbound, c._slot)
-                acc.add_product(mono, term)
-            image = self._images[c] = acc.value()
+                add_products(acc, width, ((0, mono),), term)
+            image = self._images[c] = acc[0]
         return image
 
 

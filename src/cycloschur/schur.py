@@ -63,7 +63,6 @@ from .hecke import (
     HeckeElement,
     LinearCombination,
     TermKey,
-    _add_products,
     _add_term,
     _apply_steps,
     _collect,
@@ -88,7 +87,7 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import RingElem, exact_rank, modular_rank
+from .ring import RingElem, add_products, exact_rank, modular_rank
 from .wreath import (
     ColoredMatrix,
     a_ddot,
@@ -488,7 +487,7 @@ def _multiply_squeezed(ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix) ->
     row = ctx._action_row(A, tail)
     acc: dict = {}
     for key, c2 in tail.items():
-        _add_products(acc, ctx.hecke._cvars, row[key], c2)
+        add_products(acc, ctx.hecke._cvars, row[key], c2)
     # The e-coordinates are free of u, so their expansion is injective.
     return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._rests_e))
 

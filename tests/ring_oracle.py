@@ -134,3 +134,18 @@ def substitute(x: OracleElem, images: Sequence[OracleElem]) -> OracleElem:
             term = term * image**f
         total = total + term
     return total
+
+
+def shift_digits(packed: int, slot: int) -> list[int]:
+    """The signed slot-bit digits of packed, lowest first, one shift per
+    slot: the loop ``ring._digits`` keeps below its byte threshold."""
+    half, out = 1 << (slot - 1), []
+    while packed:
+        out.append(((packed + half) & (2 * half - 1)) - half)
+        packed = (packed - out[-1]) >> slot
+    return out
+
+
+def shift_packed(digits: Sequence[int], slot: int) -> int:
+    """The integer whose signed slot-bit digits are digits, lowest first."""
+    return sum(d << slot * i for i, d in enumerate(digits))

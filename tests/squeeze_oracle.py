@@ -14,7 +14,6 @@ sweeps, whose blocks are keyed by the margins as given.
 from __future__ import annotations
 
 from cycloschur.hecke import (
-    _add_products,
     _apply_steps,
     _collect,
     _module_coords,
@@ -23,6 +22,7 @@ from cycloschur.hecke import (
     _swap_positions,
 )
 from cycloschur.permutations import identity
+from cycloschur.ring import add_products
 from cycloschur.schur import SchurContext, _eliminate, _module_column, b_element_of, tail_of
 from cycloschur.wreath import colored_col_sums, colored_row_sums
 
@@ -90,6 +90,6 @@ class Unsqueezed:
         row = self.action_row(A, tail)
         acc: dict = {}
         for key, c2 in tail.items():
-            _add_products(acc, self.hecke._cvars, row[key], c2)
+            add_products(acc, self.hecke._cvars, row[key], c2)
         coords = _collect(acc)
         return self.hecke._public(_eliminate(self.ctx, coords, lam, mu, self.b_coords, self.rests))

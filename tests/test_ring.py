@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from ring_oracle import OracleElem, elementary, substitute
+from ring_oracle import OracleElem, elementary, shift_digits, shift_packed, substitute
 
 import cycloschur
 from cycloschur.ring import (
@@ -19,9 +21,11 @@ from cycloschur.ring import (
     ElementaryExpansion,
     ExactDivisionError,
     U_EXP_MAX,
-    RingAccumulator,
     RingElem,
     RingError,
+    _digits,
+    _packed,
+    add_products,
     elementary_symmetric_of,
     elementary_symmetric_params,
     exact_div,
@@ -452,7 +456,52 @@ def test_u_exponent_limit():
         RingElem(1, {(0, (2**31 - 1,)): 1}) * RingElem.u_var(1, 1)
 
 
-# -- the in-place accumulator against the oracle ----------------------------
+def fraction_value(x: RingElem, q_val, u_vals) -> Fraction:
+    """x at (q_val, u_vals), term by term in Fractions."""
+    return sum(
+        (c * Fraction(q_val) ** qe * math.prod(Fraction(u) ** e for u, e in zip(u_vals, ue))
+         for (qe, ue), c in x.sorted_terms()), Fraction(0),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_specialize_integer_route_matches_fractions(data):
+    """At integer points whose q-powers are integers the sum stays in int:
+    q = +-1 with negative q-exponents, any integer q without them, and
+    coefficients past 2^63."""
+    n = data.draw(st.integers(min_value=0, max_value=2), label="nvars")
+    x = RingElem(n, data.draw(wide_terms(n), label="x"))
+    u_vals = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="u")
+    for q_val in (1, -1, Fraction(1), Fraction(-1)):
+        value = x.specialize(q_val, u_vals)
+        assert value == fraction_value(x, q_val, u_vals) and type(value) is Fraction
+    shifted = x * RingElem.q_power(4, n)  # no negative q-exponent left
+    q_val = data.draw(st.integers(-5, 5), label="q")
+    assert shifted.specialize(q_val, u_vals) == fraction_value(shifted, q_val, u_vals)
+    assert shifted.specialize(q_val, [Fraction(u, 2) for u in u_vals]) == fraction_value(
+        shifted, q_val, [Fraction(u, 2) for u in u_vals]
+    )
+
+
+# -- the in-place kernel against the oracle ---------------------------------
+
+
+def assert_handed_out(acc: dict, nvars: int) -> None:
+    """Every sum add_products formed is canonical: equal and hash-equal to
+    the element built afresh from its terms."""
+    for value in acc.values():
+        fresh = RingElem(nvars, dict(value.sorted_terms()))
+        assert value == fresh and fresh == value and hash(value) == hash(fresh)
+
+
+def accumulate(nvars: int, products) -> RingElem:
+    """The sum of the products a * b of (a, b) pairs, formed by add_products."""
+    acc = {0: RingElem.zero(nvars)}
+    for a, b in products:
+        add_products(acc, nvars, ((0, a),), b)
+    assert_handed_out(acc, nvars)
+    return acc[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -465,48 +514,50 @@ def test_accumulator_matches_oracle_sum_of_products(data):
     # Adding a drawn product again negated makes the sum cancel, in part
     # or (with every pair negated) to zero.
     negate = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    acc = RingAccumulator(n)
-    total = OracleElem(n)
-    for (da, db), neg in zip(pairs, negate):
-        acc.add_product(RingElem(n, da), RingElem(n, db))
-        total = total + OracleElem(n, da) * OracleElem(n, db)
-        if neg:
-            acc.add_product(-RingElem(n, da), RingElem(n, db))
-            total = total - OracleElem(n, da) * OracleElem(n, db)
-    value = acc.value()
-    assert_same(value, total)
-    assert value == RingElem(n, total.terms)
+    # Pair i goes to key i % 2 and to key "all", one call with both items.
+    acc: dict = {}
+    totals = {0: OracleElem(n), 1: OracleElem(n), "all": OracleElem(n)}
+    for i, ((da, db), neg) in enumerate(zip(pairs, negate)):
+        for sign in (1, -1) if neg else (1,):
+            a = RingElem(n, da) if sign == 1 else -RingElem(n, da)
+            add_products(acc, n, ((i % 2, a), ("all", a)), RingElem(n, db))
+            product = (OracleElem(n, da) * OracleElem(n, db)).scale(sign)
+            for key in (i % 2, "all"):
+                totals[key] = totals[key] + product
+    assert_handed_out(acc, n)
+    for key, value in acc.items():
+        assert_same(value, totals[key])
+        assert value == RingElem(n, totals[key].terms)
 
 
 def test_accumulator_cancels_to_zero():
     u1, q1 = RingElem.u_var(1, 2), RingElem.q_power(1, 2)
     a = u1 + q1
-    acc = RingAccumulator(2)
-    acc.add_product(a, a)
-    acc.add_product(-a, a)
-    assert acc.value().is_zero()
-    assert acc.value() == RingElem.zero(2)
+    value = accumulate(2, [(a, a), (-a, a)])
+    assert value.is_zero()
+    assert value == RingElem.zero(2)
     # (u1 + q)(u1 - q) - u1^2 + q^2 = 0, with the cross terms cancelling
     # inside the first product
-    acc = RingAccumulator(2)
-    acc.add_product(a, u1 - q1)
-    acc.add_product(-u1, u1)
-    acc.add_product(q1, q1)
-    assert acc.value().is_zero()
-    assert RingAccumulator(0).value() == RingElem.zero(0)
+    assert accumulate(2, [(a, u1 - q1), (-u1, u1), (q1, q1)]).is_zero()
+    acc: dict = {}
+    add_products(acc, 0, (), RingElem.one(0))
+    assert acc == {}
 
 
 def test_accumulator_u_exponent_limit():
     top = RingElem(1, {(0, (U_EXP_MAX,)): 1})
     u1 = RingElem.u_var(1, 1)
-    acc = RingAccumulator(1)
-    acc.add_product(top, RingElem.one(1))
-    acc.add_product(RingElem(1, {(0, (2**30,)): 1}), RingElem(1, {(0, (2**30 - 1,)): 2}))
-    assert acc.value().sorted_terms() == [((0, (U_EXP_MAX,)), 3)]
+    acc: dict = {}
+    add_products(acc, 1, ((0, top),), RingElem.one(1))
+    half = RingElem(1, {(0, (2**30,)): 1})
+    add_products(acc, 1, ((0, half),), RingElem(1, {(0, (2**30 - 1,)): 2}))
+    assert acc[0].sorted_terms() == [((0, (U_EXP_MAX,)), 3)]
     with pytest.raises(RingError):
-        acc.add_product(top, u1)
+        add_products(acc, 1, ((0, top),), u1)
     with pytest.raises(RingError):
-        RingAccumulator(1).add_product(u1, top)
+        add_products({}, 1, ((0, u1),), top)
+    with pytest.raises(RingError):  # the sum handed out carries its u-bound
+        acc[0] * u1
     # the bound is checked as RingElem.__mul__ checks it: on the operands'
     # bounds, before any term is formed
     with pytest.raises(RingError):
@@ -553,14 +604,12 @@ def test_wide_coefficients_match_oracle(data):
     k = data.draw(st.integers(min_value=-(2**70), max_value=2**70), label="k")
     assert_same(a.scale(k), oa.scale(k))
     assert_same(a**2, oa**2)
-    acc = RingAccumulator(n)
-    for x, y in ((a, b), (c, a), (-a, b)):
-        acc.add_product(x, y)
-    assert_same(acc.value(), oc * oa)
+    total = accumulate(n, ((a, b), (c, a), (-a, b)))
+    assert_same(total, oc * oa)
     # Equal values are equal and hash-equal whichever path made them.
     assert_same_value((a + b) - b, a)
     assert_same_value(a * b, RingElem(n, (oa * ob).terms))
-    assert_same_value(acc.value(), c * a)
+    assert_same_value(total, c * a)
     assert_same_value(a * b - a * b, RingElem.zero(n))
     assert RingElem.from_json((a * b).to_json(), n) == a * b
     q_val = data.draw(st.integers(min_value=1, max_value=MODULAR_PRIME - 1), label="q")
@@ -585,13 +634,9 @@ def test_bounds_past_the_slot_give_exact_results():
     assert_same(big * big, ob * ob)
     assert_same(big * big * big, ob * ob * ob)
     # a long sum of small products whose bound passes 2^63 on the way
-    acc, total = RingAccumulator(1), OracleElem(1)
     step = RingElem(1, {(0, (0,)): 2**40, (2, (1,)): -(2**40)})
     ostep = OracleElem(1, {(0, (0,)): 2**40, (2, (1,)): -(2**40)})
-    for _ in range(3):
-        acc.add_product(step, step)
-        total = total + ostep * ostep
-    assert_same(acc.value(), total)
+    assert_same(accumulate(1, [(step, step)] * 3), ostep * ostep + ostep * ostep + ostep * ostep)
     # 1 + q and the constant 2^64 + 1 pack to one integer, at different slots
     assert RingElem(0, {(0, ()): 1, (1, ()): 1}) != RingElem.const(2**64 + 1, 0)
 
@@ -621,18 +666,62 @@ def test_convolution_sum_on_the_slot_edge(sign):
 def test_accumulator_lowest_slot_cancels(c):
     q = lambda k: RingElem.q_power(k, 1)  # noqa: E731
     u1 = RingElem.u_var(1, 1).scale(c)
-    acc = RingAccumulator(1)
-    acc.add_product(RingElem.one(1) + q(1) + q(3), u1)
-    acc.add_product(RingElem.one(1) + q(1), -u1)  # the two lowest slots cancel
-    value = acc.value()
+    # the two lowest slots cancel
+    value = accumulate(1, [(RingElem.one(1) + q(1) + q(3), u1), (RingElem.one(1) + q(1), -u1)])
     assert_same_value(value, q(3) * u1)
     assert value.sorted_terms() == [((3, (1,)), c)]
     assert value.leading() == ((3, (1,)), c)
     # below and above the shrunk range again
-    acc = RingAccumulator(1)
-    for x in (q(2) - q(1), q(1), q(-2), -q(2)):
-        acc.add_product(x, u1)
-    assert_same_value(acc.value(), q(-2) * u1)
+    value = accumulate(1, [(x, u1) for x in (q(2) - q(1), q(1), q(-2), -q(2))])
+    assert_same_value(value, q(-2) * u1)
+
+
+def test_accumulator_crosses_the_slot_and_goes_on():
+    """One key's sum passes 2^63 (the wide fallback) while items for it and
+    for a narrow key keep arriving; it cancels back to 64-bit slots and
+    then takes the in-place route again."""
+    big = RingElem(1, {(0, (0,)): 2**62, (1, (1,)): -3})
+    obig = OracleElem(1, {(0, (0,)): 2**62, (1, (1,)): -3})
+    small = RingElem(1, {(-1, (0,)): 5, (0, (0,)): 1})
+    osmall = OracleElem(1, {(-1, (0,)): 5, (0, (0,)): 1})
+    one, q1 = RingElem.one(1), RingElem.q_power(1, 1)
+    items = [("wide", big), ("narrow", small)]
+    acc: dict = {}
+    add_products(acc, 1, items, one)
+    add_products(acc, 1, items, one)  # 2^63 at q^0: past the 64-bit slot
+    assert acc["wide"]._slot > 64
+    add_products(acc, 1, items, q1)
+    add_products(acc, 1, [("wide", small)], q1)
+    owide = obig.scale(2) + obig * OracleElem(1, {(1, (0,)): 1})
+    owide = owide + osmall * OracleElem(1, {(1, (0,)): 1})
+    assert_same(acc["wide"], owide)  # no hash: the sums are not handed out yet
+    assert_same(acc["narrow"], osmall.scale(2) + osmall * OracleElem(1, {(1, (0,)): 1}))
+    add_products(acc, 1, [("wide", big)], RingElem.const(-2, 1))  # back below 2^63
+    owide = owide + obig.scale(-2)
+    assert acc["wide"]._slot == 64
+    for _ in range(3):
+        add_products(acc, 1, [("wide", small)], one)
+        owide = owide + osmall
+    assert_handed_out(acc, 1)
+    assert_same(acc["wide"], owide)
+
+
+@pytest.mark.parametrize("slot", [64, 128, 192])
+def test_digits_and_packed_match_the_shift_loop(slot):
+    """Below the byte threshold and far above it: 1 to 5,000 slots, the
+    extreme slot values +-(2^(slot-1) - 1), and zero top slots."""
+    rng, edge = random.Random(slot), (1 << slot - 1) - 1
+    for n in [*range(1, 45), 100, 1000, 5000]:
+        draws = [
+            [rng.randrange(-edge, edge + 1) for _ in range(n)],
+            [rng.choice((edge, -edge, 0, 1, -1)) for _ in range(n)],
+            [rng.randrange(-edge, edge + 1) for _ in range(n)] + [0] * rng.randrange(1, 4),
+        ]
+        for digits in draws:
+            packed = shift_packed(digits, slot)
+            expected = shift_digits(packed, slot)
+            assert _digits(packed, slot) == expected
+            assert _packed(digits, slot) == packed == _packed(expected, slot)
 
 
 def test_terms_is_a_read_only_view():
