@@ -53,10 +53,10 @@ also uses), the product loop and the JSON term lists; the sigma builders
 take either.  ``_product`` is the one product: tau, the left form, sigma
 and the appendix rebuild multiply through it.  Every keyed sum of
 coefficient products is the kernel ``ring.add_products``: its sums are
-filled in place and belong to their dict, unhashed, until ``_collect``
-hands them out.  ``HeckeAlgebra._jm_forms`` keeps the normal forms of the
-L^a asked for (not of T_w L^a, w != id) in one ``_fill`` row per algebra,
-read by ``jm_monomial`` and ``epsilon_u``.
+filled in place and belong to their dict until ``_collect`` hands them
+out.  ``HeckeAlgebra._jm_forms`` keeps the normal forms of the L^a asked
+for (not of T_w L^a, w != id) in one ``_fill`` row per algebra, read by
+``jm_monomial`` and ``epsilon_u``.
 """
 
 from __future__ import annotations
@@ -381,13 +381,15 @@ class HeckeAlgebra(AlgebraBase):
             raise ValueError("need m >= 1 and r >= 1")
         if nvars is None:
             nvars = m
+        # expand.gens: e_1..e_m(u), formed once for overflow, generic test and expansion.
+        expand = ElementaryExpansion(m, nvars) if nvars >= m else None
         if overflow is None:
-            if u_params is None:
-                u_params = [RingElem.u_var(i, nvars) for i in range(1, m + 1)]
-            u_params = tuple(u_params)
+            given = u_params is not None
+            us = u_params if given else [RingElem.u_var(i, nvars) for i in range(1, m + 1)]
+            u_params = tuple(us)
             if len(u_params) != m:
                 raise ValueError(f"need {m} parameters, got {len(u_params)}")
-            overflow = _overflow_of(u_params)
+            overflow = _overflow_of(elementary_symmetric_of(u_params)[1:] if given else expand.gens)
         elif u_params is not None:
             raise ValueError("give u_params or overflow, not both")
         # L_1^m = sum_k overflow[k-1] L_1^{m-k}
@@ -395,10 +397,8 @@ class HeckeAlgebra(AlgebraBase):
         if len(self.overflow) != m or any(c.nvars != nvars for c in self.overflow):
             raise ValueError(f"need {m} coefficients in the declared ring")
         # The generic relation straightens over free e_k (module docstring).
-        generic = nvars >= m and self.overflow == _overflow_of(
-            [RingElem.u_var(i, nvars) for i in range(1, m + 1)]
-        )
-        self._init_ring(r, nvars, ElementaryExpansion(m, nvars) if generic else None)
+        generic = expand is not None and self.overflow == _overflow_of(expand.gens)
+        self._init_ring(r, nvars, expand if generic else None)
         self._overflow = tuple(
             RingElem.u_var(k, self._cvars).scale((-1) ** (k + 1)) for k in range(1, m + 1)
         ) if generic else self.overflow
@@ -464,12 +464,9 @@ class HeckeAlgebra(AlgebraBase):
                 yield (w, a)
 
 
-def _overflow_of(u_params: Sequence[RingElem]) -> tuple[RingElem, ...]:
-    """The coefficients (-1)^(k+1) e_k(u_params) of L_1^m's reduction."""
-    return tuple(
-        elementary_symmetric_of(u_params, k).scale((-1) ** (k + 1))
-        for k in range(1, len(u_params) + 1)
-    )
+def _overflow_of(es: Sequence[RingElem]) -> tuple[RingElem, ...]:
+    """The coefficients (-1)^(k+1) e_k of L_1^m's reduction, from [e_1..e_m]."""
+    return tuple(-e if k % 2 == 0 else e for k, e in enumerate(es, 1))
 
 
 def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:

@@ -9,9 +9,9 @@ keeps one integer per u-monomial and packs the q-polynomial over it into
 another (Kronecker substitution q -> 2^64, see ``RingElem``), so two
 q-polynomials multiply in one bigint multiply.  Callers read monomials
 back through ``sorted_terms`` and ``leading``.  ``add_products`` is the one
-keyed sum of products: it fills ``RingElem``s in place, each of which
-belongs only to its dict until the caller hands it out, and nothing
-hashes or interns it before then.
+sum of products, behind ``+`` and ``*`` too, at 64-bit or wider slots: it
+fills ``RingElem``s in place, each of which belongs only to its dict
+until the caller hands it out, and nothing interns it before then.
 
 The same representation holds the mixed ring Z[q, q^-1][e_1..e_m][u_1..u_n],
 with e_k in m extra fields, over which a generic cyclotomic Hecke algebra
@@ -113,49 +113,11 @@ def _packed(digits: Sequence[int], slot: int) -> int:
     return int.from_bytes(raw, "little") - _offset(len(digits), slot)
 
 
-def _repacked(groups: Mapping, old: int, new: int) -> dict:
+def _repacked(groups: Mapping, old: int, new: int) -> Mapping:
     """groups with every q-part moved from old-bit to new-bit slots."""
+    if old == new:
+        return groups
     return {k: (lo, _packed(_digits(p, old), new)) for k, (lo, p) in groups.items()}
-
-
-def _operands(x: "RingElem", y: "RingElem", bound: int) -> tuple[dict, dict, int]:
-    """x's and y's groups at the slot width holding bound, and that width."""
-    if bound < _LIMIT:
-        return x._groups, y._groups, _S
-    slot = _slot_for(bound)
-    return _repacked(x._groups, x._slot, slot), _repacked(y._groups, y._slot, slot), slot
-
-
-def _add_products(out: dict, a: Mapping, b: Mapping, slot: int) -> None:
-    """Add the product of the group maps a and b into out, in place, at a
-    slot width that holds the result.  A q-part meeting one already there
-    is aligned to the lower exponent by a shift, and each entry is kept
-    canonical: a cancelled lowest slot is shifted out, a zero sum deleted."""
-    mask = (1 << slot) - 1
-    get = out.get
-    for ka, (la, pa) in a.items():
-        for kb, (lb, pb) in b.items():
-            key = ka + kb
-            lo = la + lb
-            p = pa * pb
-            old = get(key)
-            if old is not None:
-                lo0, p0 = old
-                if lo0 < lo:
-                    p = p0 + (p << slot * (lo - lo0))
-                    lo = lo0
-                elif lo < lo0:
-                    p += p0 << slot * (lo0 - lo)
-                else:
-                    p += p0
-                    if not p & mask:
-                        if not p:
-                            del out[key]
-                            continue
-                        zeros = ((p & -p).bit_length() - 1) // slot
-                        p >>= slot * zeros
-                        lo += zeros
-            out[key] = (lo, p)
 
 
 class RingElem:
@@ -171,9 +133,10 @@ class RingElem:
     bounds the u-exponents: the larger bound under + and -, the sum under *,
     and a product past ``U_EXP_MAX`` raises ``RingError``.  ``_cbound``
     bounds the sum of the coefficients' sizes: summed under + and -,
-    multiplied under *.  Below 2^63 an operation works at 64-bit slots, past
-    it at slots that hold the bound, narrowing its result with an exact
-    bound; no field or slot wraps.  ``terms`` is a read-only view.
+    multiplied under *.  Both run ``add_products``: below 2^63 at 64-bit
+    slots, past it at slots that hold the bound, the result then narrowed
+    once with an exact bound; no field or slot wraps.  ``terms`` is a
+    read-only view.
     """
 
     __slots__ = ("nvars", "_groups", "_ubound", "_cbound", "_slot", "_hash")
@@ -269,11 +232,9 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        bound = self._cbound + other._cbound
-        a, b, slot = _operands(self, other, bound)
-        out = dict(a)
-        _add_products(out, b, {0: (0, 1)}, slot)  # b times the group map of 1
-        return _make(self.nvars, out, max(self._ubound, other._ubound), bound, slot)
+        acc = {0: _make(self.nvars, dict(self._groups), self._ubound, self._cbound, self._slot)}
+        add_products(acc, self.nvars, ((0, other),), _ONE)
+        return acc[0]
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -284,16 +245,9 @@ class RingElem:
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
-        ubound = self._ubound + other._ubound
-        if ubound > U_EXP_MAX:
-            raise RingError(
-                f"u-exponents of a product may reach {ubound}, past the limit {U_EXP_MAX}"
-            )
-        bound = self._cbound * other._cbound
-        a, b, slot = _operands(self, other, bound)
-        out: dict = {}
-        _add_products(out, a, b, slot)
-        return _make(self.nvars, out, ubound, bound, slot)
+        acc: dict = {}
+        add_products(acc, self.nvars, ((0, self),), other)
+        return acc[0]
 
     def scale(self, c: int) -> "RingElem":
         return self * RingElem.const(c, self.nvars)
@@ -451,12 +405,9 @@ def _text_of(terms: Sequence[tuple[Monomial, int]]) -> str:
 
 
 def _make(nvars: int, groups: dict, ubound: int, cbound: int, slot: int = _S) -> RingElem:
-    """An element from canonical groups at ``slot``, unchecked; groups wider
-    than 64 bits are narrowed to the slot they need, with an exact bound."""
-    if slot != _S:
-        sizes = [abs(d) for _, p in groups.values() for d in _digits(p, slot)]
-        cbound, new = sum(sizes), _slot_for(max(sizes, default=0))
-        groups, slot = _repacked(groups, slot, new), new
+    """An element from groups at ``slot`` with the given bounds, unchecked.
+    The slot is the narrowest holding the coefficients; only a factor handed
+    straight to ``add_products`` with a bound past 2^63 may sit wider."""
     res = object.__new__(RingElem)
     res.nvars = nvars
     res._groups = groups
@@ -467,13 +418,30 @@ def _make(nvars: int, groups: dict, ubound: int, cbound: int, slot: int = _S) ->
     return res
 
 
+_ONE = _make(0, {0: (0, 1)}, 0, 1)  # 1, as the factor c2 of a sum: key 0 in any nvars
+
+
+def _narrow(x: RingElem) -> None:
+    """Give x, filled at a wide slot, its exact bound and the narrowest slot
+    holding its coefficients, decoding each q-part once."""
+    rows = [(k, lo, _digits(p, x._slot)) for k, (lo, p) in x._groups.items()]
+    sizes = [abs(d) for _, _, digits in rows for d in digits]
+    x._cbound, slot = sum(sizes), _slot_for(max(sizes, default=0))
+    if slot != x._slot:
+        x._groups, x._slot = {k: (lo, _packed(digits, slot)) for k, lo, digits in rows}, slot
+
+
 def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
     """Add c * c2 into acc[key] for each (key, c) of items, in place; a missing
     key starts at zero.  Each product of two groups goes into its u-monomial's
-    entry by one aligned addition, as in ``_add_products``; the bounds are
-    checked as ``*`` checks them, and past 2^63 ``+`` and ``*`` take over."""
+    entry by one aligned addition: a q-part meeting one already there is
+    shifted to the lower exponent, a cancelled lowest slot is shifted out and
+    a zero sum deleted.  The bounds are checked as ``*`` checks them.  An item
+    whose bound reaches 2^63 runs the same loop at slots that hold the bound,
+    its total, c and c2 repacked there; each total so widened is narrowed
+    once, as the call ends.  Every total written drops its cached hash."""
     b, ub2, cb2 = c2._groups.items(), c2._ubound, c2._cbound
-    get = acc.get
+    get, slot, mask, wide = acc.get, _S, _MASK, None
     for key, c in items:
         total = get(key)
         if total is None:
@@ -485,35 +453,45 @@ def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) ->
                     f"u-exponents of a product may reach {ubound}, past the limit {U_EXP_MAX}"
                 )
             total._ubound = ubound
-        cbound = total._cbound + c._cbound * cb2
-        if cbound >= _LIMIT:  # past 64-bit slots: exact through RingElem's wide arithmetic
-            wide = total + c * c2
-            total._groups, total._cbound, total._slot = wide._groups, wide._cbound, wide._slot
-            continue
-        total._cbound = cbound
+        total._cbound = cbound = total._cbound + c._cbound * cb2
+        total._hash = None
+        a = c._groups
+        if cbound >= _LIMIT:  # below it, every factor of a product has 64-bit slots
+            new = _slot_for(cbound)
+            if slot != new:
+                slot, mask, b = new, (1 << new) - 1, _repacked(c2._groups, c2._slot, new).items()
+            a = _repacked(a, c._slot, slot)
+            total._groups, total._slot = _repacked(total._groups, total._slot, slot), slot
+            wide = wide or {}
+            wide[id(total)] = total
+        elif slot != _S:
+            slot, mask, b = _S, _MASK, c2._groups.items()
         out = total._groups
         oget = out.get
-        for ka, (la, pa) in c._groups.items():
+        for ka, (la, pa) in a.items():
             for kb, (lb, pb) in b:
                 k, lo, p = ka + kb, la + lb, pa * pb
                 old = oget(k)
                 if old is not None:
                     lo0, p0 = old
                     if lo0 < lo:
-                        p = p0 + (p << _S * (lo - lo0))
+                        p = p0 + (p << slot * (lo - lo0))
                         lo = lo0
                     elif lo < lo0:
-                        p += p0 << _S * (lo0 - lo)
+                        p += p0 << slot * (lo0 - lo)
                     else:
                         p += p0
-                        if not p & _MASK:
+                        if not p & mask:
                             if not p:
                                 del out[k]
                                 continue
-                            zeros = ((p & -p).bit_length() - 1) // _S
-                            p >>= _S * zeros
+                            zeros = ((p & -p).bit_length() - 1) // slot
+                            p >>= slot * zeros
                             lo += zeros
                 out[k] = (lo, p)
+    if wide:
+        for total in wide.values():
+            _narrow(total)
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -542,14 +520,14 @@ class ElementaryExpansion:
     raises ``RingError`` before its image is formed.
     """
 
-    __slots__ = ("m", "nvars", "width", "_gens", "_monomials", "_images")
+    __slots__ = ("m", "nvars", "width", "gens", "_monomials", "_images")
 
     def __init__(self, m: int, nvars: int = 0):
         self.m = m
         self.nvars = nvars
         self.width = max(m, nvars)
         us = [RingElem.u_var(i, self.width) for i in range(1, m + 1)]
-        self._gens = [elementary_symmetric_of(us, k) for k in range(1, m + 1)]
+        self.gens = elementary_symmetric_of(us)[1:]  # e_1..e_m(u), the images of the e_k
         self._monomials: dict[int, RingElem] = {}
         self._images: dict[RingElem, RingElem] = {}
 
@@ -566,7 +544,7 @@ class ElementaryExpansion:
                 f"an expansion's u-exponents reach {sum(exps) + top}, past {U_EXP_MAX}"
             )
         out = RingElem.one(self.width)
-        for gen, f in zip(self._gens, exps):
+        for gen, f in zip(self.gens, exps):
             out = out * gen**f
         return out
 
@@ -590,18 +568,17 @@ class ElementaryExpansion:
         return image
 
 
-def elementary_symmetric_of(values: Sequence[RingElem], k: int) -> RingElem:
-    """e_k evaluated at an explicit list of ring elements."""
-    if not values and k == 0:
+def elementary_symmetric_of(values: Sequence[RingElem]) -> list[RingElem]:
+    """[e_0, ..., e_n] evaluated at the n values, by e_k <- e_k + v e_(k-1)
+    for each value v in turn: n(n+1)/2 ring products."""
+    if not values:
         raise RingError("need at least the ambient nvars; pass values or use const")
-    nvars = values[0].nvars
-    total = RingElem.zero(nvars)
-    for subset in itertools.combinations(values, k):
-        prod = RingElem.one(nvars)
-        for v in subset:
-            prod = prod * v
-        total = total + prod
-    return total
+    es = [RingElem.one(values[0].nvars)]
+    for v in values:
+        es.append(v * es[-1])
+        for k in range(len(es) - 2, 0, -1):
+            es[k] = es[k] + v * es[k - 1]
+    return es
 
 
 def quantum_factorial(n: int, nvars: int) -> RingElem:

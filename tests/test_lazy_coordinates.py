@@ -100,6 +100,21 @@ def test_equal_algebras_share_one_coordinate_system(r):
     assert ghost_zero(generic) == ghost_zero(by_overflow) == generic.zero()
 
 
+def test_generic_algebra_forms_its_e_k_once(monkeypatch):
+    """HeckeAlgebra(m, 1) forms e_0..e_m(u) once, by the recurrence, for its
+    overflow, its generic test and its expansion: at most m(m+1) ring
+    products, where a sum over the k-subsets takes m 2^(m-1) per use."""
+    m, calls, mul = 10, [], RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    alg = HeckeAlgebra(m, 1)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= m * (m + 1)
+    assert alg._expansion is not None
+    assert alg.overflow == tuple(
+        elementary_symmetric_params(k, m).scale((-1) ** (k + 1)) for k in range(1, m + 1)
+    )
+
+
 @pytest.mark.parametrize("m, r", [(1, 2), (2, 2), (3, 2), (2, 3)])
 def test_public_contract_of_a_generic_algebra(m, r):
     alg = HeckeAlgebra(m, r)

@@ -25,6 +25,7 @@ from cycloschur.ring import (
     RingError,
     _digits,
     _packed,
+    _slot_for,
     add_products,
     elementary_symmetric_of,
     elementary_symmetric_params,
@@ -147,11 +148,34 @@ def test_vieta_identity():
 def test_elementary_symmetric_of_values():
     m = 2
     vals = [q(1, m), q(2, m), RingElem.u_var(1, m)]
-    e2 = elementary_symmetric_of(vals, 2)
+    e2 = elementary_symmetric_of(vals)[2]
     expected = (
         q(3, m) + q(1, m) * RingElem.u_var(1, m) + q(2, m) * RingElem.u_var(1, m)
     )
     assert e2 == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_elementary_symmetric_recurrence_matches_subsets(data):
+    """[e_0..e_m] by the recurrence equals the sums over all k-subsets of
+    products, on arbitrary values (q-powers, u's, coefficients past 2^63)."""
+    n = data.draw(st.integers(min_value=0, max_value=2), label="nvars")
+    values = [RingElem(n, terms) for terms in data.draw(
+        st.lists(wide_terms(n), min_size=1, max_size=6), label="values")]
+    es = elementary_symmetric_of(values)
+    assert len(es) == len(values) + 1
+    for k, e in enumerate(es):
+        expected = RingElem.zero(n)
+        for subset in itertools.combinations(values, k):
+            prod = RingElem.one(n)
+            for v in subset:
+                prod = prod * v
+            expected = expected + prod
+        assert_canonical(e)
+        assert_same_value(e, expected)
+    with pytest.raises(RingError):
+        elementary_symmetric_of([])
 
 
 # -- Poincare polynomials --------------------------------------------------
@@ -588,6 +612,13 @@ def assert_same_value(x: RingElem, y: RingElem) -> None:
     assert x == y and y == x and hash(x) == hash(y)
 
 
+def assert_canonical(x: RingElem) -> None:
+    """x equals and hash-equals itself built afresh from its terms, and its
+    slot is the narrowest that holds its largest coefficient."""
+    assert_same_value(x, RingElem(x.nvars, dict(x.sorted_terms())))
+    assert x._slot == _slot_for(max((abs(c) for c in x.terms.values()), default=0))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_wide_coefficients_match_oracle(data):
@@ -606,6 +637,11 @@ def test_wide_coefficients_match_oracle(data):
     assert_same(a**2, oa**2)
     total = accumulate(n, ((a, b), (c, a), (-a, b)))
     assert_same(total, oc * oa)
+    # Every result is canonical, on operands either side of 2^63.
+    for x in (a, a * b, a * b * c, a + b, a - b, a - b + c, -a, a.scale(k), a**2, total):
+        assert_canonical(x)
+    assert_same_value(-(-a), a)
+    assert (-(-a))._slot == (-a)._slot == a._slot
     # Equal values are equal and hash-equal whichever path made them.
     assert_same_value((a + b) - b, a)
     assert_same_value(a * b, RingElem(n, (oa * ob).terms))
@@ -639,6 +675,18 @@ def test_bounds_past_the_slot_give_exact_results():
     assert_same(accumulate(1, [(step, step)] * 3), ostep * ostep + ostep * ostep + ostep * ostep)
     # 1 + q and the constant 2^64 + 1 pack to one integer, at different slots
     assert RingElem(0, {(0, ()): 1, (1, ()): 1}) != RingElem.const(2**64 + 1, 0)
+    # Every result is canonical, below 2^63 and past it, and so is -x of a
+    # wide x, at x's own slot.
+    wide = big * big
+    assert wide._slot == 128
+    results = [big + big - big, big + big, big - big, wide, wide * big, wide + big, wide - wide,
+               wide**2, big**3, wide.scale(-(2**70)), big.scale(3), big * RingElem.zero(1),
+               accumulate(1, [(step, step)] * 3), accumulate(1, [(wide, step), (-wide, step)])]
+    for x in results:
+        assert_canonical(x)
+    for x in (wide, big, step):
+        assert_canonical(-x)
+        assert -(-x) == x and (-(-x))._slot == (-x)._slot == x._slot
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -694,12 +742,18 @@ def test_accumulator_crosses_the_slot_and_goes_on():
     add_products(acc, 1, [("wide", small)], q1)
     owide = obig.scale(2) + obig * OracleElem(1, {(1, (0,)): 1})
     owide = owide + osmall * OracleElem(1, {(1, (0,)): 1})
-    assert_same(acc["wide"], owide)  # no hash: the sums are not handed out yet
+    assert_same(acc["wide"], owide)
     assert_same(acc["narrow"], osmall.scale(2) + osmall * OracleElem(1, {(1, (0,)): 1}))
+    # Hash mid-way: each item written drops the total's cached hash.
+    assert_handed_out(acc, 1)
     add_products(acc, 1, [("wide", big)], RingElem.const(-2, 1))  # back below 2^63
     owide = owide + obig.scale(-2)
     assert acc["wide"]._slot == 64
+    assert_handed_out(acc, 1)
     for _ in range(3):
+        add_products(acc, 1, items, one)
+        owide = owide + obig
+        assert_handed_out(acc, 1)
         add_products(acc, 1, [("wide", small)], one)
         owide = owide + osmall
     assert_handed_out(acc, 1)
