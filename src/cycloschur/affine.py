@@ -27,12 +27,12 @@ from .hecke import (
     HeckeAlgebra,
     HeckeElement,
     TermKey,
-    _collect,
+    _sum_of_products,
     _terms_to_json,
     sigma_nu,
 )
 from .permutations import Permutation, all_perms, identity
-from .ring import RingElem, add_products
+from .ring import RingElem
 
 class AffineElement(ElementBase):
     """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
@@ -138,18 +138,14 @@ def epsilon_u(
         a_plus = (max(a[0], 0),) + a[1:]
         groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = lift(c)
     powers = target._jm_forms(a for by_a in groups.values() for a in by_a)
-    total = target.zero()
+    total = None
     for k, by_a in groups.items():
-        acc: dict[TermKey, RingElem] = {}
-        for a, p_terms in by_a.items():
-            power = powers[a]
-            for key, terms in HeckeElement(target, p_terms)._rmul_monomials(power):
-                add_products(acc, target._cvars, terms.items(), power[key])
-        part = HeckeElement(target, _collect(acc))
+        part = HeckeElement(target, _sum_of_products(
+            (HeckeElement(target, p_terms), powers[a]) for a, p_terms in by_a.items()))
         for _ in range(k):
             part = part * l1_inv
-        total = total + part
-    return total
+        total = part if total is None else total + part  # not zero() + part: + copies
+    return target.zero() if total is None else total
 
 
 def coefficient_symmetry_check(z: AffineElement) -> bool:

@@ -50,13 +50,14 @@ shares with this one: the linear structure (``LinearCombination``, shared
 with ``schur.SchurElement`` too), T-straightening through the step tables,
 the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
-take either.  ``_product`` is the one product: tau, the left form, sigma
-and the appendix rebuild multiply through it.  Every keyed sum of
-coefficient products is the kernel ``ring.add_products``: its sums are
-filled in place and belong to their dict until ``_collect`` hands them
-out.  ``HeckeAlgebra._jm_forms`` keeps the normal forms of the L^a asked
-for (not of T_w L^a, w != id) in one ``_fill`` row per algebra, read by
-``jm_monomial`` and ``epsilon_u``.
+take either.  ``_sum_of_products`` is the one product: ``*`` (so sigma
+and the appendix rebuild), tau and the left form, and ``affine.epsilon_u``
+sum through it.  Every keyed sum of coefficients, ``+`` and ``scale``
+too, is the kernel ``ring.add_products``: its sums are filled in place
+and belong to their dict until ``ring._collect`` hands them out; no
+coefficient of an operand is written.  ``HeckeAlgebra._jm_forms`` keeps
+the normal forms of the L^a asked for (not of T_w L^a, w != id) in one
+``_fill`` row per algebra, read by ``jm_monomial`` and ``epsilon_u``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,15 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import ElementaryExpansion, RingElem, RingError, add_products, elementary_symmetric_of
+from .ring import (
+    _ONE,
+    ElementaryExpansion,
+    RingElem,
+    RingError,
+    _collect,
+    add_products,
+    elementary_symmetric_of,
+)
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
@@ -236,10 +245,10 @@ class LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            _add_term(out, k, c)
-        return type(self)(self.alg, out)
+        acc: dict = {}
+        add_products(acc, self._terms.items(), _ONE)
+        add_products(acc, other._terms.items(), _ONE)
+        return type(self)(self.alg, _collect(acc))
 
     def __neg__(self):
         return type(self)(self.alg, {k: -c for k, c in self._terms.items()})
@@ -248,9 +257,10 @@ class LinearCombination:
         return self + (-other)
 
     def scale(self, c: RingElem):
-        if c.is_zero():
-            return type(self)(self.alg, {})
-        return type(self)(self.alg, {k: v * c for k, v in self._terms.items()})
+        acc: dict = {}
+        next(iter(self._terms.values()), c)._check(c)  # the kernel trusts c's nvars
+        add_products(acc, self._terms.items(), c)
+        return type(self)(self.alg, _collect(acc))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -299,15 +309,9 @@ class ElementBase(LinearCombination):
         return [(key, row[key]) for key in keys]
 
     def _product(self, other: ElementBase) -> ElementBase:
-        """self * other: the straightened monomials of other
-        (``_rmul_monomials``), with other's coefficients multiplied in last."""
+        """self * other, by ``_sum_of_products``."""
         self._check(other)
-        coeffs = other._terms
-        nvars = self.alg._cvars
-        acc: dict[TermKey, RingElem] = {}
-        for key2, terms in self._rmul_monomials(coeffs):
-            add_products(acc, nvars, terms.items(), coeffs[key2])
-        return type(self)(self.alg, _collect(acc))
+        return type(self)(self.alg, _sum_of_products([(self, other._terms)]))
 
     # -- printing ----------------------------------------------------------
 
@@ -347,16 +351,14 @@ class HeckeElement(ElementBase):
         return HeckeElement(self.alg, _rmul_L(self.alg, self._terms, j))
 
     def lmul_gen_T(self, i: int) -> HeckeElement:
-        """Left multiplication T_i * x in a single pass (L parts untouched)."""
-        alg = self.alg
-        out: dict[TermKey, RingElem] = {}
+        """Left multiplication T_i * x in a single pass (L parts untouched):
+        T_i T_w is T_{s_i w}, or (q - 1) T_w + q T_{s_i w} when s_i w < w."""
+        alg, acc = self.alg, {}
         for (w, a), c in self._terms.items():
-            if not w.has_left_descent(i):
-                _add_term(out, (_swap_values(w, i), a), c)
-            else:
-                _add_term(out, (w, a), c * alg._qm1)
-                _add_term(out, (_swap_values(w, i), a), c * alg._q)
-        return HeckeElement(alg, out)
+            s_w = (_swap_values(w, i), a)
+            add_products(acc, (((w, a), alg._qm1), (s_w, alg._q))
+                         if w.has_left_descent(i) else ((s_w, alg._one),), c)
+        return HeckeElement(alg, _collect(acc))
 
     def __mul__(self, other: HeckeElement) -> HeckeElement:
         return self._product(other)
@@ -469,19 +471,6 @@ def _overflow_of(es: Sequence[RingElem]) -> tuple[RingElem, ...]:
     return tuple(-e if k % 2 == 0 else e for k, e in enumerate(es, 1))
 
 
-def _add_term(out: dict[TermKey, RingElem], key: TermKey, c: RingElem) -> None:
-    cur = out.get(key)
-    if cur is None:
-        if not c.is_zero():
-            out[key] = c
-    else:
-        new = cur + c
-        if new.is_zero():
-            del out[key]
-        else:
-            out[key] = new
-
-
 def _fill(row: dict, keys: Iterable, path, step) -> dict:
     """row, with a value for every key of keys: the one prefix walk.
 
@@ -501,9 +490,15 @@ def _fill(row: dict, keys: Iterable, path, step) -> dict:
     return row
 
 
-def _collect(acc: Mapping[TermKey, RingElem]) -> dict[TermKey, RingElem]:
-    """The nonzero sums of a dict that ``ring.add_products`` filled, handed out."""
-    return {key: total for key, total in acc.items() if total._groups}
+def _sum_of_products(pairs: Iterable[tuple[ElementBase, Mapping[TermKey, RingElem]]]) -> dict:
+    """The private terms of the sum of x * y over the pairs (x, terms of y):
+    the straightened monomials of each y (``_rmul_monomials``), with y's
+    coefficients multiplied in last, all summed by the kernel."""
+    acc: dict[TermKey, RingElem] = {}
+    for x, coeffs in pairs:
+        for key, terms in x._rmul_monomials(coeffs):
+            add_products(acc, terms.items(), coeffs[key])
+    return _collect(acc)
 
 
 def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
@@ -512,13 +507,12 @@ def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
     ``table`` maps a monomial to its column, the generator's right action
     on it; a missing column is made by ``build(alg, monomial, g)``.
     """
-    nvars = alg._cvars
     acc: dict[TermKey, RingElem] = {}
     for key, c in terms.items():
         column = table.get(key)
         if column is None:
             column = table[key] = tuple(build(alg, key, g).items())
-        add_products(acc, nvars, column, c)
+        add_products(acc, column, c)
     return _collect(acc)
 
 
@@ -543,29 +537,21 @@ def _rmul_L(
 def _t_column(alg: AlgebraBase, key: TermKey, i: int) -> dict[TermKey, RingElem]:
     """T_w M^a * T_i by the three-case rule of the module docstring."""
     w, a = key
-    out: dict[TermKey, RingElem] = {}
     ai, aj = a[i - 1], a[i]
-    a_sw = a[: i - 1] + (aj, ai) + a[i + 1 :]
-    wsi = _swap_positions(w, i)
+    head, tail = a[: i - 1], a[i + 1 :]
+    a_sw, wsi = head + (aj, ai) + tail, _swap_positions(w, i)
     if w.im[i - 1] < w.im[i]:
-        _add_term(out, (wsi, a_sw), alg._one)
+        items = [((wsi, a_sw), alg._one)]
     else:
-        _add_term(out, (w, a_sw), alg._qm1)
-        _add_term(out, (wsi, a_sw), alg._q)
+        items = [((w, a_sw), alg._qm1), ((wsi, a_sw), alg._q)]
     if ai < aj:
-        for t in range(1, aj - ai + 1):
-            b = list(a_sw)
-            b[i - 1] -= t
-            b[i] += t
-            _add_term(out, (w, tuple(b)), alg._qm1)
+        items += [((w, head + (aj - t, ai + t) + tail), alg._qm1) for t in range(1, aj - ai + 1)]
     elif ai > aj:
         neg_qm1 = -alg._qm1
-        for t in range(0, ai - aj):
-            b = list(a_sw)
-            b[i - 1] += t
-            b[i] -= t
-            _add_term(out, (w, tuple(b)), neg_qm1)
-    return out
+        items += [((w, head + (aj + t, ai - t) + tail), neg_qm1) for t in range(ai - aj)]
+    acc: dict[TermKey, RingElem] = {}
+    add_products(acc, items, alg._one)
+    return _collect(acc)
 
 
 def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem]:
@@ -574,11 +560,8 @@ def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem
     m = alg.m
     if a[j - 1] < m - 1:
         return {(w, a[: j - 1] + (a[j - 1] + 1,) + a[j:]): alg._one}
-    out: dict[TermKey, RingElem] = {}
     if j == 1:
-        for k in range(1, m + 1):
-            _add_term(out, (w, (m - k,) + a[1:]), alg._overflow[k - 1])
-        return out
+        return {(w, (m - k,) + a[1:]): c for k, c in enumerate(alg._overflow, 1) if not c.is_zero()}
     # overflow via L_j = q^{1-j} T_{j-1}..T_1 L_1 T_1..T_{j-1}
     cur: dict[TermKey, RingElem] = {key: alg._one}
     for i in range(j - 1, 0, -1):
@@ -600,14 +583,10 @@ def _from_left_terms(
     private: the sum over a of the product L^a * (sum of c T_w)."""
     id_r, zero = identity(alg.r), (0,) * alg.r
     by_a: dict[tuple[int, ...], dict[TermKey, RingElem]] = {}
-    for a, w, c in items:
-        _add_term(by_a.setdefault(a, {}), (w, zero), c)
-    out: dict[TermKey, RingElem] = {}
-    for a, p in by_a.items():
-        product = HeckeElement(alg, {(id_r, a): alg._one}) * HeckeElement(alg, p)
-        for key, v in product._terms.items():
-            _add_term(out, key, v)
-    return HeckeElement(alg, out)
+    for a, w, c in items:  # one triple per (a, w)
+        by_a.setdefault(a, {})[(w, zero)] = c
+    return HeckeElement(alg, _sum_of_products(
+        (HeckeElement(alg, {(id_r, a): alg._one}), p) for a, p in by_a.items()))
 
 
 def tau(x: HeckeElement) -> HeckeElement:
@@ -798,20 +777,18 @@ def appendix_basis_coords(
     mu = check_composition(mu)
     alg = x.alg
     coords: dict[tuple[Permutation, Permutation, tuple[int, ...], Permutation], RingElem] = {}
-    work = dict(x._terms)
-    while work:
+    work: dict[TermKey, RingElem] = {}
+    add_products(work, x._terms.items(), _ONE)  # fresh totals: x's stay as they are
+    while work := _collect(work):
         w, a = max(work, key=lambda k: (k[0].length(), k[0].im, k[1]))
         c = work[(w, a)]
         u, d, v = double_coset_factor(w, lam, mu)
         b = v.inv().apply_to_tuple(a)
-        key = (u, d, b, v)
-        cur = coords.get(key)
-        coords[key] = c if cur is None else cur + c
+        add_products(coords, (((u, d, b, v), c),), _ONE)  # a copy: c is work's own
         # subtract c T_u T_d L^b T_v, where T_u T_d L^b is the monomial (ud, b)
         rebuilt = HeckeElement(alg, {(u * d, b): alg._one}) * alg.from_perm(v)
-        for key2, v2 in rebuilt._terms.items():
-            _add_term(work, key2, -(v2 * c))
-    return alg._public({k: c for k, c in coords.items() if not c.is_zero()})
+        add_products(work, rebuilt._terms.items(), -c)
+    return alg._public(_collect(coords))
 
 
 # -- serialization ---------------------------------------------------------

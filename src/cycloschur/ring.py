@@ -9,9 +9,11 @@ keeps one integer per u-monomial and packs the q-polynomial over it into
 another (Kronecker substitution q -> 2^64, see ``RingElem``), so two
 q-polynomials multiply in one bigint multiply.  Callers read monomials
 back through ``sorted_terms`` and ``leading``.  ``add_products`` is the one
-sum of products, behind ``+`` and ``*`` too, at 64-bit or wider slots: it
-fills ``RingElem``s in place, each of which belongs only to its dict
-until the caller hands it out, and nothing interns it before then.
+keyed sum of products in the package, behind ``+`` and ``*`` too and every
+coefficient sum of ``hecke`` and ``schur``, at 64-bit or wider slots: it
+fills ``RingElem``s in place, each of which belongs only to its dict until
+``_collect`` hands the nonzero ones out, and nothing interns it before
+then.  The packed form never leaves this module.
 
 The same representation holds the mixed ring Z[q, q^-1][e_1..e_m][u_1..u_n],
 with e_k in m extra fields, over which a generic cyclotomic Hecke algebra
@@ -233,7 +235,7 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check(other)
         acc = {0: _make(self.nvars, dict(self._groups), self._ubound, self._cbound, self._slot)}
-        add_products(acc, self.nvars, ((0, other),), _ONE)
+        add_products(acc, ((0, other),), _ONE)
         return acc[0]
 
     def __sub__(self, other: "RingElem") -> "RingElem":
@@ -246,7 +248,7 @@ class RingElem:
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check(other)
         acc: dict = {}
-        add_products(acc, self.nvars, ((0, self),), other)
+        add_products(acc, ((0, self),), other)
         return acc[0]
 
     def scale(self, c: int) -> "RingElem":
@@ -431,21 +433,24 @@ def _narrow(x: RingElem) -> None:
         x._groups, x._slot = {k: (lo, _packed(digits, slot)) for k, lo, digits in rows}, slot
 
 
-def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) -> None:
+def add_products(acc: dict, items: Iterable[tuple], c2: RingElem) -> None:
     """Add c * c2 into acc[key] for each (key, c) of items, in place; a missing
-    key starts at zero.  Each product of two groups goes into its u-monomial's
-    entry by one aligned addition: a q-part meeting one already there is
-    shifted to the lower exponent, a cancelled lowest slot is shifted out and
-    a zero sum deleted.  The bounds are checked as ``*`` checks them.  An item
-    whose bound reaches 2^63 runs the same loop at slots that hold the bound,
-    its total, c and c2 repacked there; each total so widened is narrowed
-    once, as the call ends.  Every total written drops its cached hash."""
+    key starts at a zero of c's nvars, which c2 must share (or be ``_ONE``).
+    Each product of two groups goes into its u-monomial's entry by one
+    aligned addition: a q-part meeting one already there is shifted to the
+    lower exponent, a cancelled lowest slot is shifted out and a zero sum
+    deleted.  The bounds are checked as ``*`` checks them.  An item whose
+    bound reaches 2^63 runs the same loop at slots that hold the bound, its
+    total, c and c2 repacked there (c2's groups serve for c when c is c2);
+    each total so widened is narrowed once, as the call ends.  Every total
+    written drops its cached hash.  acc must own its totals: a zero one
+    stays in it, and ``_collect`` hands the others out."""
     b, ub2, cb2 = c2._groups.items(), c2._ubound, c2._cbound
     get, slot, mask, wide = acc.get, _S, _MASK, None
     for key, c in items:
         total = get(key)
         if total is None:
-            total = acc[key] = _make(nvars, {}, 0, 0)
+            total = acc[key] = _make(c.nvars, {}, 0, 0)
         ubound = c._ubound + ub2
         if ubound > total._ubound:
             if ubound > U_EXP_MAX:
@@ -460,7 +465,7 @@ def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) ->
             new = _slot_for(cbound)
             if slot != new:
                 slot, mask, b = new, (1 << new) - 1, _repacked(c2._groups, c2._slot, new).items()
-            a = _repacked(a, c._slot, slot)
+            a = b.mapping if c is c2 else _repacked(a, c._slot, slot)
             total._groups, total._slot = _repacked(total._groups, total._slot, slot), slot
             wide = wide or {}
             wide[id(total)] = total
@@ -492,6 +497,11 @@ def add_products(acc: dict, nvars: int, items: Iterable[tuple], c2: RingElem) ->
     if wide:
         for total in wide.values():
             _narrow(total)
+
+
+def _collect(acc: Mapping) -> dict:
+    """The nonzero totals of a dict that ``add_products`` filled, handed out."""
+    return {key: total for key, total in acc.items() if total._groups}
 
 
 def elementary_symmetric_params(k: int, m: int) -> RingElem:
@@ -563,7 +573,7 @@ class ElementaryExpansion:
                 if mono is None:
                     mono = self._monomials[epart] = self._monomial(epart, top)
                 term = _make(width, {upart << pad: group}, top, c._cbound, c._slot)
-                add_products(acc, width, ((0, mono),), term)
+                add_products(acc, ((0, mono),), term)
             image = self._images[c] = acc[0]
         return image
 

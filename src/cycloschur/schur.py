@@ -63,9 +63,7 @@ from .hecke import (
     HeckeElement,
     LinearCombination,
     TermKey,
-    _add_term,
     _apply_steps,
-    _collect,
     _fill,
     _module_coords,
     eigen_test,
@@ -87,7 +85,7 @@ from .permutations import (
     young_subgroup,
     young_subgroup_size,
 )
-from .ring import RingElem, add_products, exact_rank, modular_rank
+from .ring import _ONE, RingElem, _collect, add_products, exact_rank, modular_rank
 from .wreath import (
     ColoredMatrix,
     a_ddot,
@@ -394,34 +392,38 @@ def express_in_hom_basis(
         raise ValueError("element does not belong to the context's algebra")
     # Eliminate in u, against the expanded coordinates of the b_C: z's
     # private coefficients may differ from the u-free ones of the b_C by
-    # terms that expand to zero.
-    return _eliminate(ctx, module_coords(z, lam), lam, mu, ctx.b_coords, ctx._rests_u)
+    # terms that expand to zero.  The sums start as copies: the coordinates
+    # may be z's own coefficients or memoised expansions.
+    coords: dict = {}
+    add_products(coords, module_coords(z, lam).items(), _ONE)
+    return _eliminate(ctx, coords, lam, mu, ctx.b_coords, ctx._rests_u)
 
 
 def _eliminate(
     ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords, rests: dict
 ) -> dict[ColoredMatrix, RingElem]:
-    """The elimination of express_in_hom_basis on x_lam H coordinates
-    (consumed), against the basis coordinates ``b_coords(C)`` of the same
-    ring, whose non-leading parts are memoised, negated, in ``rests``.
+    """The elimination of express_in_hom_basis on x_lam H coordinates,
+    against the basis coordinates ``b_coords(C)`` of the same ring, whose
+    non-leading parts are memoised, negated, in ``rests``.  ``coords`` is a
+    dict that ``ring.add_products`` filled, zero sums included: the sweep
+    consumes it, adding f times each rest into it by the kernel.
 
     The system is unitriangular, so the sweep accepts exactly the
-    elements of the span; a coordinate left over after it is outside."""
+    elements of the span; a nonzero coordinate left over is outside."""
     out: dict[ColoredMatrix, RingElem] = {}
     for lead, C in _sweep(ctx, lam, mu):
         if not coords:
             break
         f = coords.pop(lead, None)
-        if f is None:
+        if f is None or f.is_zero():
             continue
         out[C] = f
         rest = rests.get(C)
         if rest is None:
             rest = rests[C] = _rest(b_coords(C), lead, mu)
-        for key, coeff in rest:
-            _add_term(coords, key, coeff * f)
-    if coords:
-        raise NotInSpanError(f"{len(coords)} module terms lie outside the span of the basis")
+        add_products(coords, rest, f)
+    if left := _collect(coords):
+        raise NotInSpanError(f"{len(left)} module terms lie outside the span of the basis")
     return out
 
 
@@ -445,8 +447,7 @@ class SchurElement(LinearCombination):
         acc: dict[ColoredMatrix, RingElem] = {}
         for A, ca in self.terms.items():
             for B, cb in other.terms.items():
-                for C, f in multiply_basis(self.ctx, A, B).items():
-                    _add_term(acc, C, f * ca * cb)
+                add_products(acc, multiply_basis(self.ctx, A, B).items(), ca * cb)
         return SchurElement(self.ctx, acc)
 
     def __str__(self) -> str:
@@ -487,9 +488,9 @@ def _multiply_squeezed(ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix) ->
     row = ctx._action_row(A, tail)
     acc: dict = {}
     for key, c2 in tail.items():
-        add_products(acc, ctx.hecke._cvars, row[key], c2)
+        add_products(acc, row[key], c2)
     # The e-coordinates are free of u, so their expansion is injective.
-    return ctx.hecke._public(_eliminate(ctx, _collect(acc), lam, mu, ctx._b_coords, ctx._rests_e))
+    return ctx.hecke._public(_eliminate(ctx, acc, lam, mu, ctx._b_coords, ctx._rests_e))
 
 
 def basis_element(ctx: SchurContext, A: ColoredMatrix) -> SchurElement:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from cycloschur.hecke import _add_term
 from cycloschur.permutations import (
     Composition,
     Permutation,
@@ -107,7 +106,16 @@ def greedy_eliminate(
         C, _ = recover_matrix(ctx, lam, mu, d2, c)
         if ctx.margins(C) != (lam, mu):
             raise NotInSpanError("recovered matrix has wrong margins")
-        _add_term(out, C, f)
+        _add(out, C, f)
         for k, coeff in b_coords(C).items():
-            _add_term(coords, k, -(coeff * f))
+            _add(coords, k, -(coeff * f))
     return out
+
+
+def _add(out: dict, key, c) -> None:
+    """out[key] += c by ``RingElem.__add__``, a zero sum deleted: a keyed sum
+    of its own, sharing no accumulation code with the sweep it checks."""
+    total = out.pop(key, None)
+    total = c if total is None else total + c
+    if not total.is_zero():
+        out[key] = total

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from cycloschur.affine import AffineAlgebra, AffineElement
-from cycloschur.hecke import AlgebraBase, HeckeAlgebra, HeckeElement, TermKey, _add_term
+from cycloschur.hecke import AlgebraBase, HeckeAlgebra, HeckeElement, TermKey
 from cycloschur.permutations import Permutation
 from cycloschur.ring import RingElem
 
@@ -31,7 +31,11 @@ def terms_from_json(
         if len(a) != alg.r or not in_range:
             raise ValueError(f"bad exponent vector {a}")
         c = RingElem.from_json(item["poly"], alg.nvars)
-        _add_term(terms, (w, a), c)
+        # A repeated key adds up, by RingElem.__add__; a zero sum is dropped.
+        total = terms.pop((w, a), None)
+        total = c if total is None else total + c
+        if not total.is_zero():
+            terms[(w, a)] = total
     return terms
 
 

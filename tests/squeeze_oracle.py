@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from cycloschur.hecke import (
     _apply_steps,
-    _collect,
     _module_coords,
     _rmul_L,
     _rmul_T,
     _swap_positions,
 )
 from cycloschur.permutations import identity
-from cycloschur.ring import add_products
+from cycloschur.ring import _collect, add_products
 from cycloschur.schur import SchurContext, _eliminate, _module_column, b_element_of, tail_of
 from cycloschur.wreath import colored_col_sums, colored_row_sums
 
@@ -90,6 +89,6 @@ class Unsqueezed:
         row = self.action_row(A, tail)
         acc: dict = {}
         for key, c2 in tail.items():
-            add_products(acc, self.hecke._cvars, row[key], c2)
+            add_products(acc, row[key], c2)
         coords = _collect(acc)
         return self.hecke._public(_eliminate(self.ctx, coords, lam, mu, self.b_coords, self.rests))

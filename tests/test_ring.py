@@ -523,7 +523,7 @@ def accumulate(nvars: int, products) -> RingElem:
     """The sum of the products a * b of (a, b) pairs, formed by add_products."""
     acc = {0: RingElem.zero(nvars)}
     for a, b in products:
-        add_products(acc, nvars, ((0, a),), b)
+        add_products(acc, ((0, a),), b)
     assert_handed_out(acc, nvars)
     return acc[0]
 
@@ -544,7 +544,7 @@ def test_accumulator_matches_oracle_sum_of_products(data):
     for i, ((da, db), neg) in enumerate(zip(pairs, negate)):
         for sign in (1, -1) if neg else (1,):
             a = RingElem(n, da) if sign == 1 else -RingElem(n, da)
-            add_products(acc, n, ((i % 2, a), ("all", a)), RingElem(n, db))
+            add_products(acc, ((i % 2, a), ("all", a)), RingElem(n, db))
             product = (OracleElem(n, da) * OracleElem(n, db)).scale(sign)
             for key in (i % 2, "all"):
                 totals[key] = totals[key] + product
@@ -564,7 +564,7 @@ def test_accumulator_cancels_to_zero():
     # inside the first product
     assert accumulate(2, [(a, u1 - q1), (-u1, u1), (q1, q1)]).is_zero()
     acc: dict = {}
-    add_products(acc, 0, (), RingElem.one(0))
+    add_products(acc, (), RingElem.one(0))
     assert acc == {}
 
 
@@ -572,14 +572,14 @@ def test_accumulator_u_exponent_limit():
     top = RingElem(1, {(0, (U_EXP_MAX,)): 1})
     u1 = RingElem.u_var(1, 1)
     acc: dict = {}
-    add_products(acc, 1, ((0, top),), RingElem.one(1))
+    add_products(acc, ((0, top),), RingElem.one(1))
     half = RingElem(1, {(0, (2**30,)): 1})
-    add_products(acc, 1, ((0, half),), RingElem(1, {(0, (2**30 - 1,)): 2}))
+    add_products(acc, ((0, half),), RingElem(1, {(0, (2**30 - 1,)): 2}))
     assert acc[0].sorted_terms() == [((0, (U_EXP_MAX,)), 3)]
     with pytest.raises(RingError):
-        add_products(acc, 1, ((0, top),), u1)
+        add_products(acc, ((0, top),), u1)
     with pytest.raises(RingError):
-        add_products({}, 1, ((0, u1),), top)
+        add_products({}, ((0, u1),), top)
     with pytest.raises(RingError):  # the sum handed out carries its u-bound
         acc[0] * u1
     # the bound is checked as RingElem.__mul__ checks it: on the operands'
@@ -735,29 +735,44 @@ def test_accumulator_crosses_the_slot_and_goes_on():
     one, q1 = RingElem.one(1), RingElem.q_power(1, 1)
     items = [("wide", big), ("narrow", small)]
     acc: dict = {}
-    add_products(acc, 1, items, one)
-    add_products(acc, 1, items, one)  # 2^63 at q^0: past the 64-bit slot
+    add_products(acc, items, one)
+    add_products(acc, items, one)  # 2^63 at q^0: past the 64-bit slot
     assert acc["wide"]._slot > 64
-    add_products(acc, 1, items, q1)
-    add_products(acc, 1, [("wide", small)], q1)
+    add_products(acc, items, q1)
+    add_products(acc, [("wide", small)], q1)
     owide = obig.scale(2) + obig * OracleElem(1, {(1, (0,)): 1})
     owide = owide + osmall * OracleElem(1, {(1, (0,)): 1})
     assert_same(acc["wide"], owide)
     assert_same(acc["narrow"], osmall.scale(2) + osmall * OracleElem(1, {(1, (0,)): 1}))
     # Hash mid-way: each item written drops the total's cached hash.
     assert_handed_out(acc, 1)
-    add_products(acc, 1, [("wide", big)], RingElem.const(-2, 1))  # back below 2^63
+    add_products(acc, [("wide", big)], RingElem.const(-2, 1))  # back below 2^63
     owide = owide + obig.scale(-2)
     assert acc["wide"]._slot == 64
     assert_handed_out(acc, 1)
     for _ in range(3):
-        add_products(acc, 1, items, one)
+        add_products(acc, items, one)
         owide = owide + obig
         assert_handed_out(acc, 1)
-        add_products(acc, 1, [("wide", small)], one)
+        add_products(acc, [("wide", small)], one)
         owide = owide + osmall
     assert_handed_out(acc, 1)
     assert_same(acc["wide"], owide)
+
+
+def test_wide_square_items_among_others():
+    """An item that is c2 itself, at slots past 64 bits, reads c2's repacked
+    groups; the items around it, in the same call, are repacked on their own."""
+    dx = {(0, (0,)): 2**62 + 5, (1, (1,)): -(2**40), (3, (0,)): 7}
+    dy = {(-1, (0,)): 3, (0, (1,)): 2**61}
+    x, y, ox, oy = RingElem(1, dx), RingElem(1, dy), OracleElem(1, dx), OracleElem(1, dy)
+    acc: dict = {}
+    add_products(acc, [(0, y), (0, x), (1, x), (1, y), (0, x), ("small", RingElem.one(1))], x)
+    assert_handed_out(acc, 1)
+    assert_same(acc[0], oy * ox + (ox * ox).scale(2))
+    assert_same(acc[1], ox * ox + oy * ox)
+    assert_same(acc["small"], ox)
+    assert x * x == RingElem(1, dx) * RingElem(1, dx) == acc[1] - y * x
 
 
 @pytest.mark.parametrize("slot", [64, 128, 192])
