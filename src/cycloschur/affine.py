@@ -32,7 +32,7 @@ from .hecke import (
     sigma_nu,
 )
 from .permutations import Permutation, all_perms, identity
-from .ring import RingElem
+from .ring import _ONE, RingElem
 
 class AffineElement(ElementBase):
     """Sparse R-linear combination of monomials T_w X^a, a in Z^r."""
@@ -91,12 +91,10 @@ def _l1_inverse(target: HeckeAlgebra, em_inverse: RingElem) -> HeckeElement:
     e = [target.one_c] + [c.scale((-1) ** k) for k, c in enumerate(target.overflow)]
     if em_inverse * e[m] != RingElem.one(target.nvars):
         raise ValueError("supplied element is not an inverse of e_m(u)")
-    total = target.zero()
-    for k in range(m):
-        vec = (m - 1 - k,) + (0,) * (target.r - 1)
-        term = target.jm_monomial(vec).scale(e[k].scale((-1) ** k))
-        total = total + term
-    return total.scale(em_inverse.scale((-1) ** (m + 1)))
+    # L_1^{-1} = (-1)^(m+1) e_m^{-1} sum_k (-1)^k e_k L_1^(m-1-k): one monomial per k
+    s, zeros = em_inverse.scale((-1) ** (m + 1)), (0,) * (target.r - 1)
+    return target.elem({(identity(target.r), (m - 1 - k,) + zeros): e[k].scale((-1) ** k) * s
+                        for k in range(m)})
 
 
 def epsilon_u(
@@ -138,14 +136,15 @@ def epsilon_u(
         a_plus = (max(a[0], 0),) + a[1:]
         groups.setdefault(max(-a[0], 0), {}).setdefault(a_plus, {})[(w, zero_a)] = lift(c)
     powers = target._jm_forms(a for by_a in groups.values() for a in by_a)
-    total = None
+    parts = []
     for k, by_a in groups.items():
         part = HeckeElement(target, _sum_of_products(
             (HeckeElement(target, p_terms), powers[a]) for a, p_terms in by_a.items()))
         for _ in range(k):
             part = part * l1_inv
-        total = part if total is None else total + part  # not zero() + part: + copies
-    return target.zero() if total is None else total
+        parts.append(part)
+    # one part is the answer as it stands: a sum would copy it
+    return parts[0] if len(parts) == 1 else HeckeElement._sum(target, ((p, _ONE) for p in parts))
 
 
 def coefficient_symmetry_check(z: AffineElement) -> bool:

@@ -52,12 +52,17 @@ the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
 take either.  ``_sum_of_products`` is the one product: ``*`` (so sigma
 and the appendix rebuild), tau and the left form, and ``affine.epsilon_u``
-sum through it.  Every keyed sum of coefficients, ``+`` and ``scale``
-too, is the kernel ``ring.add_products``: its sums are filled in place
-and belong to their dict until ``ring._collect`` hands them out; no
-coefficient of an operand is written.  ``HeckeAlgebra._jm_forms`` keeps
-the normal forms of the L^a asked for (not of T_w L^a, w != id) in one
-``_fill`` row per algebra, read by ``jm_monomial`` and ``epsilon_u``.
+sum through it.  ``LinearCombination._sum`` is the one sum of elements:
+``+``, ``scale``, ``AlgebraBase.combination`` (public coefficients,
+lifted) and the parts of ``affine.epsilon_u`` add every c * x into one
+dict.  Every keyed sum of coefficients is the kernel
+``ring.add_products``: its sums are filled in place and belong to their
+dict until ``ring._collect`` hands them out; no coefficient of an operand
+is written.  A dict whose keys never meet (a step column of
+``_t_column``, say) is built plainly, without the kernel.
+``HeckeAlgebra._jm_forms`` keeps the normal forms of the L^a asked for
+(not of T_w L^a, w != id) in one ``_fill`` row per algebra, read by
+``jm_monomial`` and ``epsilon_u``.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .guards import check_guard
 from .permutations import (
     Permutation,
+    all_perms,
     blocks,
     check_composition,
     coset_reps_within,
@@ -135,6 +141,7 @@ class AlgebraBase:
         self._expansion = expansion
         self._cvars = nvars if expansion is None else expansion.m + nvars
         self._q, self._one, self._qm1 = map(self._lift, (self.q, self.one_c, self.qm1))
+        self._neg_qm1 = -self._qm1
         # Step tables, filled lazily by _rmul_T/_rmul_L: _steps_T[i] maps a
         # monomial T_w M^a to the right action of T_i on it, as a tuple of
         # (monomial, constant) pairs, and _steps_L[j] does the same for L_j.
@@ -192,6 +199,12 @@ class AlgebraBase:
         lift = self._lift
         return self.element_type(self, {k: lift(c) for k, c in terms.items() if not c.is_zero()})
 
+    def combination(self, pairs: Iterable[tuple[ElementBase, RingElem]]) -> ElementBase:
+        """The sum of c * x over the pairs (element x of this algebra, public
+        coefficient c), in one ``LinearCombination._sum``."""
+        lift = self._lift
+        return self.element_type._sum(self, ((x, lift(c)) for x, c in pairs))
+
     def zero(self) -> ElementBase:
         return self.element_type(self, {})
 
@@ -243,12 +256,20 @@ class LinearCombination:
         if self.alg != other.alg:
             raise ValueError("elements from different algebras")
 
-    def __add__(self, other):
-        self._check(other)
+    @classmethod
+    def _sum(cls, alg, pairs: Iterable[tuple[LinearCombination, RingElem]]):
+        """The sum of c * x over the pairs (element x over alg, private
+        coefficient c of alg's width, or ``_ONE``), all added into one dict
+        of fresh totals by the kernel."""
         acc: dict = {}
-        add_products(acc, self._terms.items(), _ONE)
-        add_products(acc, other._terms.items(), _ONE)
-        return type(self)(self.alg, _collect(acc))
+        for x, c in pairs:
+            if x.alg != alg:
+                raise ValueError("elements from different algebras")
+            add_products(acc, x._terms.items(), c)
+        return cls(alg, _collect(acc))
+
+    def __add__(self, other):
+        return self._sum(self.alg, ((self, _ONE), (other, _ONE)))
 
     def __neg__(self):
         return type(self)(self.alg, {k: -c for k, c in self._terms.items()})
@@ -257,10 +278,8 @@ class LinearCombination:
         return self + (-other)
 
     def scale(self, c: RingElem):
-        acc: dict = {}
         next(iter(self._terms.values()), c)._check(c)  # the kernel trusts c's nvars
-        add_products(acc, self._terms.items(), c)
-        return type(self)(self.alg, _collect(acc))
+        return self._sum(self.alg, ((self, c),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -459,8 +478,6 @@ class HeckeAlgebra(AlgebraBase):
 
     def pbw_basis(self, guard: int | None = None) -> Iterator[TermKey]:
         self.check_dim(guard)
-        from .permutations import all_perms
-
         for w in all_perms(self.r):
             for a in itertools.product(range(self.m), repeat=self.r):
                 yield (w, a)
@@ -535,23 +552,26 @@ def _rmul_L(
 
 
 def _t_column(alg: AlgebraBase, key: TermKey, i: int) -> dict[TermKey, RingElem]:
-    """T_w M^a * T_i by the three-case rule of the module docstring."""
+    """T_w M^a * T_i by the three-case rule of the module docstring, its
+    constants the algebra's own.  Its keys are distinct but one: when
+    w s_i < w and a_i > a_(i+1), the (q-1) T_w M^(a s_i) term and the t = 0
+    correction cancel, and neither is written."""
     w, a = key
     ai, aj = a[i - 1], a[i]
     head, tail = a[: i - 1], a[i + 1 :]
     a_sw, wsi = head + (aj, ai) + tail, _swap_positions(w, i)
-    if w.im[i - 1] < w.im[i]:
-        items = [((wsi, a_sw), alg._one)]
-    else:
-        items = [((w, a_sw), alg._qm1), ((wsi, a_sw), alg._q)]
+    descent = w.im[i - 1] > w.im[i]
+    column: dict[TermKey, RingElem] = {}
+    if descent and ai <= aj:
+        column[w, a_sw] = alg._qm1
+    column[wsi, a_sw] = alg._q if descent else alg._one
     if ai < aj:
-        items += [((w, head + (aj - t, ai + t) + tail), alg._qm1) for t in range(1, aj - ai + 1)]
+        for t in range(1, aj - ai + 1):
+            column[w, head + (aj - t, ai + t) + tail] = alg._qm1
     elif ai > aj:
-        neg_qm1 = -alg._qm1
-        items += [((w, head + (aj + t, ai - t) + tail), neg_qm1) for t in range(ai - aj)]
-    acc: dict[TermKey, RingElem] = {}
-    add_products(acc, items, alg._one)
-    return _collect(acc)
+        for t in range(1 if descent else 0, ai - aj):
+            column[w, head + (aj + t, ai - t) + tail] = alg._neg_qm1
+    return column
 
 
 def _l_column(alg: HeckeAlgebra, key: TermKey, j: int) -> dict[TermKey, RingElem]:

@@ -38,6 +38,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
@@ -220,8 +221,6 @@ def young_subgroup(lam: Sequence[int]) -> Iterator[Permutation]:
 
 
 def young_subgroup_size(lam: Sequence[int]) -> int:
-    import math
-
     size = 1
     for part in lam:
         size *= math.factorial(part)

@@ -41,13 +41,11 @@ straightening only through the coefficients +-e_k(u) of the cyclotomic
 relation, so every b_A and structure constant lies in Z[q^±1][e_1..e_m].
 A ``SchurContext`` straightens, memoises and eliminates on its algebra
 ``hecke``, whose private coefficients keep e_1..e_m free (see ``hecke``):
-the memos hold u-free e-polynomials, ``multiply_basis`` eliminates on
-them and expands only the structure constants it returns, and ``tail``,
-``b_element`` and ``b_coords`` read to u like any element.
-``express_in_hom_basis`` eliminates on u-coordinates instead, because a
-caller's element may hold private coefficients that expand to zero.  Rank
-certificates use the e-coordinates: the e_k are algebraically independent,
-so ranks over Frac Z[q, e] and Frac Z[q, u] agree.
+the memos hold u-free e-polynomials, the elimination sweeps in that ring
+and expands only the coordinates it returns, and ``tail``, ``b_element``
+and ``b_coords`` read to u like any element.  Rank certificates use the
+e-coordinates: the e_k are algebraically independent, so ranks over
+Frac Z[q, e] and Frac Z[q, u] agree.
 """
 
 from __future__ import annotations
@@ -135,11 +133,10 @@ class SchurContext:
         self._bs: dict[ColoredMatrix, HeckeElement] = {}
         self._coords: dict[ColoredMatrix, dict] = {}
         # Memos of _eliminate: _sweeps[(lam, mu)] holds the block's
-        # (leading term, C) pairs, greatest first; _rests_e[C]/_rests_u[C]
-        # the other coordinates of b_C, negated, private or over u.
+        # (leading term, C) pairs, greatest first; _rests[C] the other
+        # private coordinates of b_C, negated.
         self._sweeps: dict[tuple[Composition, Composition], tuple] = {}
-        self._rests_e: dict[ColoredMatrix, tuple] = {}
-        self._rests_u: dict[ColoredMatrix, tuple] = {}
+        self._rests: dict[ColoredMatrix, tuple] = {}
         # _actions[A][(w, a)]: ((module key, coefficient), ...) of b_A T_w L^a,
         # equal keys and coefficients being one object, through _pool;
         # filled on module coordinates through _msteps[(lam, _rmul_T, i)]
@@ -390,26 +387,29 @@ def express_in_hom_basis(
     mu = check_composition(mu)
     if z.alg != ctx.hecke:
         raise ValueError("element does not belong to the context's algebra")
-    # Eliminate in u, against the expanded coordinates of the b_C: z's
-    # private coefficients may differ from the u-free ones of the b_C by
-    # terms that expand to zero.  The sums start as copies: the coordinates
-    # may be z's own coefficients or memoised expansions.
+    # z's private coefficients may hold parts that expand to zero, so its
+    # public coordinates are lifted, into fresh totals (a lift shares its
+    # groups), and swept as multiply_basis sweeps: expansion is a ring map,
+    # so sweeping before it gives what sweeping after it would.
+    lift = ctx.hecke._lift
     coords: dict = {}
-    add_products(coords, module_coords(z, lam).items(), _ONE)
-    return _eliminate(ctx, coords, lam, mu, ctx.b_coords, ctx._rests_u)
+    add_products(coords, ((k, lift(c)) for k, c in module_coords(z, lam).items()), _ONE)
+    return _eliminate(ctx, coords, lam, mu)
 
 
 def _eliminate(
-    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition, b_coords, rests: dict
+    ctx: SchurContext, coords: dict, lam: Composition, mu: Composition
 ) -> dict[ColoredMatrix, RingElem]:
-    """The elimination of express_in_hom_basis on x_lam H coordinates,
-    against the basis coordinates ``b_coords(C)`` of the same ring, whose
-    non-leading parts are memoised, negated, in ``rests``.  ``coords`` is a
-    dict that ``ring.add_products`` filled, zero sums included: the sweep
-    consumes it, adding f times each rest into it by the kernel.
+    """The elimination of express_in_hom_basis on private x_lam H
+    coordinates, against the b_C of the block, whose non-leading parts are
+    memoised, negated, in ``ctx._rests``; the coordinates it returns are
+    expanded.  ``coords`` is a dict that ``ring.add_products`` filled,
+    zero sums included: the sweep consumes it, adding f times each rest
+    into it by the kernel.
 
     The system is unitriangular, so the sweep accepts exactly the
-    elements of the span; a nonzero coordinate left over is outside."""
+    elements of the span; a coordinate left over that expands to nonzero
+    is outside."""
     out: dict[ColoredMatrix, RingElem] = {}
     for lead, C in _sweep(ctx, lam, mu):
         if not coords:
@@ -418,13 +418,14 @@ def _eliminate(
         if f is None or f.is_zero():
             continue
         out[C] = f
-        rest = rests.get(C)
+        rest = ctx._rests.get(C)
         if rest is None:
-            rest = rests[C] = _rest(b_coords(C), lead, mu)
+            rest = ctx._rests[C] = _rest(ctx._b_coords(C), lead, mu)
         add_products(coords, rest, f)
-    if left := _collect(coords):
+    public = ctx.hecke._public
+    if left := public(_collect(coords)):
         raise NotInSpanError(f"{len(left)} module terms lie outside the span of the basis")
-    return out
+    return public(out)
 
 
 # -- elements of the Schur algebra -----------------------------------------
@@ -489,8 +490,7 @@ def _multiply_squeezed(ctx: SchurContext, A: ColoredMatrix, B: ColoredMatrix) ->
     acc: dict = {}
     for key, c2 in tail.items():
         add_products(acc, row[key], c2)
-    # The e-coordinates are free of u, so their expansion is injective.
-    return ctx.hecke._public(_eliminate(ctx, acc, lam, mu, ctx._b_coords, ctx._rests_e))
+    return _eliminate(ctx, acc, lam, mu)
 
 
 def basis_element(ctx: SchurContext, A: ColoredMatrix) -> SchurElement:
@@ -503,10 +503,9 @@ def idempotent(ctx: SchurContext, lam: Sequence[int]) -> SchurElement:
 
 
 def identity_element(ctx: SchurContext) -> SchurElement:
-    out = SchurElement(ctx, {})
-    for lam in ctx.weights():
-        out = out + idempotent(ctx, lam)
-    return out
+    """The sum of the idempotents: every diagonal basis vector, coefficient 1."""
+    one = RingElem.one(ctx.hecke.nvars)
+    return SchurElement(ctx, {diagonal_matrix(lam, ctx.m): one for lam in ctx.weights()})
 
 
 def embed_q_schur(ctx: SchurContext, A: IntMatrix) -> SchurElement:

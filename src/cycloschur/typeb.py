@@ -19,6 +19,8 @@ a^{(1)}_{ij}}, and the group-algebra degeneration at q = q0 = 1.
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,6 +30,7 @@ from .permutations import (
     Permutation,
     check_composition,
     coset_reps_within,
+    theta_inverse,
     young_subgroup,
 )
 from .ring import RingElem
@@ -69,8 +72,6 @@ def signed_words(r: int, guard: int | None = None) -> dict[ColoredPerm, tuple[in
     yields, for each element, the lexicographically least among its
     shortest words.
     """
-    import math
-
     check_guard((2**r) * math.factorial(r), guard, f"signed permutation group of rank {r}")
     cached = _WORD_CACHE.get(r)
     if cached is not None:
@@ -107,10 +108,7 @@ def t_of(alg: HeckeAlgebra, w: ColoredPerm) -> HeckeElement:
 
 
 def coset_sum(alg: HeckeAlgebra, elements: Iterable[ColoredPerm]) -> HeckeElement:
-    out = alg.zero()
-    for w in elements:
-        out = out + t_of(alg, w)
-    return out
+    return alg.combination((t_of(alg, w), alg.one_c) for w in elements)
 
 
 # -- distinguished elements -------------------------------------------------
@@ -219,8 +217,6 @@ def route_product(alg: HeckeAlgebra, A: ColoredMatrix) -> HeckeElement:
     mu = colored_col_sums(A)
     if alg.r != sum(lam):
         raise ValueError("rank mismatch")
-    from .permutations import theta_inverse
-
     size = colored_size(A)
     offsets = tilde_offsets(A)
     supported = set(j_supported(A))
@@ -235,9 +231,7 @@ def route_product(alg: HeckeAlgebra, A: ColoredMatrix) -> HeckeElement:
             c1 = A[i][j][0]
             exponent += a_off * c1
             elem = elem * t_element(alg, shifted_d_word(a_off, c1))
-    seq = alg.zero()
-    for w in coset_reps_within(mu, nu_colored(A)):
-        seq = seq + alg.from_perm(w)
+    seq = alg.elem({(w, (0,) * alg.r): alg.one_c for w in coset_reps_within(mu, nu_colored(A))})
     return (elem * seq).scale(RingElem.q_power(-exponent, alg.nvars))
 
 
@@ -250,8 +244,6 @@ def verify_route_agreement(
         alg = typeb_algebra(r)
     basis = list(enumerate_colored(n, r, 2))
     if sample is not None and sample < len(basis):
-        import random
-
         basis = random.Random(seed).sample(basis, k=sample)
     bad = [A for A in basis if b_element_of(alg, A) != route_product(alg, A)]
     return {"n": n, "r": r, "checked": len(basis), "ok": not bad, "failures": bad}

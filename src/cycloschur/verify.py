@@ -151,15 +151,16 @@ def _random_hecke(
 
 
 def _random_affine(alg: AffineAlgebra, rng: random.Random, nterms: int = 3):
-    out = alg.zero()
+    terms = []
+    # per term, in the order the report digests pin: exps, word, coefficient
     for _ in range(nterms):
         exps = tuple(rng.randrange(0, 3) for _ in range(alg.r))
         w_word = [rng.randrange(1, alg.r) for _ in range(2)] if alg.r > 1 else []
         elem = alg.x_monomial(exps)
         for i in w_word:
             elem = elem * alg.gen_T(i)
-        out = out + elem.scale(_random_coeff(rng, alg.nvars))
-    return out
+        terms.append((elem, _random_coeff(rng, alg.nvars)))
+    return alg.combination(terms)
 
 
 def _x_degree(x) -> int:
@@ -328,10 +329,7 @@ def _schur_mult_reconstruct(p: SuiteParams, run: _Run):
     for A, B in sample:
         prod = ctx.b_element(A) * ctx.tail(B)
         coeffs = multiply_basis(ctx, A, B)
-        total = ctx.hecke.zero()
-        for C, c in coeffs.items():
-            total = total + ctx.b_element(C).scale(c)
-        if total != prod:
+        if ctx.hecke.combination((ctx.b_element(C), c) for C, c in coeffs.items()) != prod:
             return False, {"A": A, "B": B}
     return True, {"sampled": len(sample)}
 
@@ -342,24 +340,15 @@ def _schur_mult_assoc(p: SuiteParams, run: _Run):
     by_ro = group_by_row_sums(basis)
     # per triple: 2 (1 + |basis|) basis products
     trials = _trials(p, 5, 2 * (1 + len(basis)), "basis products of the associativity check")
-    done = 0
-    for _ in range(200):
-        if done >= trials:
-            break
+    # every draw composes: the basis holds the diagonal matrix of each weight
+    for _ in range(trials):
         A = rng.choice(basis)
-        bs = by_ro.get(colored_col_sums(A))
-        if not bs:
-            continue
-        B = basis[rng.choice(bs)]
-        cs = by_ro.get(colored_col_sums(B))
-        if not cs:
-            continue
-        C = basis[rng.choice(cs)]
+        B = basis[rng.choice(by_ro[colored_col_sums(A)])]
+        C = basis[rng.choice(by_ro[colored_col_sums(B)])]
         fa, fb, fc = (basis_element(ctx, M) for M in (A, B, C))
         if (fa * fb) * fc != fa * (fb * fc):
             return False, {"A": A, "B": B, "C": C}
-        done += 1
-    return True, {"triples": done}
+    return True, {"triples": trials}
 
 
 def _typeb_coset_basis(p: SuiteParams, run: _Run):

@@ -37,6 +37,7 @@ from .permutations import (
     compositions,
     ddot,
     identity,
+    matrices_with_margins,
     nu_of,
     row_sums,
     simple,
@@ -284,8 +285,6 @@ def enumerate_colored_with_margins(
     matrix are counted before the first matrix is yielded, and the count
     stops at the first entry-sum matrix that takes it past the guard.
     """
-    from .permutations import matrices_with_margins
-
     lam = check_composition(lam)
     mu = check_composition(mu)
     cap = DEFAULT_GUARD if guard is None else guard

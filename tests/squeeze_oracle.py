@@ -8,7 +8,9 @@ its zero parts, as they did), and no product is shared between pairs.  It
 reads margins from ``wreath`` and builds b_A with ``b_element_of``, so no
 code of ``SchurContext.squeezed``, its memos or its back-maps is on this
 side.  From the context it uses only the algebra and the elimination
-sweeps, whose blocks are keyed by the margins as given.
+sweeps, whose blocks are keyed by the margins as given; ``eliminate`` is
+its own copy of the sweep that walks them, sharing no code with
+``schur._eliminate``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from cycloschur.hecke import (
 )
 from cycloschur.permutations import identity
 from cycloschur.ring import _collect, add_products
-from cycloschur.schur import SchurContext, _eliminate, _module_column, b_element_of, tail_of
+from cycloschur.schur import (
+    NotInSpanError,
+    SchurContext,
+    _module_column,
+    _rest,
+    _sweep,
+    b_element_of,
+    tail_of,
+)
 from cycloschur.wreath import colored_col_sums, colored_row_sums
 
 
@@ -90,5 +100,22 @@ class Unsqueezed:
         acc: dict = {}
         for key, c2 in tail.items():
             add_products(acc, row[key], c2)
-        coords = _collect(acc)
-        return self.hecke._public(_eliminate(self.ctx, coords, lam, mu, self.b_coords, self.rests))
+        return self.eliminate(_collect(acc), lam, mu)
+
+    def eliminate(self, coords: dict, lam, mu) -> dict:
+        """The structure constants of the private module element ``coords``
+        (consumed): one descending sweep over the (lam, mu) leads, each
+        coordinate read at its lead and f times the rest of its b_C,
+        memoised per C as given, added in."""
+        out: dict = {}
+        for lead, C in _sweep(self.ctx, lam, mu):
+            f = coords.pop(lead, None)
+            if f is None or f.is_zero():
+                continue
+            out[C] = f
+            if C not in self.rests:
+                self.rests[C] = _rest(self.b_coords(C), lead, mu)
+            add_products(coords, self.rests[C], f)
+        if _collect(coords):
+            raise NotInSpanError("module terms lie outside the span of the basis")
+        return self.hecke._public(out)

@@ -3,11 +3,14 @@
 Works formally over natural exponents with no polynomial reduction, using
 only the elementary two-term exchange moves; both the finite and affine
 engine tests compare their closed-form straightening against this.
+``kernel_t_column`` keeps the step column of T_i as the kernel once summed
+it, for the step-column tests.
 """
 
 from __future__ import annotations
 
-from cycloschur.ring import RingElem
+from cycloschur.hecke import _swap_positions
+from cycloschur.ring import RingElem, _collect, add_products
 
 
 def oracle_move(b: tuple[int, ...], i: int, nvars: int):
@@ -49,3 +52,25 @@ def oracle_move(b: tuple[int, ...], i: int, nvars: int):
         for (has_T, c), coeff in oracle_move(b_less, i, nvars).items():
             add((has_T, bump(c, j)), coeff)
     return out
+
+
+def kernel_t_column(alg, key, i: int) -> dict:
+    """T_w M^a * T_i as ``hecke._t_column`` built it before it wrote its
+    column plainly: every term of the three-case rule, the t = 0
+    correction included, summed by the kernel into fresh totals."""
+    w, a = key
+    ai, aj = a[i - 1], a[i]
+    head, tail = a[: i - 1], a[i + 1 :]
+    a_sw, wsi = head + (aj, ai) + tail, _swap_positions(w, i)
+    if w.im[i - 1] < w.im[i]:
+        items = [((wsi, a_sw), alg._one)]
+    else:
+        items = [((w, a_sw), alg._qm1), ((wsi, a_sw), alg._q)]
+    if ai < aj:
+        items += [((w, head + (aj - t, ai + t) + tail), alg._qm1) for t in range(1, aj - ai + 1)]
+    elif ai > aj:
+        neg_qm1 = -alg._qm1
+        items += [((w, head + (aj + t, ai - t) + tail), neg_qm1) for t in range(ai - aj)]
+    acc: dict = {}
+    add_products(acc, items, alg._one)
+    return _collect(acc)

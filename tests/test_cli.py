@@ -557,6 +557,15 @@ def test_run_suite_deterministic_given_seed():
     assert strip(a) == strip(b)
 
 
+def test_schur_mult_assoc_runs_every_triple_asked_for():
+    # Every draw composes (the basis holds the diagonal matrix of each
+    # weight), so 250 trials are 250 triples; the check once stopped after
+    # 200 draws and passed with fewer.
+    report = run_suite("schur-mult", SuiteParams(m=1, n=1, r=1, trials=250))
+    (check,) = [c for c in report["checks"] if c["check"] == "schur-mult.assoc"]
+    assert (check["status"], check["witness"]) == ("pass", {"triples": 250})
+
+
 def test_run_suite_all_trivial_grid_fast():
     report = run_suite("all", SuiteParams(m=1, n=1, r=1))
     assert report["status"] == "pass"

@@ -79,8 +79,9 @@ def test_leading_terms_and_sweeps_match_the_oracle(mnr):
 @pytest.mark.parametrize("mnr, sample", [((2, 2, 2), None), ((3, 1, 3), None), ((2, 2, 3), 40)])
 def test_sweep_matches_the_greedy_oracle(mnr, sample):
     # Each product b_A tail(B) is formed on a context of its own; the sweep
-    # (multiply_basis on e-coordinates, express_in_hom_basis on u) and the
-    # greedy loop (on both) must give the same structure constants.
+    # (multiply_basis on e-coordinates, express_in_hom_basis on lifted
+    # u-coordinates) and the greedy loop (on e and on u) must give the same
+    # structure constants.
     ctx, other = SchurContext(*mnr), SchurContext(*mnr)
     pairs = composable_pairs(ctx)
     if sample is not None:
@@ -167,20 +168,22 @@ def test_triangularity_is_checked_when_a_rest_is_built():
         schur._rest({**coords, high: one}, low, mu)
 
 
-def test_rests_are_memoised_per_coordinate_kind():
-    # multiply_basis fills the private memo, express_in_hom_basis the one
-    # over u; each entry is b_C without its lead, negated.
+def test_rests_are_one_memo_filled_by_both_callers():
+    # multiply_basis and express_in_hom_basis sweep in the private ring and
+    # fill one memo: the second caller adds the rests it lacks and keeps the
+    # first caller's as they are; each entry is b_C without its lead, negated.
     ctx = SchurContext(2, 2, 2)
     A, B = composable_pairs(ctx)[7]
     multiply_basis(ctx, A, B)
-    assert ctx._rests_e and not ctx._rests_u
+    filled = dict(ctx._rests)
+    assert filled and A not in filled
     lam, mu = ctx.margins(A)
     express_in_hom_basis(ctx, ctx.b_element(A), lam, mu)
-    assert list(ctx._rests_u) == [A]
-    for rests, b_coords in ((ctx._rests_e, ctx._b_coords), (ctx._rests_u, ctx.b_coords)):
-        for C, rest in rests.items():
-            lead = schur._leading_term(ctx, C)
-            assert {k: -c for k, c in rest} == {k: c for k, c in b_coords(C).items() if k != lead}
+    assert list(ctx._rests) == [*filled, A]
+    assert all(ctx._rests[C] is rest for C, rest in filled.items())
+    for C, rest in ctx._rests.items():
+        lead = schur._leading_term(ctx, C)
+        assert {k: -c for k, c in rest} == {k: c for k, c in ctx._b_coords(C).items() if k != lead}
 
 
 @pytest.mark.parametrize("mu", [(3, 0), (1, 0)])

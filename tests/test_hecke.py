@@ -16,9 +16,11 @@ import random
 import pytest
 from json_readers import element_from_json
 
+from cycloschur.affine import AffineAlgebra
 from cycloschur.hecke import (
     HeckeAlgebra,
     HeckeElement,
+    _t_column,
     appendix_basis_coords,
     eigen_test,
     element_to_json,
@@ -39,6 +41,7 @@ from cycloschur.permutations import (
     simple,
 )
 from cycloschur.ring import RingElem, poincare_polynomial
+from cycloschur.typeb import typeb_algebra
 
 
 def q_pow(k: int, nvars: int) -> RingElem:
@@ -47,7 +50,7 @@ def q_pow(k: int, nvars: int) -> RingElem:
 
 # -- independent straightening oracle --------------------------------------
 
-from straightening_oracle import oracle_move
+from straightening_oracle import kernel_t_column, oracle_move
 
 
 def test_engine_straightening_matches_oracle():
@@ -65,6 +68,30 @@ def test_engine_straightening_matches_oracle():
                 expected[key] = coeff if cur is None else cur + coeff
             expected = {k: v for k, v in expected.items() if not v.is_zero()}
             assert got.terms == expected, (b, i)
+
+
+COLUMN_ALGEBRAS = {
+    "H(2,3)": (lambda: HeckeAlgebra(2, 3), range(2)),
+    "H(3,3)": (lambda: HeckeAlgebra(3, 3), range(3)),
+    "typeb(3)": (lambda: typeb_algebra(3), range(2)),
+    "affine(3)": (lambda: AffineAlgebra(3), range(-2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_ALGEBRAS)
+def test_t_columns_match_the_kernel_summed_rule(name):
+    # Every step column of T_i, on every monomial (affine: exponents -2..2),
+    # equals the kernel's sum term for term and in order, and holds the
+    # algebra's shared constants rather than fresh copies.
+    build, exps = COLUMN_ALGEBRAS[name]
+    alg = build()
+    shared = {id(c) for c in (alg._one, alg._q, alg._qm1, alg._neg_qm1)}
+    for w in all_perms(alg.r):
+        for a in itertools.product(exps, repeat=alg.r):
+            for i in range(1, alg.r):
+                column = _t_column(alg, (w, a), i)
+                assert list(column.items()) == list(kernel_t_column(alg, (w, a), i).items())
+                assert {id(c) for c in column.values()} <= shared, (w, a, i)
 
 
 # -- defining relations ----------------------------------------------------

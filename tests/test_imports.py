@@ -1,8 +1,12 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, or imports
+inside a function.
 
 A standard-library AST check over ``src/cycloschur/*.py``: every name that
 a ``from ... import`` binds (``from __future__`` aside) must be read
-somewhere in the same module, as a name or inside a quoted annotation.
+somewhere in the same module, as a name or inside a quoted annotation; and
+every import sits at module level, where a reader finds a module's
+dependencies (none of the package's imports needs deferring to break a
+cycle).
 """
 
 from __future__ import annotations
@@ -43,6 +47,33 @@ def _annotations(node: ast.AST) -> list[ast.expr]:
     if isinstance(node, ast.AnnAssign):
         return [node.annotation]
     return []
+
+
+def function_imports(source: str) -> list[str]:
+    """'function:line' for each import statement inside a function of source."""
+    tree = ast.parse(source)
+    return sorted({
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_import_inside_a_function():
+    source = (
+        "import math\n"
+        "def f():\n    import random\n    return random\n"
+        "class C:\n    def g(self):\n        from .x import y\n        return y\n"
+    )
+    assert function_imports(source) == ["f:3", "g:7"]
+    assert function_imports("import math\nfrom x import y\ndef f(): return math, y\n") == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -72,8 +72,9 @@ def test_public_reads_drop_ghost_coefficients():
     assert module_coords(z, (2, 0)) == module_coords(b, (2, 0))
     assert appendix_basis_coords(z, (2, 0), (1, 1)) == appendix_basis_coords(b, (2, 0), (1, 1))
     assert to_left_form(z) == to_left_form(b)
-    # express_in_hom_basis eliminates on u-coordinates, so the ghost
-    # coefficients of a caller's element do not reach the elimination.
+    # express_in_hom_basis lifts the element's public module coordinates,
+    # so the ghost coefficients of a caller's element do not reach the
+    # elimination.
     ctx = SchurContext(2, 2, 2)
     A = ctx.basis_block((2, 0), (2, 0))[-1]
     plus_ghost = ctx.b_element(A) + ctx.hecke.x_lambda((2, 0)) * ghost_zero(ctx.hecke)

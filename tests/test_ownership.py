@@ -78,6 +78,9 @@ def test_linear_operations(hecke):
     assert untouched(lambda: x - y, x, y) + y == x
     assert untouched(lambda: x - x, x).is_zero()
     assert untouched(lambda: x.scale(c), x, c) == alg.scalar(c) * x
+    one = RingElem.one(2)
+    total = untouched(lambda: alg.combination([(x, c), (y, one), (x, one)]), x, y, c)
+    assert total == x.scale(c) + y + x
     assert untouched(lambda: x * y, x, y) == (x * y)
 
 
