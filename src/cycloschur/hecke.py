@@ -52,14 +52,16 @@ the words of monomials, their prefix walk ``_fill`` (which the Schur memo
 also uses), the product loop and the JSON term lists; the sigma builders
 take either.  ``_sum_of_products`` is the one product: ``*`` (so sigma
 and the appendix rebuild), tau and the left form, and ``affine.epsilon_u``
-sum through it.  ``LinearCombination._sum`` is the one sum of elements:
-``+``, ``scale``, ``AlgebraBase.combination`` (public coefficients,
-lifted) and the parts of ``affine.epsilon_u`` add every c * x into one
-dict.  Every keyed sum of coefficients is the kernel
-``ring.add_products``: its sums are filled in place and belong to their
-dict until ``ring._collect`` hands them out; no coefficient of an operand
-is written.  A dict whose keys never meet (a step column of
-``_t_column``, say) is built plainly, without the kernel.
+sum through it; keys of y that share an exponent a walk M^a once, on the
+sum of their T-prefixes, where those overlap (``_add_grouped``).
+``LinearCombination._sum`` is the one sum of elements: ``+``, ``scale``,
+``AlgebraBase.combination`` (public coefficients, lifted) and the parts of
+``affine.epsilon_u`` add every c * x into one dict.  Every keyed sum of
+coefficients is the kernel ``ring.add_products``, whose totals belong to
+their dict until ``ring._collect`` hands them out.  Other dicts are built
+plainly (a step column of ``_t_column``), or move coefficients unwritten
+(a step that only relabels keys, ``_apply_steps``): they share them with
+their operands, and only the kernel writes one, a total of its own.
 ``HeckeAlgebra._jm_forms`` keeps the normal forms of the L^a asked for
 (not of T_w L^a, w != id) in one ``_fill`` row per algebra, read by
 ``jm_monomial`` and ``epsilon_u``.
@@ -99,7 +101,7 @@ from .ring import (
 from .wreath import ColoredMatrix, a_ddot, colored_size
 
 TermKey = tuple[Permutation, tuple[int, ...]]
-StepColumn = tuple[tuple[TermKey, RingElem], ...]
+Step = tuple[TermKey | None, tuple[tuple[TermKey, RingElem], ...] | None]  # see _apply_steps
 
 
 def _swap_positions(w: Permutation, i: int) -> Permutation:
@@ -143,12 +145,12 @@ class AlgebraBase:
         self._q, self._one, self._qm1 = map(self._lift, (self.q, self.one_c, self.qm1))
         self._neg_qm1 = -self._qm1
         # Step tables, filled lazily by _rmul_T/_rmul_L: _steps_T[i] maps a
-        # monomial T_w M^a to the right action of T_i on it, as a tuple of
-        # (monomial, constant) pairs, and _steps_L[j] does the same for L_j.
+        # monomial T_w M^a to the right action of T_i on it, as a move or a
+        # column of (monomial, constant) pairs; _steps_L[j] does so for L_j.
         # So a monomial's straightening, and a cyclotomic overflow chain,
         # runs once per algebra rather than once per term.
-        self._steps_T: list[dict[TermKey, StepColumn]] = [{} for _ in range(r)]
-        self._steps_L: list[dict[TermKey, StepColumn]] = [{} for _ in range(r + 1)]
+        self._steps_T: list[dict[TermKey, Step]] = [{} for _ in range(r)]
+        self._steps_L: list[dict[TermKey, Step]] = [{} for _ in range(r + 1)]
         # module_coords: (w, lam) -> the minimal representative of S_lam w.
         self._coset_reps: dict[tuple[Permutation, tuple[int, ...]], Permutation] = {}
         self._reps_within: dict[tuple, list[Permutation]] = {}  # coset_reps_within
@@ -317,14 +319,13 @@ class ElementBase(LinearCombination):
 
     # -- multiplication ----------------------------------------------------
 
-    def _rmul_monomials(self, keys: Iterable[TermKey]) -> list[tuple[TermKey, dict]]:
+    def _rmul_monomials(self, keys: Iterable[TermKey], row: dict | None = None) -> list[tuple]:
         """[(k, self * T_w2 M^a2) for each monomial k = (w2, a2) of keys]:
-        one ``_fill`` of a row that starts at self, so each shared prefix of
-        the words ``alg._path`` is applied once."""
-        alg = self.alg
-        keys = list(keys)
-        row = _fill({(identity(alg.r), (0,) * alg.r): self._terms}, keys, alg._path,
-                    lambda terms, g: g[0](alg, terms, g[1]))
+        one ``_fill`` of row, which starts at self (a new row by default),
+        so each shared prefix of the words ``alg._path`` is applied once."""
+        alg, keys = self.alg, list(keys)
+        row = row or {(identity(alg.r), (0,) * alg.r): self._terms}
+        _fill(row, keys, alg._path, lambda terms, g: g[0](alg, terms, g[1]))
         return [(key, row[key]) for key in keys]
 
     def _product(self, other: ElementBase) -> ElementBase:
@@ -494,7 +495,8 @@ def _fill(row: dict, keys: Iterable, path, step) -> dict:
     ``path(key)`` lists (node, letter reaching it) from the start, whose
     value row holds, to key; ``step(value, letter)`` applies one letter.
     A missing key resumes at the longest node of its path in row, and
-    every node passed is stored, so no node is stepped to twice."""
+    every node passed is stored, so no node is stepped to twice; a stored
+    value is only read, as the steps after it may share its coefficients."""
     for key in keys:
         if key not in row:
             nodes = path(key)
@@ -509,28 +511,67 @@ def _fill(row: dict, keys: Iterable, path, step) -> dict:
 
 def _sum_of_products(pairs: Iterable[tuple[ElementBase, Mapping[TermKey, RingElem]]]) -> dict:
     """The private terms of the sum of x * y over the pairs (x, terms of y):
-    the straightened monomials of each y (``_rmul_monomials``), with y's
-    coefficients multiplied in last, all summed by the kernel."""
+    the straightened monomials of each y, in one ``_fill`` row per pair
+    (``_add_grouped`` first), y's coefficients multiplied in last."""
     acc: dict[TermKey, RingElem] = {}
     for x, coeffs in pairs:
-        for key, terms in x._rmul_monomials(coeffs):
+        row = {(identity(x.alg.r), (0,) * x.alg.r): x._terms}
+        for key, terms in x._rmul_monomials(_add_grouped(acc, x, coeffs, row), row):
             add_products(acc, terms.items(), coeffs[key])
     return _collect(acc)
+
+
+def _add_grouped(acc: dict, x: ElementBase, coeffs: Mapping, row: dict) -> list[TermKey]:
+    """Add x * y into acc for the keys (w, a) of y that share an a != 0 and
+    whose T-prefixes x * T_w (in row) overlap two-fold: their sizes sum to
+    twice their union's, or more.  Their sum_w c_(w,a) x T_w, in one fresh
+    kernel dict, walks M^a once, outside the row.  Returns the other keys."""
+    if len(coeffs) < 2:
+        return coeffs
+    alg, walk, by_a, zero = x.alg, [], {}, (0,) * x.alg.r
+    for key in coeffs:
+        by_a.setdefault(key[1], []).append(key)
+    for a, keys in by_a.items():
+        parts = len(keys) > 1 and a != zero and [
+            terms for _, terms in x._rmul_monomials(((w, zero) for w, _ in keys), row)]
+        if not parts or sum(map(len, parts)) < 2 * len(set().union(*parts)):
+            walk += keys
+            continue
+        total: dict[TermKey, RingElem] = {}  # its zero sums are dropped by acc
+        for key, terms in zip(keys, parts):
+            add_products(total, terms.items(), coeffs[key])
+        for _, (step, g) in alg._exponent_path(identity(alg.r), a):
+            total = step(alg, total, g)
+        add_products(acc, total.items(), _ONE)
+    return walk
 
 
 def _apply_steps(alg, terms, table, build, g) -> dict[TermKey, RingElem]:
     """Right multiplication of a normal-form dict by one generator.
 
-    ``table`` maps a monomial to its column, the generator's right action
-    on it; a missing column is made by ``build(alg, monomial, g)``.
-    """
-    acc: dict[TermKey, RingElem] = {}
+    ``table`` maps a monomial to its step, the generator's right action on
+    it, made from ``build(alg, monomial, g)``: a column, run by the kernel,
+    or, for one key with constant 1, a move (target, None).  A moved
+    coefficient is written under its target last, shared with terms,
+    unless a total of the kernel is there or another move meets it."""
+    acc, moved = {}, {}  # moved: target -> the coefficient moved there
     for key, c in terms.items():
-        column = table.get(key)
-        if column is None:
-            column = table[key] = tuple(build(alg, key, g).items())
-        add_products(acc, column, c)
-    return _collect(acc)
+        step = table.get(key)
+        if step is None:
+            column = tuple(build(alg, key, g).items())
+            move = len(column) == 1 and column[0][1] == alg._one
+            step = table[key] = (column[0][0], None) if move else (None, column)
+        target, column = step
+        if column is not None:
+            add_products(acc, column, c)
+        elif target in moved:  # two moves meet: both go into a total of acc
+            add_products(acc, ((target, moved.pop(target)), (target, c)), _ONE)
+        else:
+            moved[target] = c
+    if not acc:
+        return moved
+    add_products(acc, [move for move in moved.items() if move[0] in acc], _ONE)
+    return _collect({**moved, **acc})
 
 
 def _rmul_T(
@@ -751,22 +792,16 @@ def _module_coords(alg: AlgebraBase, terms: Mapping[TermKey, RingElem], lam) -> 
     size = young_subgroup_size(lam)
     reps = alg._coset_reps
     coords: dict[tuple[Permutation, tuple[int, ...]], RingElem] = {}
-    counts: dict[tuple[Permutation, tuple[int, ...]], int] = {}
     for (w, a), c in terms.items():
         d = reps.get((w, lam))
         if d is None:
             d = reps[(w, lam)] = right_coset_factor(w, lam)[1]
         key = (d, a)
-        if key in coords:
-            if coords[key] != c:
-                raise ValueError("element does not lie in the cyclic module")
-            counts[key] += 1
-        else:
-            coords[key] = c
-            counts[key] = 1
-    for key, n in counts.items():
-        if n != size:
+        if coords.setdefault(key, c) is not c and coords[key] != c:
             raise ValueError("element does not lie in the cyclic module")
+    # Each (d, a) takes at most |S_lam| terms (u d, a), so this count shows all came.
+    if len(terms) != size * len(coords):
+        raise ValueError("element does not lie in the cyclic module")
     return coords
 
 

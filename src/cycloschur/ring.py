@@ -525,9 +525,11 @@ class ElementaryExpansion:
     The map is injective on the elements free of u (u_1 + ... + u_m - e_1
     goes to 0).
 
-    Images of e-monomials and of elements are memoised; equal inputs share
-    one output.  A term whose u-exponent plus e-degree passes ``U_EXP_MAX``
-    raises ``RingError`` before its image is formed.
+    An element with no e-field (a lifted one) is its own image: unhashed,
+    it is re-made at the public width, not hashed or memoised.  Other
+    images, and those of e-monomials, are memoised, equal inputs sharing
+    one output.  A term whose u-exponent plus e-degree passes
+    ``U_EXP_MAX`` raises ``RingError`` before its image is formed.
     """
 
     __slots__ = ("m", "nvars", "width", "gens", "_monomials", "_images")
@@ -559,12 +561,15 @@ class ElementaryExpansion:
         return out
 
     def __call__(self, c: RingElem) -> RingElem:
+        n, width = self.nvars, self.width
+        ubits, pad = _W * n, _W * (width - n)
+        if c._hash is None and not max(c._groups or (0,)) >> ubits and c.nvars == self.m + n:
+            groups = {k << pad: g for k, g in c._groups.items()} if pad else c._groups
+            return _make(width, groups, c._ubound, c._cbound, c._slot)
         image = self._images.get(c)
         if image is None:
-            n, width = self.nvars, self.width
             if c.nvars != self.m + n:
                 raise RingError(f"expected {self.m + n} variables, got {c.nvars}")
-            ubits, pad = _W * n, _W * (width - n)
             acc = {0: _make(width, {}, 0, 0)}
             for key, group in c._groups.items():
                 epart, upart = divmod(key, 1 << ubits)

@@ -180,6 +180,36 @@ def test_generalised_expansion():
     assert ElementaryExpansion(2, 1)(RingElem.u_var(2, 3) * RingElem.u_var(3, 3)) == U1 * U1 * U2
 
 
+@pytest.mark.parametrize("m,nvars", [(2, 2), (2, 1), (3, 2), (1, 0)])
+def test_e_free_images_are_remade_without_the_memo(m, nvars):
+    # An unhashed element with no e-field is re-made at the public width,
+    # its u-fields first; it must equal what the memoised path gives
+    # (through an element that has an e-field, or once it is hashed) and
+    # equal and hash-equal a fresh RingElem, at a wide slot too.
+    expand, n = ElementaryExpansion(m, nvars), m + nvars
+    e1 = RingElem.u_var(1, n)
+    us = [RingElem.u_var(m + i, n) for i in range(1, nvars + 1)]
+    q = RingElem.q_power(1, n)
+    free = [RingElem.zero(n), q - RingElem.const(3, n), q.scale(2**70) + RingElem.one(n)]
+    free += [u * u * q - q.scale(5) for u in us]
+    mixed = [e1, e1 * q + q.scale(2**70)] + [e1 * u - u for u in us]
+    for c in free + mixed:
+        remembered = len(expand._images)
+        got = expand(c)
+        fresh = RingElem(expand.width, dict(got.sorted_terms()))
+        assert got == fresh and hash(got) == hash(fresh)
+        if c in free:
+            assert len(expand._images) == remembered  # neither hashed in nor memoised
+            assert got == expand(c + e1) - expand(e1)
+            width_terms = {(qe, ue[m:] + (0,) * (expand.width - nvars)): k
+                           for (qe, ue), k in c.sorted_terms()}
+            assert got == RingElem(expand.width, width_terms)
+            hash(c)
+            assert expand(c) == got and expand(c) is expand(c)  # memoised once hashed
+        else:
+            assert expand(c) is got
+
+
 def test_generalised_expansion_checks_the_exponent_limit():
     # A key's u-exponent plus the degree of its e-monomial bounds the
     # u_1-exponent of its image; past U_EXP_MAX it raises before expanding.

@@ -6,9 +6,13 @@ operand's coefficients (or with a memoised value) would change that
 operand.  Each test records the packed fields (``_groups``, ``_slot``,
 ``_cbound``) of every coefficient its operands hold, privately and in
 the memos they share, runs the operation and checks that none changed.
+A step of ``_apply_steps`` that moves a coefficient shares it with the
+result, so the kernel must never write a moved one.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -17,11 +21,13 @@ from cycloschur.hecke import (
     HeckeAlgebra,
     LeftForm,
     LinearCombination,
+    _apply_steps,
     appendix_basis_coords,
     from_left_form,
     tau,
     to_left_form,
 )
+from cycloschur.permutations import identity
 from cycloschur.ring import RingElem
 from cycloschur.schur import SchurContext, SchurElement, express_in_hom_basis
 
@@ -138,3 +144,42 @@ def test_express_in_hom_basis_twice(schur):
     first = untouched(lambda: express_in_hom_basis(ctx, z, lam, mu), z, z.terms, images)
     second = untouched(lambda: express_in_hom_basis(ctx, z, lam, mu), z, z.terms, images)
     assert first == second == dict(zip(block, cs))
+
+
+def test_apply_steps_moves_share_and_never_write():
+    """``_apply_steps`` through a hand-made build: a column of constant 1
+    at one key is a move, whose coefficient is written under its target as
+    it is unless the target also receives another total.  Here two moves
+    meet at T, a move lands on K, which a column writes, and the coefficient
+    moved to S is the algebra's own q, a constant of that column."""
+    alg = HeckeAlgebra(2, 3)
+    one, q, qm1 = alg._one, alg._q, alg._qm1
+    e = identity(3)
+    key = {name: (e, a) for name, a in zip("ABCDEFKSTU", itertools.product(range(3), repeat=3))}
+    columns = {
+        key["A"]: {key["T"]: one},
+        key["B"]: {key["T"]: one},
+        key["C"]: {key["K"]: q, key["U"]: qm1},
+        key["D"]: {key["K"]: RingElem.one(2 + 2)},  # equal to the algebra's 1, not it
+        key["E"]: {key["S"]: one},
+        key["F"]: {key["F"]: q},  # a single key, not a move
+    }
+    u1, u2 = RingElem.u_var(3, 4), RingElem.u_var(4, 4)
+    terms = {key["A"]: u1 + q, key["B"]: u2, key["C"]: u1 * u2, key["D"]: qm1 * u1,
+             key["E"]: q, key["F"]: u2 - one}
+    c = {name: terms[key[name]] for name in "ABCDEF"}
+    want = {
+        key["T"]: c["A"] + c["B"],
+        key["K"]: q * c["C"] + c["D"],
+        key["U"]: qm1 * c["C"],
+        key["S"]: c["E"],
+        key["F"]: q * c["F"],
+    }
+    table: dict = {}
+    for order in itertools.permutations(terms):
+        ordered = {k: terms[k] for k in order}
+        got = untouched(lambda: _apply_steps(alg, ordered, table, lambda _, k, g: columns[k], 1),
+                        ordered, [one, q, qm1])
+        assert got == want
+        assert got[key["S"]] is c["E"]  # the lone move: the operand's own object
+    assert table[key["D"]] == (key["K"], None) and table[key["F"]][0] is None

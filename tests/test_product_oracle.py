@@ -10,12 +10,15 @@ tail(A), multiplied out on exponent vectors, against the oracle's chain of
 engine products.  tau and ``from_left_form``, which group the terms c L^a T_w
 by a and multiply L^a by each group, are checked against the oracle's
 product of L^a and T_w term by term, in the engine's private coordinates.
+Right factors dense in w at a few exponents, whose keys share their
+M-walk, are checked the same way, and both ways of walking them must run.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from product_oracle import _add, elementary, epsilon, product, rmul_L, rmul_T, tail
 from product_oracle import sigma_nu as sigma_chain
 
+from cycloschur import hecke
 from cycloschur.affine import AffineAlgebra, epsilon_u
 from cycloschur.hecke import (
     HeckeAlgebra,
@@ -315,3 +319,58 @@ def test_from_left_form_groups_by_exponent_and_matches_the_oracle():
     })
     items = [(a, w, alg._lift(c)) for (a, w), c in lf.coeffs.items()]
     assert from_left_form(lf)._terms == left_oracle(alg, items)
+
+
+# Right factors dense in w at two or three exponents, as the normal forms
+# of T_v L^b are: ``hecke._sum_of_products`` walks such an exponent once
+# for all its keys when their T-prefixes overlap (``_add_grouped``).
+GROUPED_ALGEBRAS = {
+    "generic-23": (HeckeAlgebra(2, 3), False),
+    "generic-33": (HeckeAlgebra(3, 3), False),
+    "specialized-22": (
+        HeckeAlgebra(2, 2, nvars=1, u_params=[RingElem.u_var(1, 1), RingElem.q_power(-1, 1)]),
+        False,
+    ),
+    "typeb-3": (typeb_algebra(3), False),
+    "affine-3": (AffineAlgebra(3, nvars=2), True),
+}
+
+
+def _dense_factors(alg, rng: random.Random, affine: bool):
+    """(x, y), public: x one monomial, or every T_w at one exponent (whose
+    T-prefixes overlap), and y dense in w at two or three exponents."""
+    perms = list(all_perms(alg.r))
+    span = range(-1, 3) if affine else range(getattr(alg, "m", 1))
+    vectors = list(itertools.product(span, repeat=alg.r))
+    nv = alg.nvars
+    coeffs = [RingElem.const(k, nv) * RingElem.q_power(e, nv) for k in (-2, 1, 3) for e in (-1, 1)]
+    coeffs += [RingElem.u_var(i, nv) for i in range(1, nv + 1)]
+    b = rng.choice(vectors)
+    x = {(w, b): rng.choice(coeffs) for w in (perms if rng.random() < 0.5 else perms[-1:])}
+    y = {(w, a): rng.choice(coeffs)
+         for a in rng.sample(vectors, rng.choice((2, 3)))
+         for w in rng.sample(perms, max(2, len(perms) * 2 // 3))}
+    return x, y
+
+
+@pytest.mark.parametrize("name", GROUPED_ALGEBRAS)
+def test_grouped_products_match_oracle(name, monkeypatch):
+    alg, affine = GROUPED_ALGEBRAS[name]
+    branches = {"grouped": 0, "ungrouped": 0}
+    add_grouped = hecke._add_grouped
+
+    def counted(acc, x, coeffs, row):
+        walk = set(add_grouped(acc, x, coeffs, row))
+        zero = (0,) * alg.r
+        shared = Counter(a for _, a in coeffs)
+        for key in coeffs:
+            if key[1] != zero and shared[key[1]] > 1:
+                branches["ungrouped" if key in walk else "grouped"] += 1
+        return list(walk)
+
+    monkeypatch.setattr(hecke, "_add_grouped", counted)
+    rng = random.Random(3003)
+    for _ in range(12):
+        x, y = _dense_factors(alg, rng, affine)
+        assert_products_match(alg, x, y, affine)
+    assert branches["grouped"] and branches["ungrouped"], branches

@@ -7,13 +7,18 @@ vectors are walked the same way (cyclotomic engine: the words
 L_r^{a_r} ... L_1^{a_1}) or shifted (affine engine).  It shares nothing
 with ``_fill`` or ``AlgebraBase._path`` but the generator steps
 ``_rmul_T``/``_rmul_L``.
+
+``sum_of_products`` is the baseline of ``hecke._sum_of_products``: every
+key of the right factor walked on its own.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from cycloschur import hecke
 from cycloschur.hecke import HeckeAlgebra, TermKey, _rmul_L, _rmul_T
+from cycloschur.ring import _collect
 
 
 def walk_words(start, words, step):
@@ -75,3 +80,17 @@ def rmul_monomials(x, keys: Iterable[TermKey]) -> Iterator[tuple[TermKey, dict]]
         w2, exps = groups[word]
         for a2, terms in exponent_group(alg, cur, exps):
             yield (w2, a2), terms
+
+
+def sum_of_products(pairs) -> dict:
+    """The private terms of the sum of x * y over the pairs (x, terms of y),
+    one key of y at a time: each x * T_w M^a walked as a monomial
+    (``_rmul_monomials``) and added times its coefficient.  This is the
+    product before keys sharing an exponent were summed ahead of their
+    M-walk; it reads the kernel as ``hecke.add_products``, so a wrapper
+    placed there counts its work too."""
+    acc: dict = {}
+    for x, coeffs in pairs:
+        for key, terms in x._rmul_monomials(coeffs):
+            hecke.add_products(acc, terms.items(), coeffs[key])
+    return _collect(acc)
