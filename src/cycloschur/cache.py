@@ -1,12 +1,13 @@
 """Content-addressed JSON result cache.
 
 Entries are immutable files named by a hash of (kind, params) together
-with ``CACHE_SCHEMA`` and the package version, so a result computed by a
-different version of the code is never served.  An entry is one compact
-canonical JSON document ``{"hash":…,"kind":…,"params":…,"payload":…}``,
-the hash being that of the payload's bytes.  A read hashes and parses
-those bytes once; any other header, mismatch or parse failure makes the
-entry invisible — a corrupt cache can cost time, never correctness.
+with ``CACHE_SCHEMA``, the package version and a digest of the package's
+own source, so a result computed by different code is never served.  An
+entry is one compact canonical JSON document
+``{"hash":…,"kind":…,"params":…,"payload":…}``, the hash being that of
+the payload's bytes.  A read hashes and parses those bytes once; any
+other header, mismatch or parse failure makes the entry invisible — a
+corrupt cache can cost time, never correctness.
 Writes go through a temp file and an atomic rename, so concurrent readers
 see either the old or the new complete entry.
 
@@ -16,6 +17,7 @@ environment variable; when neither is set, caching is off.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,11 +47,26 @@ def canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's ``*.py`` files, sorted by name, read on the
+    first call; "" where they cannot be read, which leaves the version alone
+    to tell code apart."""
+    digest, paths = hashlib.sha256(), sorted(Path(__file__).parent.glob("*.py"))
+    try:
+        for path in paths:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    except OSError:
+        return ""
+    return digest.hexdigest() if paths else ""
+
+
 def content_key(kind: str, params: dict) -> str:
     key = {
         "kind": kind,
         "params": params,
         "schema": CACHE_SCHEMA,
+        "source": _source_digest(),
         "version": __version__,
     }
     digest = hashlib.sha256(canonical(key).encode())

@@ -166,11 +166,30 @@ def all_perms(r: int) -> Iterator[Permutation]:
 # -- compositions ----------------------------------------------------------
 
 
+# Tables of values that depend on a composition (or, for theta_inverse, on
+# an entry-sum matrix) alone: keyed by the validated input, filled on first
+# use by the private builder, kept for the life of the process.
+_COMPOSITIONS, _BLOCKS, _YOUNG, _DDOT, _THETA_INVERSE = {}, {}, {}, {}, {}
+
+
+def _tabled(table: dict, build, key):
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(key)
+    return value
+
+
 def check_composition(lam: Sequence[int]) -> Composition:
-    lam = tuple(int(x) for x in lam)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"composition parts must be nonnegative: {lam}")
-    return lam
+    """lam as a tuple of ints; 2.0 passes as 2, a negative or non-integral
+    part raises ``ValueError``."""
+    lam = tuple(lam)
+    valid = _COMPOSITIONS.get(lam)
+    if valid is None:
+        valid = tuple(int(x) for x in lam)
+        if valid != lam or any(x < 0 for x in valid):
+            raise ValueError(f"composition parts must be nonnegative integers: {lam}")
+        _COMPOSITIONS[valid] = valid
+    return valid
 
 
 def partial_sums(lam: Sequence[int]) -> tuple[int, ...]:
@@ -178,14 +197,14 @@ def partial_sums(lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(lam))
 
 
-def blocks(lam: Sequence[int]) -> list[range]:
+def blocks(lam: Sequence[int]) -> tuple[range, ...]:
     """Consecutive value blocks R_1, R_2, ... (1-indexed, possibly empty)."""
-    out = []
-    start = 1
-    for part in lam:
-        out.append(range(start, start + part))
-        start += part
-    return out
+    return _tabled(_BLOCKS, _blocks, check_composition(lam))
+
+
+def _blocks(lam: Composition) -> tuple[range, ...]:
+    starts = list(itertools.accumulate(lam, initial=1))
+    return tuple(map(range, starts, starts[1:]))
 
 
 def j_set(lam: Sequence[int]) -> frozenset[int]:
@@ -213,18 +232,18 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
     return _capped(r, (r,) * n)
 
 
-def young_subgroup(lam: Sequence[int]) -> Iterator[Permutation]:
+def young_subgroup(lam: Sequence[int]) -> tuple[Permutation, ...]:
     """All elements of S_lam, as permutations of {1..sum(lam)}."""
-    lam = check_composition(lam)
-    for pieces in itertools.product(*map(itertools.permutations, blocks(lam))):
-        yield Permutation(itertools.chain(*pieces))
+    return _tabled(_YOUNG, _young_subgroup, check_composition(lam))
+
+
+def _young_subgroup(lam: Composition) -> tuple[Permutation, ...]:
+    pieces = itertools.product(*map(itertools.permutations, blocks(lam)))
+    return tuple(Permutation(itertools.chain(*p)) for p in pieces)
 
 
 def young_subgroup_size(lam: Sequence[int]) -> int:
-    size = 1
-    for part in lam:
-        size *= math.factorial(part)
-    return size
+    return math.prod(map(math.factorial, lam))
 
 
 # -- coset representatives -------------------------------------------------
@@ -319,20 +338,10 @@ def theta(lam: Sequence[int], w: Permutation, mu: Sequence[int]) -> IntMatrix:
 
     Constant on double cosets S_lam w S_mu; row sums lam, column sums mu.
     """
-    lam = check_composition(lam)
-    mu = check_composition(mu)
+    lam, mu = check_composition(lam), check_composition(mu)
     if sum(lam) != sum(mu) or sum(lam) != w.size:
         raise ValueError("size mismatch between compositions and permutation")
-    lam_blocks = blocks(lam)
-    mu_blocks = blocks(mu)
-    out = []
-    for rb in lam_blocks:
-        rset = set(rb)
-        row = []
-        for cb in mu_blocks:
-            row.append(sum(1 for j in cb if w(j) in rset))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(sum(w(j) in rb for j in cb) for cb in blocks(mu)) for rb in blocks(lam))
 
 
 def row_sums(A: IntMatrix) -> Composition:
@@ -352,6 +361,12 @@ def theta_inverse(A: IntMatrix) -> Permutation:
     positions column block by column block: a_1j positions with row block
     1, then a_2j with row block 2, and so on.
     """
+    return _tabled(_THETA_INVERSE, _theta_inverse, tuple(map(check_composition, A)))
+
+
+def _theta_inverse(A: IntMatrix) -> Permutation:
+    if len(set(map(len, A))) > 1:
+        raise ValueError(f"not a rectangular matrix: {A}")
     labels = (i for col in zip(*A) for i, a in enumerate(col) for _ in range(a))
     return _placed(labels, row_sums(A))
 
@@ -370,8 +385,7 @@ def matrices_with_margins(
     lam: Sequence[int], mu: Sequence[int]
 ) -> Iterator[IntMatrix]:
     """All nonnegative integer matrices with row sums lam and column sums mu."""
-    lam = check_composition(lam)
-    mu = check_composition(mu)
+    lam, mu = check_composition(lam), check_composition(mu)
     if sum(lam) != sum(mu):
         return
 
@@ -398,8 +412,7 @@ def coset_reps_within(
     labels inside each block of mu arranged in every way, sorted by
     (length, one-line word).
     """
-    mu = check_composition(mu)
-    nu = check_composition(nu)
+    mu, nu = check_composition(mu), check_composition(nu)
     if sum(mu) != sum(nu) or not set(partial_sums(mu)) <= {0, *partial_sums(nu)}:
         raise ValueError(f"{nu} does not refine {mu}")
     word = _label_word(nu)
@@ -420,14 +433,13 @@ def ddot(lam: Sequence[int]) -> tuple[int, ...]:
     from m-part compositions of k onto k-tuples of naturals summing to at
     most m - 1; see ddot_inverse.
     """
-    lam = check_composition(lam)
-    m = len(lam)
-    k = sum(lam)
-    if k == 0:
-        return ()
-    sums = partial_sums(lam)[: m - 1]
-    b = [sum(1 for p in sums if p >= i) for i in range(1, k + 1)]
-    return tuple(b[i] - b[i + 1] for i in range(k - 1)) + (b[k - 1],)
+    return _tabled(_DDOT, _ddot, check_composition(lam))
+
+
+def _ddot(lam: Composition) -> tuple[int, ...]:
+    sums = partial_sums(lam)[: len(lam) - 1]
+    b = [sum(p >= i for p in sums) for i in range(1, sum(lam) + 1)] + [0]
+    return tuple(b[i] - b[i + 1] for i in range(len(b) - 1))
 
 
 def ddot_inverse(dd: Sequence[int], m: int) -> Composition:

@@ -167,24 +167,19 @@ def colored_matrix_of(
     Slot t runs 1..m; slot m counts color 0.  Constant on double cosets by
     uncolored Young subgroups.
     """
-    lam = check_composition(lam)
-    mu = check_composition(mu)
+    lam, mu = check_composition(lam), check_composition(mu)
     m = g.m
     if sum(lam) != g.size or sum(mu) != g.size:
         raise ValueError("composition sizes must match the permutation")
-    lam_blocks = blocks(lam)
-    mu_blocks = blocks(mu)
     out = []
-    for rb in lam_blocks:
-        rset = set(rb)
+    for rb in blocks(lam):
         row = []
-        for cb in mu_blocks:
+        for cb in blocks(mu):
             counts = [0] * m
             for p in cb:
                 color, val = g.apply(p)
-                if val in rset:
-                    slot = color if color != 0 else m
-                    counts[slot - 1] += 1
+                if val in rb:
+                    counts[(color - 1) % m] += 1  # slot m counts color 0
             row.append(tuple(counts))
         out.append(tuple(row))
     return tuple(out)
@@ -285,8 +280,7 @@ def enumerate_colored_with_margins(
     matrix are counted before the first matrix is yielded, and the count
     stops at the first entry-sum matrix that takes it past the guard.
     """
-    lam = check_composition(lam)
-    mu = check_composition(mu)
+    lam, mu = check_composition(lam), check_composition(mu)
     cap = DEFAULT_GUARD if guard is None else guard
     splits = []
     total = 0

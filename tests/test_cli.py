@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -415,6 +416,28 @@ def test_cache_key_carries_schema_and_version(tmp_path, monkeypatch):
         patch.setattr(cache, "__version__", cache.__version__ + ".dev1")
         assert cache.load(tmp_path, "demo", {"k": 1}) is None
     assert cache.load(tmp_path, "demo", {"k": 1}) == payload
+
+
+def test_cache_misses_an_entry_written_by_changed_code(tmp_path):
+    """A copy of the package writes an entry; it is served here while the
+    copy's source is byte-identical, and missed once one byte changes.  The
+    copy reads its source on its first store, not at import."""
+    store = ("import sys; from pathlib import Path; from cycloschur import cache, cli; "
+             "assert cache._source_digest.cache_info().currsize == 0; "
+             "cache.store(Path(sys.argv[1]), 'demo', {'k': 1}, {'v': 1})")
+    for changed in (False, True):
+        copy = tmp_path / f"copy-{changed}" / "cycloschur"
+        shutil.copytree(Path(cache.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if changed:
+            source = bytearray((copy / "wreath.py").read_bytes())
+            source[3] ^= 0x20  # "The wreath product" -> "the wreath product"
+            (copy / "wreath.py").write_bytes(source)
+        entries = tmp_path / f"entries-{changed}"
+        subprocess.run([sys.executable, "-c", store, str(entries)], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(copy.parent)))
+        assert len(list(entries.glob("demo-*.json"))) == 1
+        assert (cache.load(entries, "demo", {"k": 1}) is None) == changed
 
 
 def test_cache_detects_payload_tampering(tmp_path):

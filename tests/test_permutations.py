@@ -24,10 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycloschur
+from cycloschur import permutations
+from cycloschur.hecke import HeckeAlgebra
 from cycloschur.permutations import (
     Permutation,
     all_perms,
     blocks,
+    check_composition,
     col_sums,
     compositions,
     coset_reps,
@@ -285,6 +288,26 @@ def test_partial_sums_and_jset():
     assert j_set((3,)) == frozenset({1, 2})
     assert j_set((1, 1, 1)) == frozenset()
     assert [list(b) for b in blocks((1, 2))] == [[1], [2, 3]]
+
+
+def test_non_integral_parts_raise_and_are_never_tabled():
+    tabled = (check_composition, blocks, young_subgroup, ddot, HeckeAlgebra(1, 2).x_lambda)
+    for bad in ([2.5, 0.5], [1.9, 0.2], (1, -1), ["1", "1"]):
+        for f in tabled:
+            for _ in range(2):  # the first failure stored nothing
+                with pytest.raises(ValueError):
+                    f(bad)
+    with pytest.raises(ValueError):
+        theta_inverse(((0.5, 0), (0, 0.5)))
+    with pytest.raises(ValueError):
+        theta_inverse(((1, 0), (1,)))  # not rectangular
+    assert check_composition([2.0, 1]) == (2, 1)
+    assert all(type(x) is int for x in check_composition([2.0, 1]))
+    assert young_subgroup([2.0, 0]) is young_subgroup((2, 0))
+    tables = (permutations._COMPOSITIONS, permutations._BLOCKS, permutations._YOUNG,
+              permutations._DDOT)
+    for key in itertools.chain(*tables, *permutations._THETA_INVERSE):
+        assert all(type(x) is int and x >= 0 for x in key), key
 
 
 def test_young_subgroup():

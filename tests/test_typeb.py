@@ -14,13 +14,16 @@ from cycloschur.hecke import HeckeAlgebra
 from cycloschur.permutations import coset_reps, identity, simple
 from cycloschur.ring import RingElem
 from cycloschur.schur import SchurContext, b_element_of
+from cycloschur import typeb
 from cycloschur.typeb import (
     coset_sum,
     d_i_word,
+    double_coset_keys,
     example_matrix,
     flip_word,
     group_element_key,
     group_specialize,
+    group_values,
     matrix_double_coset,
     route_product,
     shifted_d_word,
@@ -43,6 +46,7 @@ from cycloschur.wreath import (
     colored_mul,
     colored_simple,
     colored_word,
+    enumerate_colored,
     nu_colored,
 )
 
@@ -289,6 +293,31 @@ def test_group_algebra_basis_small():
     for n, r in ((2, 2), (2, 3)):
         rep = verify_group_algebra_basis(n, r)
         assert rep["ok"] and rep["checked"] == math.comb(2 * n * n + r - 1, r)
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (2, 3), (1, 4)])
+def test_group_algebra_check_matches_its_oracles(n, r):
+    """The pairs (x c.perm y, colors through y) are the keys of the validated
+    products x c y, and the integer values at q = 1 are group_specialize's."""
+    alg = HeckeAlgebra(2, r)
+    for A in enumerate_colored(n, r, 2):
+        assert double_coset_keys(A) == {group_element_key(w) for w in matrix_double_coset(A)}, A
+        b = b_element_of(alg, A)
+        values = group_values(b)
+        assert values == group_specialize(b), A
+        assert all(type(v) is int for v in values.values()), A
+    # No b_A coefficient carries u here; L_r^2 reduces by the cyclotomic
+    # relation, so this element's coefficients pin the values of u and q^-1.
+    L = alg.gen_L(r)
+    x = (L * L * b + L * b).scale(RingElem.q_power(-1, alg.nvars))
+    assert group_values(x) == group_specialize(x)
+
+
+def test_group_algebra_check_sees_a_missing_element(monkeypatch):
+    keys = typeb.double_coset_keys
+    monkeypatch.setattr(typeb, "double_coset_keys", lambda A: set(sorted(keys(A))[1:]))
+    rep = verify_group_algebra_basis(1, 2)
+    assert not rep["ok"] and len(rep["failures"]) == rep["checked"]
 
 
 def test_group_specialize_generic_vs_typeb():

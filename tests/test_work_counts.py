@@ -9,11 +9,17 @@ products eps(x) * eps(y) in H(2, 3), whose right factors are dense in w at
 few exponents, and on every b_A = x_lam * tail(A) at (2, 2, 2), where it
 must cost nothing.  The counts are deterministic: fresh interpreters with
 different hash seeds agree.
+
+The composition tables of ``permutations`` are counted the same way: in a
+fresh interpreter, so that they start cold, one verify-all pass at
+(3, 3, 2) builds each entry once, and its report is still the benchmark's
+reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -29,6 +35,29 @@ from cycloschur.permutations import all_perms
 from cycloschur.ring import RingElem
 from cycloschur.schur import SchurContext, tail_of
 from cycloschur.wreath import colored_row_sums
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter: wrap the builders behind the composition
+# tables of ``permutations``, then run one verify-all pass on cold tables.
+TABLE_BUILDS = """
+import json
+from cycloschur import permutations
+from cycloschur.verify import SuiteParams, run_suite
+
+tables = {"_blocks": "_BLOCKS", "_young_subgroup": "_YOUNG", "_ddot": "_DDOT",
+          "_theta_inverse": "_THETA_INVERSE"}
+cold = {name: len(getattr(permutations, table)) for name, table in tables.items()}
+built = {name: [] for name in tables}
+for name, keys in built.items():
+    def counted(key, build=getattr(permutations, name), keys=keys):
+        keys.append(key)
+        return build(key)
+    setattr(permutations, name, counted)
+report = run_suite("all", SuiteParams(m=3, n=3, r=2))
+sizes = {name: len(getattr(permutations, table)) for name, table in tables.items()}
+print(json.dumps({"cold": cold, "built": built, "sizes": sizes, "report": report}))
+"""
 
 
 def kernel_items(product, pairs) -> int:
@@ -110,3 +139,23 @@ def test_counts_do_not_depend_on_the_hash_seed():
         for seed in ("1", "2024")
     }
     assert len(outputs) == 1 and "epsilon" in outputs.pop()
+
+
+def test_a_verify_pass_builds_each_table_entry_once():
+    """12 Young subgroups, 16 ddots, 62 block lists and 52 theta inverses:
+    the distinct inputs of one verify-all pass at (3, 3, 2), each built once."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = json.loads(subprocess.run([sys.executable, "-c", TABLE_BUILDS], capture_output=True,
+                                    text=True, check=True, env=env).stdout)
+    assert set(out["cold"].values()) == {0}
+    built = out["built"]
+    for name, keys in built.items():
+        assert len({json.dumps(key) for key in keys}) == len(keys), name
+    assert {name: len(keys) for name, keys in built.items()} == out["sizes"] == {
+        "_blocks": 62, "_young_subgroup": 12, "_ddot": 16, "_theta_inverse": 52}
+    report = out["report"]
+    del report["seconds"]
+    for check in report["checks"]:
+        del check["seconds"]
+    with open(ROOT / "perfbench" / "refs" / "verify_all.json", encoding="utf-8") as fh:
+        assert report == json.load(fh)["reports"]["0"]
