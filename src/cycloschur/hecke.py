@@ -80,7 +80,6 @@ from .permutations import (
     all_perms,
     blocks,
     check_composition,
-    coset_reps_within,
     double_coset_factor,
     identity,
     nu_of,
@@ -98,7 +97,7 @@ from .ring import (
     add_products,
     elementary_symmetric_of,
 )
-from .wreath import ColoredMatrix, a_ddot, colored_size
+from .wreath import ColoredMatrix, matrix_record
 
 TermKey = tuple[Permutation, tuple[int, ...]]
 Step = tuple[TermKey | None, tuple[tuple[TermKey, RingElem], ...] | None]  # see _apply_steps
@@ -153,7 +152,6 @@ class AlgebraBase:
         self._steps_L: list[dict[TermKey, Step]] = [{} for _ in range(r + 1)]
         # module_coords: (w, lam) -> the minimal representative of S_lam w.
         self._coset_reps: dict[tuple[Permutation, tuple[int, ...]], Permutation] = {}
-        self._reps_within: dict[tuple, list[Permutation]] = {}  # coset_reps_within
 
     def __eq__(self, other):
         return type(other) is type(self) and self._signature() == other._signature()
@@ -190,12 +188,6 @@ class AlgebraBase:
             v = _swap_positions(v, i)
             nodes.append(((v, zero), (_rmul_T, i)))
         return nodes + self._exponent_path(w, a)
-
-    def coset_reps_within(self, mu: tuple[int, ...], nu: tuple[int, ...]) -> list[Permutation]:
-        """``permutations.coset_reps_within(mu, nu)``, memoised on the algebra."""
-        if (mu, nu) not in self._reps_within:
-            self._reps_within[mu, nu] = coset_reps_within(mu, nu)
-        return self._reps_within[mu, nu]
 
     def elem(self, terms: Mapping[TermKey, RingElem]) -> ElementBase:
         lift = self._lift
@@ -699,9 +691,7 @@ def sigma_elementary(
 ) -> ElementBase:
     """e_k of the commuting elements (L_j, or X_j in the affine engine) for
     j in positions (default: all)."""
-    if positions is None:
-        positions = range(1, alg.r + 1)
-    positions = list(positions)
+    positions = list(range(1, alg.r + 1) if positions is None else positions)
     if not 0 <= k <= len(positions):
         raise ValueError(f"k = {k} out of range for {len(positions)} positions")
     if any(not 1 <= j <= alg.r for j in positions):
@@ -709,7 +699,7 @@ def sigma_elementary(
     poly = Counter(
         tuple(s.count(j) for j in range(1, alg.r + 1)) for s in itertools.combinations(positions, k)
     )
-    return alg.one() * _poly_element(alg, poly)
+    return alg.one() * _poly_element(alg, poly.items())
 
 
 def sigma_nu(
@@ -732,29 +722,48 @@ def sigma_nu(
     start = alg.one() if start is None else start
     if start.alg != alg:
         raise ValueError("start element belongs to another algebra")
-    m, cur, poly = getattr(alg, "m", None), start, {(0,) * alg.r: 1}
+    for poly in _sigma_polys(nu, exps, getattr(alg, "m", None)):
+        start = start * _poly_element(alg, poly.items())
+    return start
+
+
+def _sigma_polys(nu: tuple[int, ...], exps, m: int | None) -> Iterator[dict]:
+    """The exponent polynomials of sigma_nu's product, in order: a new one
+    after every m - 1 factors of a block (never if m is None)."""
+    r, poly = sum(nu), {(0,) * sum(nu): 1}
     for blk, ex in zip(blocks(nu), exps):
         if len(ex) != len(blk):
             raise ValueError(f"exponent tuple {tuple(ex)} does not match block size {len(blk)}")
         depth = 0  # factors of this block in poly, a bound on their exponents
         for t, e in enumerate(ex, start=1):
-            steps = [tuple(s.count(j) for j in range(1, alg.r + 1))
+            steps = [tuple(s.count(j) for j in range(1, r + 1))
                      for s in itertools.combinations(blk, t)]
             for _ in range(int(e)):
                 if m is not None and depth and depth >= m - 1:
-                    cur, poly, depth = cur * _poly_element(alg, poly), {(0,) * alg.r: 1}, 0
+                    yield poly
+                    poly, depth = {(0,) * r: 1}, 0
                 product: Counter = Counter()
                 for a, c in poly.items():
                     for step in steps:
                         product[tuple(x + y for x, y in zip(a, step))] += c
                 poly, depth = product, depth + 1
-    return cur * _poly_element(alg, poly)
+    yield poly
 
 
-def _poly_element(alg: AlgebraBase, poly: Mapping[tuple[int, ...], int]) -> ElementBase:
-    """sum_a poly[a] M^a, its exponents a not yet reduced: a right factor."""
-    id_r, cvars = identity(alg.r), alg._cvars
-    return alg.element_type(alg, {(id_r, a): RingElem.const(c, cvars) for a, c in poly.items()})
+def _poly_element(alg: AlgebraBase, poly: Iterable[tuple], d=None) -> ElementBase:
+    """The sum of c T_d M^a over the pairs (a, c) of poly, a distinct (d = 1
+    by default): with exponents a not yet reduced, a right factor."""
+    d, cvars = d or identity(alg.r), alg._cvars
+    return alg.element_type(alg, {(d, a): RingElem.const(c, cvars) for a, c in poly})
+
+
+# ((a, c), ...) of prod_t e_t^ex[t-1] in len(ex) variables: one block's factor
+# of sigma(A), by the block's entry ex of a_ddot(A).
+_SIGMA: dict[tuple[int, ...], tuple] = {}
+
+
+def _sigma_poly(ex: tuple[int, ...]) -> tuple:
+    return tuple(next(_sigma_polys((len(ex),), (ex,), None)).items())
 
 
 def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix, start=None) -> ElementBase:
@@ -762,9 +771,21 @@ def sigma_ddot(alg: AlgebraBase, A: ColoredMatrix, start=None) -> ElementBase:
 
     Blocks follow the column-major composition of the entry-sum matrix;
     block (i, j) carries the reindexed exponent tuple of the colored entry,
-    whose entries sum to less than m: no L-exponent reaches m.
-    """
-    return sigma_nu(alg, nu_of(colored_size(A)), nu_of(a_ddot(A)), start)
+    whose entries sum to less than m: no L-exponent reaches m.  So from a
+    start T_d, each term c L^a of the product of the blocks' tabled factors
+    (``_SIGMA``) is written as the normal-form monomial c T_d L^a, with no
+    product; other starts, or more colors than alg's m, go through sigma_nu."""
+    record = matrix_record(A)
+    nu, exps = nu_of(record.size), nu_of(record.ddot)
+    start = alg.one() if start is None else start
+    if len(start._terms) == 1 and sum(nu) == alg.r and record.rep.m <= getattr(alg, "m", math.inf):
+        [((d, a0), c)] = start._terms.items()
+        if c is alg._one and not any(a0):  # start is T_d of alg
+            parts = [_SIGMA.get(ex) or _SIGMA.setdefault(ex, _sigma_poly(ex)) for ex in exps]
+            return _poly_element(alg, (  # the blocks hold consecutive positions
+                (sum((a for a, _ in terms), ()), math.prod(c for _, c in terms))
+                for terms in itertools.product(*parts)), d)
+    return sigma_nu(alg, nu, exps, start)
 
 
 # -- module coordinates and linear tests -----------------------------------

@@ -146,9 +146,7 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
     Greedy: repeatedly strip the smallest left descent.
     """
-    word: list[int] = []
-    r = w.size
-    cur = w
+    word, r, cur = [], w.size, w
     while not cur.is_identity():
         for i in range(1, r):
             if cur.has_left_descent(i):
@@ -166,26 +164,34 @@ def all_perms(r: int) -> Iterator[Permutation]:
 # -- compositions ----------------------------------------------------------
 
 
-# Tables of values that depend on a composition (or, for theta_inverse, on
-# an entry-sum matrix) alone: keyed by the validated input, filled on first
-# use by the private builder, kept for the life of the process.
-_COMPOSITIONS, _BLOCKS, _YOUNG, _DDOT, _THETA_INVERSE = {}, {}, {}, {}, {}
+# Tables of values that depend on a composition (or on a tuple of them: an
+# entry-sum matrix, a pair) alone: keyed by the validated input, filled on
+# first use by the private builder, kept for the life of the process.
+_COMPOSITIONS, _BLOCKS, _YOUNG, _DDOT, _THETA_INVERSE, _REPS_WITHIN = {}, {}, {}, {}, {}, {}
 
 
-def _tabled(table: dict, build, key):
-    value = table.get(key)
+def _tabled(table: dict, build, key, validate=None):
+    """table[validate(key)] (default: check_composition), built on first use;
+    a key equal to a stored one is valid, so it is looked up unvalidated."""
+    try:
+        value = table.get(key)
+    except TypeError:  # unhashable
+        value = None
     if value is None:
-        value = table[key] = build(key)
+        key = (validate or check_composition)(key)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build(key)
     return value
 
 
 def check_composition(lam: Sequence[int]) -> Composition:
-    """lam as a tuple of ints; 2.0 passes as 2, a negative or non-integral
-    part raises ``ValueError``."""
+    """lam as a tuple of ints; 2.0 passes as 2, a negative, non-integral or
+    infinite part raises ``ValueError``."""
     lam = tuple(lam)
     valid = _COMPOSITIONS.get(lam)
     if valid is None:
-        valid = tuple(int(x) for x in lam)
+        valid = tuple(int(x) for x in lam if x not in (math.inf, -math.inf))  # int(inf) overflows
         if valid != lam or any(x < 0 for x in valid):
             raise ValueError(f"composition parts must be nonnegative integers: {lam}")
         _COMPOSITIONS[valid] = valid
@@ -199,7 +205,7 @@ def partial_sums(lam: Sequence[int]) -> tuple[int, ...]:
 
 def blocks(lam: Sequence[int]) -> tuple[range, ...]:
     """Consecutive value blocks R_1, R_2, ... (1-indexed, possibly empty)."""
-    return _tabled(_BLOCKS, _blocks, check_composition(lam))
+    return _tabled(_BLOCKS, _blocks, lam)
 
 
 def _blocks(lam: Composition) -> tuple[range, ...]:
@@ -234,7 +240,7 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
 
 def young_subgroup(lam: Sequence[int]) -> tuple[Permutation, ...]:
     """All elements of S_lam, as permutations of {1..sum(lam)}."""
-    return _tabled(_YOUNG, _young_subgroup, check_composition(lam))
+    return _tabled(_YOUNG, _young_subgroup, lam)
 
 
 def _young_subgroup(lam: Composition) -> tuple[Permutation, ...]:
@@ -361,7 +367,11 @@ def theta_inverse(A: IntMatrix) -> Permutation:
     positions column block by column block: a_1j positions with row block
     1, then a_2j with row block 2, and so on.
     """
-    return _tabled(_THETA_INVERSE, _theta_inverse, tuple(map(check_composition, A)))
+    return _tabled(_THETA_INVERSE, _theta_inverse, A, _rows)
+
+
+def _rows(A) -> tuple[Composition, ...]:
+    return tuple(map(check_composition, A))
 
 
 def _theta_inverse(A: IntMatrix) -> Permutation:
@@ -410,16 +420,19 @@ def coset_reps_within(
     Requires nu to refine mu: equal totals, and every partial sum of mu is
     0 or a partial sum of nu.  The placements of nu's label word with the
     labels inside each block of mu arranged in every way, sorted by
-    (length, one-line word).
+    (length, one-line word): a fresh list of the tabled tuple.
     """
-    mu, nu = check_composition(mu), check_composition(nu)
+    return list(_tabled(_REPS_WITHIN, _coset_reps_within, (mu, nu), _rows))
+
+
+def _coset_reps_within(key: tuple[Composition, Composition]) -> tuple[Permutation, ...]:
+    mu, nu = key
     if sum(mu) != sum(nu) or not set(partial_sums(mu)) <= {0, *partial_sums(nu)}:
         raise ValueError(f"{nu} does not refine {mu}")
     word = _label_word(nu)
     per_block = [_arrangements(word[b.start - 1 : b.stop - 1]) for b in blocks(mu)]
     reps = [_placed(itertools.chain(*pieces), nu) for pieces in itertools.product(*per_block)]
-    reps.sort(key=lambda d: (d.length(), d.im))
-    return reps
+    return tuple(sorted(reps, key=lambda d: (d.length(), d.im)))
 
 
 # -- composition reindexing ------------------------------------------------
@@ -433,7 +446,7 @@ def ddot(lam: Sequence[int]) -> tuple[int, ...]:
     from m-part compositions of k onto k-tuples of naturals summing to at
     most m - 1; see ddot_inverse.
     """
-    return _tabled(_DDOT, _ddot, check_composition(lam))
+    return _tabled(_DDOT, _ddot, lam)
 
 
 def _ddot(lam: Composition) -> tuple[int, ...]:
@@ -451,10 +464,4 @@ def ddot_inverse(dd: Sequence[int], m: int) -> Composition:
     # suffix sums rebuild b, then conjugate back to partial sums
     b = [sum(dd[i:]) for i in range(k)]
     p = [sum(1 for bi in b if bi >= m - t) for t in range(1, m)]
-    lam = []
-    prev = 0
-    for pt in p:
-        lam.append(pt - prev)
-        prev = pt
-    lam.append(k - prev)
-    return tuple(lam)
+    return tuple(hi - lo for lo, hi in zip([0, *p], [*p, k]))

@@ -74,25 +74,23 @@ from .permutations import (
     Permutation,
     check_composition,
     compositions,
+    coset_reps_within,
     identity,
     j_set,
     left_coset_factor,
     nu_of,
     theta,
-    theta_inverse,
     young_subgroup,
     young_subgroup_size,
 )
 from .ring import _ONE, RingElem, _collect, add_products, exact_rank, modular_rank
 from .wreath import (
     ColoredMatrix,
-    a_ddot,
-    colored_col_sums,
     colored_count,
     colored_row_sums,
-    colored_size,
     enumerate_colored,
     enumerate_colored_with_margins,
+    matrix_record,
 )
 
 
@@ -202,10 +200,9 @@ class SchurContext:
         return list(enumerate_colored_with_margins(lam, mu, self.m, guard))
 
     def margins(self, A: ColoredMatrix) -> tuple[Composition, Composition]:
-        """(row sums, column sums) of A, from one ``colored_size``, memoised."""
+        """(row sums, column sums) of A, from its ``wreath.matrix_record``, memoised."""
         if A not in self._margins:
-            size = colored_size(A)
-            self._margins[A] = (tuple(map(sum, size)), tuple(map(sum, zip(*size))))
+            self._margins[A] = matrix_record(A)[1:3]
         return self._margins[A]
 
     def squeezed(self, A: ColoredMatrix) -> ColoredMatrix:
@@ -288,16 +285,16 @@ def _module_column(alg: HeckeAlgebra, key: TermKey, g: tuple) -> dict:
 def tail_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
     """T_d sigma(A) (sum of T_v over the coset representatives closing it):
     b_A without the leading symmetrizer, in alg (X's in place of L's in the
-    affine algebra).  T_d sigma(A) is ``sigma_ddot`` started at T_d."""
-    size = colored_size(A)
-    reps = alg.coset_reps_within(colored_col_sums(A), nu_of(size))
-    seq = alg.elem({(v, (0,) * alg.r): alg.one_c for v in reps})
-    return sigma_ddot(alg, A, alg.from_perm(theta_inverse(size))) * seq
+    affine algebra).  T_d sigma(A) is ``sigma_ddot`` started at T_d, which
+    writes its terms with no product; A's invariants are its matrix record."""
+    record = matrix_record(A)
+    seq = {(v, (0,) * alg.r): alg._one for v in coset_reps_within(record.cols, nu_of(record.size))}
+    return sigma_ddot(alg, A, alg.from_perm(record.rep.perm)) * alg.element_type(alg, seq)
 
 
 def b_element_of(alg: AlgebraBase, A: ColoredMatrix) -> ElementBase:
     """b_A = x_lam tail(A) in alg, lam the row sums of A."""
-    return alg.x_lambda(colored_row_sums(A)) * tail_of(alg, A)
+    return alg.x_lambda(matrix_record(A).rows) * tail_of(alg, A)
 
 
 # -- triangular expansion in the hom basis ---------------------------------
@@ -326,12 +323,12 @@ def _leading_term(ctx: SchurContext, A: ColoredMatrix) -> tuple[Permutation, tup
     entries taken column by column, placed by v0: v0 is the longest of the
     coset representatives attached to the refinement nu of mu.
     """
-    size = colored_size(A)
-    v0 = ctx.hecke.coset_reps_within(ctx.margins(A)[1], nu_of(size))[-1]  # sorted by length
+    record = matrix_record(A)
+    v0 = coset_reps_within(record.cols, nu_of(record.size))[-1]  # sorted by length
     ahat = tuple(
-        sum(block[t:]) for col in zip(*a_ddot(A)) for block in col for t in range(len(block))
+        sum(block[t:]) for col in zip(*record.ddot) for block in col for t in range(len(block))
     )
-    return theta_inverse(size) * v0, v0.apply_to_tuple(ahat)
+    return record.rep.perm * v0, v0.apply_to_tuple(ahat)
 
 
 def module_dimension(ctx: SchurContext, lam: Sequence[int]) -> int:
@@ -421,7 +418,8 @@ def _eliminate(
         rest = ctx._rests.get(C)
         if rest is None:
             rest = ctx._rests[C] = _rest(ctx._b_coords(C), lead, mu)
-        add_products(coords, rest, f)
+        if rest:
+            add_products(coords, rest, f)
     public = ctx.hecke._public
     if left := public(_collect(coords)):
         raise NotInSpanError(f"{len(left)} module terms lie outside the span of the basis")

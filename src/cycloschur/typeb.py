@@ -44,12 +44,12 @@ from .wreath import (
     colored_mul,
     colored_row_sums,
     colored_simple,
-    colored_size,
     colored_t,
     colored_word,
     double_coset_rep,
     enumerate_colored,
     j_supported,
+    matrix_record,
     nu_colored,
     tilde_offsets,
 )
@@ -213,11 +213,9 @@ def route_product(alg: HeckeAlgebra, A: ColoredMatrix) -> HeckeElement:
     """
     if alg.m != 2:
         raise ValueError("the product formula is specific to two colors")
-    lam = colored_row_sums(A)
-    mu = colored_col_sums(A)
+    size, lam, mu, _, nu, _ = matrix_record(A)
     if alg.r != sum(lam):
         raise ValueError("rank mismatch")
-    size = colored_size(A)
     offsets = tilde_offsets(A)
     supported = set(j_supported(A))
     n = len(A)
@@ -231,7 +229,7 @@ def route_product(alg: HeckeAlgebra, A: ColoredMatrix) -> HeckeElement:
             c1 = A[i][j][0]
             exponent += a_off * c1
             elem = elem * t_element(alg, shifted_d_word(a_off, c1))
-    seq = alg.elem({(w, (0,) * alg.r): alg.one_c for w in coset_reps_within(mu, nu_colored(A))})
+    seq = alg.elem({(w, (0,) * alg.r): alg.one_c for w in coset_reps_within(mu, nu)})
     return (elem * seq).scale(RingElem.q_power(-exponent, alg.nvars))
 
 
@@ -288,8 +286,8 @@ def group_values(x: HeckeElement) -> dict[tuple[Permutation, tuple[int, ...]], i
 def double_coset_keys(A: ColoredMatrix) -> set[tuple[Permutation, tuple[int, ...]]]:
     """``group_element_key`` of each element x c y of ``matrix_double_coset(A)``:
     (x * c.perm * y, c.colors read through y), from the tabled Young subgroups."""
-    c = double_coset_rep(A)
-    left, right = young_subgroup(colored_row_sums(A)), young_subgroup(colored_col_sums(A))
+    _, lam, mu, _, _, c = matrix_record(A)
+    left, right = young_subgroup(lam), young_subgroup(mu)
     check_guard(len(left) * len(right), None, "double coset enumeration")
     colored = [(y, y.apply_to_tuple(c.colors)) for y in right]
     return {(xc * y, colors) for xc in [x * c.perm for x in left] for y, colors in colored}

@@ -17,6 +17,10 @@ representative of a colored matrix: the uncolored minimal representative
 of the entry-sum matrix, followed by a diagonal color element that colors
 each column-major block with colors 1, 1, .., 2, 2, .., 0 according to the
 tuple.
+
+|A|, the margins, a_ddot(A), nu_colored(A) and double_coset_rep(A) are read
+from one record per matrix (``matrix_record``), kept for the life of the
+process; an invalid matrix raises and is never stored.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .guards import DEFAULT_GUARD, check_guard
 from .permutations import (
     Composition,
     IntMatrix,
     Permutation,
+    _rows,
+    _tabled,
     blocks,
     check_composition,
     col_sums,
@@ -48,7 +54,7 @@ from .permutations import (
 ColoredMatrix = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ColoredPerm:
     """An element of (Z/m) wr S_r: i maps to zeta^{colors[i]} * perm(i)."""
 
@@ -75,13 +81,17 @@ class ColoredPerm:
 
 
 def colored_mul(w: ColoredPerm, v: ColoredPerm) -> ColoredPerm:
-    """(w o v)(i) = w(v(i))."""
+    """(w o v)(i) = w(v(i)), built without validating again: its colors are
+    reduced mod m, one per position."""
     if w.m != v.m or w.size != v.size:
         raise ValueError("mismatched wreath products")
     colors = tuple(
         (v.colors[i] + w.colors[v.perm.im[i] - 1]) % w.m for i in range(w.size)
     )
-    return ColoredPerm(w.m, colors, w.perm * v.perm)
+    product = object.__new__(ColoredPerm)
+    for field, value in zip(("m", "colors", "perm"), (w.m, colors, w.perm * v.perm)):
+        object.__setattr__(product, field, value)
+    return product
 
 
 def colored_identity(m: int, r: int) -> ColoredPerm:
@@ -134,17 +144,50 @@ def enumerate_wreath(m: int, r: int, guard: int | None = None) -> Iterator[Color
 # -- colored matrices ------------------------------------------------------
 
 
+class MatrixRecord(NamedTuple):
+    """The invariants of a colored matrix, each read by the function named."""
+
+    size: IntMatrix  # colored_size
+    rows: Composition  # colored_row_sums
+    cols: Composition  # colored_col_sums
+    ddot: tuple[tuple[tuple[int, ...], ...], ...]  # a_ddot
+    nu: Composition  # nu_colored
+    rep: ColoredPerm  # double_coset_rep
+
+
+_MATRICES: dict[ColoredMatrix, MatrixRecord] = {}
+_SHARED: dict[tuple, tuple] = {}  # the one object of each |A| and each row of a_ddot(A)
+
+
+def matrix_record(A: ColoredMatrix) -> MatrixRecord:
+    """A's record, tabled as in ``permutations``: keyed by A with its entries
+    validated, and raising unless A is a rectangular matrix of compositions."""
+    return _tabled(_MATRICES, _matrix_record, A, lambda A: tuple(map(_rows, A)))
+
+
+def _matrix_record(A: ColoredMatrix) -> MatrixRecord:
+    size = _SHARED.setdefault(size := _rows(map(sum, row) for row in A), size)
+    d, m = theta_inverse(size), len(A[0][0]) if A and A[0] else 1  # d: raises unless rectangular
+    # each column-major block colored 1, .., 1, 2, .., 2, .., 0 by its entry
+    colors = tuple(t % m for e in nu_of(A) for t, count in enumerate(e, 1) for _ in range(count))
+    return MatrixRecord(
+        size, check_composition(row_sums(size)), check_composition(col_sums(size)),
+        tuple(_SHARED.setdefault(dd := tuple(map(ddot, row)), dd) for row in A),
+        tuple(part for e in nu_of(A) for part in e),
+        ColoredPerm(m, colors, d))
+
+
 def colored_size(A: ColoredMatrix) -> IntMatrix:
     """Entrywise total |A|: sum of each m-tuple."""
-    return tuple(tuple(sum(entry) for entry in row) for row in A)
+    return matrix_record(A).size
 
 
 def colored_row_sums(A: ColoredMatrix) -> Composition:
-    return row_sums(colored_size(A))
+    return matrix_record(A).rows
 
 
 def colored_col_sums(A: ColoredMatrix) -> Composition:
-    return col_sums(colored_size(A))
+    return matrix_record(A).cols
 
 
 def group_by_row_sums(matrices: Sequence[ColoredMatrix]) -> dict[Composition, list[int]]:
@@ -188,15 +231,8 @@ def colored_matrix_of(
 def tilde_offsets(A: ColoredMatrix) -> dict[tuple[int, int], int]:
     """Column-major partial sums of |A| before each entry (0-indexed keys)."""
     size = colored_size(A)
-    n_rows = len(size)
-    n_cols = len(size[0]) if size else 0
-    out: dict[tuple[int, int], int] = {}
-    acc = 0
-    for j in range(n_cols):
-        for i in range(n_rows):
-            out[(i, j)] = acc
-            acc += size[i][j]
-    return out
+    cells = [(i, j) for j in range(len(size[0]) if size else 0) for i in range(len(size))]
+    return dict(zip(cells, itertools.accumulate((size[i][j] for i, j in cells), initial=0)))
 
 
 def double_coset_rep(A: ColoredMatrix) -> ColoredPerm:
@@ -206,20 +242,7 @@ def double_coset_rep(A: ColoredMatrix) -> ColoredPerm:
     Color part: in each column-major block, the first a^(1) positions get
     color 1, the next a^(2) color 2, ..., the final a^(m) color 0.
     """
-    m = len(A[0][0]) if A and A[0] else 1
-    size = colored_size(A)
-    d = theta_inverse(size)
-    r = d.size
-    colors = [0] * r
-    offsets = tilde_offsets(A)
-    for (i, j), start in offsets.items():
-        pos = start
-        for t, count in enumerate(A[i][j], start=1):
-            color = t % m  # slot m means color 0
-            for _ in range(count):
-                colors[pos] = color
-                pos += 1
-    return ColoredPerm(m, tuple(colors), d)
+    return matrix_record(A).rep
 
 
 def nu_colored(A: ColoredMatrix) -> Composition:
@@ -228,24 +251,20 @@ def nu_colored(A: ColoredMatrix) -> Composition:
     The Young subgroup of this composition is the stabilizer
     rep^{-1} S_lam rep  intersect  S_mu for the distinguished representative.
     """
-    return tuple(part for entry in nu_of(A) for part in entry)
+    return matrix_record(A).nu
 
 
 def a_ddot(A: ColoredMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Entrywise composition reindexing: each m-tuple entry a becomes
     ddot(a), a tuple of length sum(a) with entries summing to < m."""
-    return tuple(tuple(ddot(entry) for entry in row) for row in A)
+    return matrix_record(A).ddot
 
 
 def j_supported(A: ColoredMatrix) -> list[tuple[int, int]]:
     """Entries (i, j), 0-indexed, carrying at least one nonzero color."""
     m = len(A[0][0]) if A and A[0] else 1
-    out = []
-    for i, row in enumerate(A):
-        for j, entry in enumerate(row):
-            if entry[m - 1] < sum(entry):
-                out.append((i, j))
-    return out
+    return [(i, j) for i, row in enumerate(A) for j, entry in enumerate(row)
+            if entry[m - 1] < sum(entry)]
 
 
 def enumerate_colored(
@@ -286,11 +305,8 @@ def enumerate_colored_with_margins(
     total = 0
     for size in matrices_with_margins(lam, mu):
         per_cell = [list(compositions(entry, m)) for row in size for entry in row]
-        count = 1
-        for options in per_cell:
-            count *= len(options)
         splits.append((len(size), len(size[0]) if size else 0, per_cell))
-        total += count
+        total += math.prod(map(len, per_cell))
         if total > cap:
             break
     check_guard(total, guard, "colored matrices with margins")

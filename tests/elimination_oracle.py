@@ -18,6 +18,7 @@ from typing import Sequence
 from cycloschur.permutations import (
     Composition,
     Permutation,
+    coset_reps_within,
     ddot_inverse,
     left_coset_factor,
     nu_of,
@@ -63,7 +64,7 @@ def recover_matrix(
     """
     d, v = left_coset_factor(d2, mu)
     size = theta(lam, d, mu)
-    vs = ctx.hecke.coset_reps_within(mu, nu_of(size))
+    vs = coset_reps_within(mu, nu_of(size))
     max_len = max(x.length() for x in vs)
     longest = [x for x in vs if x.length() == max_len]
     if len(longest) != 1:

@@ -310,6 +310,26 @@ def test_non_integral_parts_raise_and_are_never_tabled():
         assert all(type(x) is int and x >= 0 for x in key), key
 
 
+def test_infinite_and_nan_parts_raise_value_error_and_are_never_tabled():
+    inf, nan = float("inf"), float("nan")
+    tabled = (check_composition, blocks, young_subgroup, ddot, HeckeAlgebra(1, 2).x_lambda)
+    for bad in ([inf], (-inf,), [nan], (1, inf), (nan, 1), [-inf, 2]):
+        for f in tabled:
+            for _ in range(2):  # the first failure stored nothing
+                with pytest.raises(ValueError):
+                    f(bad)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                theta_inverse((bad, bad))
+            with pytest.raises(ValueError):
+                coset_reps_within((2,), bad)
+    tables = (permutations._COMPOSITIONS, permutations._BLOCKS, permutations._YOUNG,
+              permutations._DDOT)
+    keys = itertools.chain(*tables, *permutations._THETA_INVERSE, *permutations._REPS_WITHIN)
+    for key in keys:
+        assert all(type(x) is int and math.isfinite(x) for x in key), key
+
+
 def test_young_subgroup():
     lam = (2, 1, 2)
     elems = list(young_subgroup(lam))

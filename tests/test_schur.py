@@ -13,9 +13,10 @@ import math
 import random
 
 import pytest
+import coset_oracle
 
 from cycloschur.affine import AffineAlgebra, epsilon_u
-from cycloschur import hecke
+from cycloschur import permutations
 from cycloschur.guards import GuardError
 from cycloschur.hecke import ElementBase, HeckeAlgebra, HeckeElement, eigen_test
 from cycloschur.permutations import (
@@ -480,30 +481,37 @@ def test_hom_dims_build_the_eigen_equations_once(monkeypatch):
     assert len(calls) == 36
 
 
-def test_coset_representatives_are_memoised_per_algebra(monkeypatch):
-    calls = []
+def test_coset_representatives_are_tabled_per_process(monkeypatch):
+    """Every algebra and context reads one table of coset representatives,
+    each entry built once; a returned list is a fresh copy of its entry."""
+    built = []
 
-    def counted(mu, nu):
-        calls.append((mu, nu))
-        return coset_reps_within(mu, nu)
+    def counted(key, build=permutations._coset_reps_within):
+        built.append(key)
+        return build(key)
 
-    monkeypatch.setattr(hecke, "coset_reps_within", counted)
+    monkeypatch.setattr(permutations, "_REPS_WITHIN", {})
+    monkeypatch.setattr(permutations, "_coset_reps_within", counted)
     ctx = SchurContext(2, 2, 3)
     basis = ctx.basis()
     for A in basis:
         ctx.tail(A)
     for A, B in zip(basis, reversed(basis)):
-        multiply_basis(ctx, A, B)  # recovers leading terms through the memo
-    memo = ctx.hecke._reps_within
-    assert memo and len(calls) == len(memo)
-    for (mu, nu), reps in memo.items():
-        assert reps == coset_reps_within(mu, nu)
-    # An equal algebra keeps a memo of its own.
+        multiply_basis(ctx, A, B)  # recovers leading terms through the table
+    table = permutations._REPS_WITHIN
+    assert table and len(built) == len(set(built)) == len(table)
+    for (mu, nu), reps in table.items():
+        assert type(reps) is tuple and list(reps) == coset_oracle.coset_reps_within(mu, nu)
+    # An equal algebra, and a context of its own, build nothing new.
     other = HeckeAlgebra(2, 3)
-    assert other == ctx.hecke and other._reps_within == {}
-    tail_of(other, basis[-1])
-    assert len(other._reps_within) == 1 and other._reps_within is not memo
-    assert len(calls) == len(memo) + 1
+    assert other == ctx.hecke and other is not ctx.hecke
+    for A in basis:
+        assert tail_of(other, A) == SchurContext(2, 2, 3).tail(A)
+    assert len(built) == len(table)
+    (mu, nu), reps = next(iter(table.items()))
+    got = coset_reps_within(mu, nu)
+    got.clear()
+    assert coset_reps_within(mu, nu) == list(reps) and reps
 
 
 def test_eigen_certificate():

@@ -10,10 +10,10 @@ few exponents, and on every b_A = x_lam * tail(A) at (2, 2, 2), where it
 must cost nothing.  The counts are deterministic: fresh interpreters with
 different hash seeds agree.
 
-The composition tables of ``permutations`` are counted the same way: in a
-fresh interpreter, so that they start cold, one verify-all pass at
-(3, 3, 2) builds each entry once, and its report is still the benchmark's
-reference.
+The tables of compositions (``permutations``), matrix records (``wreath``)
+and sigma polynomials (``hecke``) are counted the same way: in a fresh
+interpreter, so that they start cold, one verify-all pass at (3, 3, 2)
+builds each entry once, and its report is still the benchmark's reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import walk_oracle
 
-from cycloschur import hecke
+from cycloschur import hecke, schur
 from cycloschur.affine import AffineAlgebra, epsilon_u
 from cycloschur.hecke import HeckeAlgebra, _sum_of_products
 from cycloschur.permutations import all_perms
@@ -38,24 +38,28 @@ from cycloschur.wreath import colored_row_sums
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Run in a fresh interpreter: wrap the builders behind the composition
-# tables of ``permutations``, then run one verify-all pass on cold tables.
+# Run in a fresh interpreter: wrap the builders behind the tables of
+# ``permutations`` (compositions), ``wreath`` (matrix records) and ``hecke``
+# (sigma polynomials), then run one verify-all pass on cold tables.
 TABLE_BUILDS = """
 import json
-from cycloschur import permutations
+from cycloschur import hecke, permutations, wreath
 from cycloschur.verify import SuiteParams, run_suite
 
-tables = {"_blocks": "_BLOCKS", "_young_subgroup": "_YOUNG", "_ddot": "_DDOT",
-          "_theta_inverse": "_THETA_INVERSE"}
-cold = {name: len(getattr(permutations, table)) for name, table in tables.items()}
+tables = {"_blocks": (permutations, "_BLOCKS"), "_young_subgroup": (permutations, "_YOUNG"),
+          "_ddot": (permutations, "_DDOT"), "_theta_inverse": (permutations, "_THETA_INVERSE"),
+          "_coset_reps_within": (permutations, "_REPS_WITHIN"),
+          "_matrix_record": (wreath, "_MATRICES"), "_sigma_poly": (hecke, "_SIGMA")}
+cold = {name: len(getattr(*table)) for name, table in tables.items()}
 built = {name: [] for name in tables}
 for name, keys in built.items():
-    def counted(key, build=getattr(permutations, name), keys=keys):
+    module = tables[name][0]
+    def counted(key, build=getattr(module, name), keys=keys):
         keys.append(key)
         return build(key)
-    setattr(permutations, name, counted)
+    setattr(module, name, counted)
 report = run_suite("all", SuiteParams(m=3, n=3, r=2))
-sizes = {name: len(getattr(permutations, table)) for name, table in tables.items()}
+sizes = {name: len(getattr(*table)) for name, table in tables.items()}
 print(json.dumps({"cold": cold, "built": built, "sizes": sizes, "report": report}))
 """
 
@@ -142,8 +146,11 @@ def test_counts_do_not_depend_on_the_hash_seed():
 
 
 def test_a_verify_pass_builds_each_table_entry_once():
-    """12 Young subgroups, 16 ddots, 62 block lists and 52 theta inverses:
-    the distinct inputs of one verify-all pass at (3, 3, 2), each built once."""
+    """12 Young subgroups, 16 ddots, 14 block lists, 55 theta inverses, 112
+    coset representative lists, 590 matrix records and 10 block factors of
+    sigma: the distinct inputs of one verify-all pass at (3, 3, 2), each
+    built once.  (62 block lists when each sigma ran sigma_nu, 52 theta
+    inverses when the margins of a matrix did not build its record.)"""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = json.loads(subprocess.run([sys.executable, "-c", TABLE_BUILDS], capture_output=True,
                                     text=True, check=True, env=env).stdout)
@@ -152,10 +159,33 @@ def test_a_verify_pass_builds_each_table_entry_once():
     for name, keys in built.items():
         assert len({json.dumps(key) for key in keys}) == len(keys), name
     assert {name: len(keys) for name, keys in built.items()} == out["sizes"] == {
-        "_blocks": 62, "_young_subgroup": 12, "_ddot": 16, "_theta_inverse": 52}
+        "_blocks": 14, "_young_subgroup": 12, "_ddot": 16, "_theta_inverse": 55,
+        "_coset_reps_within": 112, "_matrix_record": 590, "_sigma_poly": 10}
     report = out["report"]
     del report["seconds"]
     for check in report["checks"]:
         del check["seconds"]
     with open(ROOT / "perfbench" / "refs" / "verify_all.json", encoding="utf-8") as fh:
         assert report == json.load(fh)["reports"]["0"]
+
+
+def test_elimination_skips_empty_rests(monkeypatch):
+    """A whole S(3; 2, 2) table: ``_eliminate`` hands the kernel only rests
+    that hold terms (30 of the 42 rests at (3, 2, 2) are empty)."""
+    sizes = []
+
+    def counted(acc, items, c2, _kernel=schur.add_products):
+        if sys._getframe(1).f_code.co_name == "_eliminate":
+            items = list(items)
+            sizes.append(len(items))
+        return _kernel(acc, items, c2)
+
+    monkeypatch.setattr(schur, "add_products", counted)
+    ctx = SchurContext(3, 2, 2)
+    basis = ctx.basis()
+    for A, B in itertools.product(basis, repeat=2):
+        if ctx.margins(A)[1] == ctx.margins(B)[0]:
+            schur.multiply_basis(ctx, A, B)
+    empty = sum(not rest for rest in ctx._rests.values())
+    assert sizes and 0 not in sizes
+    assert (empty, len(ctx._rests)) == (30, 42)

@@ -39,6 +39,26 @@ from cycloschur.wreath import (
 )
 
 
+def test_products_equal_the_validated_construction():
+    """colored_mul builds its product without validating again; each product
+    over (Z/2) wr S_3 and (Z/3) wr S_2 equals the validated construction of
+    its definition, (w o v)(i) = w(v(i))."""
+    for m, r in ((2, 3), (3, 2)):
+        elems = list(enumerate_wreath(m, r))
+        for w, v in itertools.product(elems, repeat=2):
+            colors = tuple((v.colors[i] + w.colors[v.perm(i + 1) - 1]) % m for i in range(r))
+            im = tuple(w.perm(v.perm(i)) for i in range(1, r + 1))
+            expected = ColoredPerm(m, colors, Permutation(im))
+            got = colored_mul(w, v)
+            assert type(got) is ColoredPerm and got == expected and hash(got) == hash(expected)
+            assert (got.m, got.colors, got.perm) == (m, colors, expected.perm)
+    with pytest.raises(ValueError):
+        colored_mul(colored_identity(2, 2), colored_identity(3, 2))
+    for bad in ((2, (0, 2), identity(2)), (2, (0,), identity(2)), (3, (0, -1), identity(2))):
+        with pytest.raises(ValueError):
+            ColoredPerm(*bad)
+
+
 def test_group_axioms_exhaustive_small():
     m, r = 2, 2
     elems = list(enumerate_wreath(m, r))
